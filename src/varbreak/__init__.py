@@ -11,7 +11,6 @@ from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_ord
 from varbreak.cusum import (
     CusumTrace,
     corrected_trace,
-    cumulative_squares,
     sanso_trace,
     statistic_corrected,
     statistic_it,
@@ -53,7 +52,6 @@ from varbreak.variance_poly import (
     PositivityReport,
     VariancePolyFit,
     check_positivity,
-    eval_variance,
     fit_variance_poly,
     select_poly_order_aic,
 )
@@ -88,11 +86,9 @@ __all__ = [
     "ZeroDispersionError",
     "check_positivity",
     "corrected_trace",
-    "cumulative_squares",
     "default_max_order",
     "difference",
     "emit_report",
-    "eval_variance",
     "experiment_for_cell",
     "fit_ar_ols",
     "fit_variance_poly",

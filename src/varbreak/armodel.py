@@ -3,7 +3,10 @@
 The variance tests act on approximately uncorrelated residuals, so
 observed series are first regressed on their own lags.  Fitting is
 plain least squares; order selection minimizes the Gaussian AIC on a
-common effective sample so scores are comparable across orders.
+common effective sample so scores are comparable across orders.  All
+fits, and both AIC searches (this one and the polynomial order search
+in :mod:`varbreak.variance_poly`), go through one nested least-squares
+routine that factorises the largest design once with a QR.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from varbreak.errors import SingularDesignError
+from varbreak._ols import nested_ols
 from varbreak.series import ResidualSeries
 
 _RSS_FLOOR = np.finfo(np.float64).tiny
@@ -46,9 +49,14 @@ def _validate_input(values) -> np.ndarray:
     return x
 
 
-def _lag_columns(z: np.ndarray, order: int, start: int) -> list[np.ndarray]:
-    # column i holds z_{t-i} for responses z_t, t = start..n-1 (0-based)
-    return [z[start - i : z.size - i] for i in range(1, order + 1)]
+def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
+    # responses z_t, t = order..n-1 (0-based): an optional constant, then z_{t-1}..z_{t-order}
+    design = np.empty((z.size - order, int(intercept) + order))
+    if intercept:
+        design[:, 0] = 1.0
+    for i in range(1, order + 1):
+        design[:, int(intercept) + i - 1] = z[order - i : z.size - i]
+    return design
 
 
 def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = False) -> ArFit:
@@ -81,27 +89,9 @@ def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = Fa
         raise ValueError(f"series length {x.size} must exceed order + 1 = {order + 1}")
     mean = float(x.mean()) if demean else 0.0
     z = x - mean
-    if order == 0 and not intercept:
-        return ArFit(
-            order=0,
-            coefficients=(),
-            intercept=0.0,
-            mean=mean,
-            residuals=ResidualSeries(z),
-            n_effective=z.size,
-            demeaned=demean,
-            with_intercept=False,
-        )
     y = z[order:]
-    columns = _lag_columns(z, order, order)
-    if intercept:
-        columns = [np.ones(y.size)] + columns
-    design = np.column_stack(columns)
-    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise SingularDesignError(
-            f"AR({order}) regressor matrix has rank {rank} < {design.shape[1]}"
-        )
+    design = _ar_design(z, order, intercept)
+    beta = nested_ols(design, y, f"AR({order}) design").coefficients(design.shape[1])
     const = float(beta[0]) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
     residuals = y - design @ beta
@@ -122,14 +112,16 @@ def select_ar_order(values, max_order: int, *, demean: bool = False, intercept: 
 
     Every candidate is fitted on the same responses t = max_order+1..n,
     scored with ``n_eff * log(RSS/n_eff) + 2(m+1)``, and the smallest
-    minimizing order is returned.
+    minimizing order is returned.  The candidates' designs are the
+    leading columns of the max_order design, so one QR factorisation
+    gives every RSS.
 
     Raises
     ------
     ValueError
         If the series is too short for ``max_order``.
     SingularDesignError
-        From the failing order, if any candidate fit is rank deficient.
+        If the max_order regressor matrix is rank deficient.
     """
     x = _validate_input(values)
     if max_order < 0:
@@ -137,25 +129,13 @@ def select_ar_order(values, max_order: int, *, demean: bool = False, intercept: 
     if x.size <= max_order + 2:
         raise ValueError(f"series length {x.size} must exceed max_order + 2 = {max_order + 2}")
     z = x - x.mean() if demean else x
-    y = z[max_order:]
-    n_eff = y.size
+    design = _ar_design(z, max_order, intercept)
+    rss = nested_ols(design, z[max_order:], f"AR({max_order}) design").rss
+    n_eff = design.shape[0]
     chosen = 0
     best = np.inf
     for m in range(0, max_order + 1):
-        columns = _lag_columns(z, m, max_order)
-        if intercept:
-            columns = [np.ones(n_eff)] + columns
-        if columns:
-            design = np.column_stack(columns)
-            beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-            if rank < design.shape[1]:
-                raise SingularDesignError(
-                    f"order {m}: AR regressor matrix has rank {rank} < {design.shape[1]}"
-                )
-            rss = float(np.sum((y - design @ beta) ** 2))
-        else:
-            rss = float(y @ y)
-        aic = n_eff * np.log(max(rss, _RSS_FLOOR) / n_eff) + 2.0 * (m + 1)
+        aic = n_eff * np.log(max(rss[int(intercept) + m], _RSS_FLOOR) / n_eff) + 2.0 * (m + 1)
         if aic < best:
             best = aic
             chosen = m

@@ -38,15 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from varbreak.errors import DegenerateSeriesError, NonpositiveVarianceError, ZeroDispersionError
 from varbreak.series import ResidualSeries, SubsampleWindow
-
-if TYPE_CHECKING:
-    from varbreak.variance_poly import VariancePolyFit
+from varbreak.variance_poly import VariancePolyFit, check_positivity
 
 POSITIVITY_MODES = ("error", "clamp", "none")
 
@@ -60,22 +57,38 @@ class CusumTrace:
     cumsums : numpy.ndarray
         Partial sums C_k of the (possibly variance-rescaled) squared
         residuals, k = 1..q.
-    eta : float or None
+    eta : float
         Window average of the (rescaled) fourth powers.
-    bridge : numpy.ndarray or None
+    bridge : numpy.ndarray
         Normalized deviations B_k = (C_k - (k/q) C_q) / sqrt(eta - (C_q/q)**2).
-    statistic : float or None
+    statistic : float
         sup_k |q**-0.5 * B_k|.
     """
 
     cumsums: np.ndarray
-    eta: float | None = None
-    bridge: np.ndarray | None = None
-    statistic: float | None = None
+    eta: float
+    bridge: np.ndarray
+    statistic: float
 
 
-def _bridge_trace(squares: np.ndarray) -> CusumTrace:
-    """Full bridge trace of a window of (rescaled) squared residuals."""
+def _scaled_squares(u: np.ndarray) -> tuple[np.ndarray, int]:
+    """Squares of ``u * 2**-e`` with max|u * 2**-e| in [0.5, 1), and the exponent 2e.
+
+    Squaring after the scaling keeps u**2 and u**4 clear of overflow and
+    of subnormal underflow.  Scaling by a power of two is exact, and the
+    bridge statistics are scale invariant, so they are unchanged.
+    """
+    _, e = math.frexp(float(np.max(np.abs(u))))
+    v = np.ldexp(u, -e)
+    return v * v, 2 * e
+
+
+def _bridge_trace(squares: np.ndarray, exponent: int = 0) -> CusumTrace:
+    """Full bridge trace of a window of (rescaled) squared residuals.
+
+    ``squares`` are the true squares times ``2**-exponent``; the trace
+    reports C_k and eta in the true units.
+    """
     q = squares.size
     cumsums = np.cumsum(squares)
     eta = float(np.mean(squares * squares))
@@ -88,22 +101,9 @@ def _bridge_trace(squares: np.ndarray) -> CusumTrace:
     k = np.arange(1, q + 1, dtype=np.float64)
     bridge = (cumsums - (k / q) * cumsums[-1]) / math.sqrt(dispersion)
     statistic = float(np.max(np.abs(bridge)) / math.sqrt(q))
+    with np.errstate(over="ignore"):  # true sums beyond the float range read as inf
+        cumsums, eta = np.ldexp(cumsums, exponent), float(np.ldexp(eta, 2 * exponent))
     return CusumTrace(cumsums=cumsums, eta=eta, bridge=bridge, statistic=statistic)
-
-
-def cumulative_squares(series: ResidualSeries, window: SubsampleWindow) -> CusumTrace:
-    """Partial sums C_k of squared residuals over a window.
-
-    Returns a :class:`CusumTrace` with only ``cumsums`` populated:
-    ``cumsums[k-1] = sum_{t=offset+1}^{offset+k} u_t**2`` for k = 1..q.
-
-    Raises
-    ------
-    WindowBoundsError
-        If the window does not match the series.
-    """
-    u = window.slice_values(series)
-    return CusumTrace(cumsums=np.cumsum(u * u))
 
 
 def statistic_it(series: ResidualSeries) -> float:
@@ -114,7 +114,7 @@ def statistic_it(series: ResidualSeries) -> float:
     DegenerateSeriesError
         If every residual is zero, so C_n = 0.
     """
-    sq = series.values * series.values
+    sq, _ = _scaled_squares(series.values)
     cumsums = np.cumsum(sq)
     n = series.n
     if cumsums[-1] <= 0.0:
@@ -132,8 +132,7 @@ def sanso_trace(series: ResidualSeries, window: SubsampleWindow | None = None) -
     """
     if window is None:
         window = SubsampleWindow.full(series.n)
-    u = window.slice_values(series)
-    return _bridge_trace(u * u)
+    return _bridge_trace(*_scaled_squares(window.slice_values(series)))
 
 
 def statistic_sanso(series: ResidualSeries) -> float:
@@ -149,9 +148,7 @@ def statistic_sanso(series: ResidualSeries) -> float:
         If the squared residuals are empirically constant, so the
         denominator is not positive.
     """
-    stat = sanso_trace(series).statistic
-    assert stat is not None
-    return stat
+    return sanso_trace(series).statistic
 
 
 def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> float:
@@ -168,15 +165,13 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     ZeroDispersionError
         If the windowed squared residuals are empirically constant.
     """
-    stat = sanso_trace(series, window).statistic
-    assert stat is not None
-    return stat
+    return sanso_trace(series, window).statistic
 
 
 def corrected_trace(
     series: ResidualSeries,
     window: SubsampleWindow,
-    fit: "VariancePolyFit",
+    fit: VariancePolyFit,
     *,
     positivity: str = "error",
     pos_floor_frac: float = 0.01,
@@ -193,17 +188,19 @@ def corrected_trace(
     series, window
         Residuals and the analysis window.
     fit : VariancePolyFit
-        Polynomial variance profile, usually fitted on the same window.
+        Polynomial variance profile fitted on ``window``.
     positivity : {"error", "clamp", "none"}
         What to do when the profile dips to or below the positivity
-        floor ``pos_floor_frac * mean(u_t**2)`` inside the window:
-        raise (default), replace the offending values by the floor, or
-        use the profile as is.
+        floor of :func:`varbreak.variance_poly.check_positivity` inside
+        the window: raise (default), replace the offending values by the
+        floor, or use the profile as is.
     pos_floor_frac : float
         Floor fraction; see :func:`varbreak.variance_poly.check_positivity`.
 
     Raises
     ------
+    ValueError
+        If ``fit`` was fitted on a different window.
     NonpositiveVarianceError
         Under ``positivity="error"`` when the profile dips to or below
         the floor, and under every mode when a rescaled square is not
@@ -214,23 +211,19 @@ def corrected_trace(
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     u = window.slice_values(series)
-    if fit.window.n != window.n:
-        raise ValueError(
-            f"variance fit was built for series length {fit.window.n}, window has {window.n}"
-        )
-    squares = u * u
-    profile = fit.profile(window)
-    floor = pos_floor_frac * float(np.mean(squares))
-    min_value = float(np.min(profile))
-    if positivity == "error" and min_value <= floor:
-        t_min = int(window.offset + 1 + np.argmin(profile))
-        raise NonpositiveVarianceError(
-            f"fitted variance dips to {min_value:.6g} at t={t_min} "
-            f"(positivity floor {floor:.6g}); clamp explicitly or refit with a lower order"
-        )
-    if positivity == "clamp":
-        profile = np.maximum(profile, floor)
-    rescaled = squares / profile
+    if fit.window != window:
+        raise ValueError(f"variance fit was built on {fit.window}, not on {window}")
+    profile = fit.profile()
+    if positivity != "none":
+        report = check_positivity(fit, pos_floor_frac)
+        if positivity == "error" and not report.passed:
+            raise NonpositiveVarianceError(
+                f"fitted variance dips to {report.min_value:.6g} at t={report.t_min} "
+                f"(positivity floor {report.floor:.6g}); "
+                "clamp explicitly or refit with a lower order"
+            )
+        profile = np.maximum(profile, report.floor)  # a no-op once "error" has passed
+    rescaled = u * u / profile
     if not np.all(np.isfinite(rescaled)):
         raise NonpositiveVarianceError("fitted variance is exactly zero inside the window")
     return _bridge_trace(rescaled)
@@ -239,7 +232,7 @@ def corrected_trace(
 def statistic_corrected(
     series: ResidualSeries,
     window: SubsampleWindow,
-    fit: "VariancePolyFit",
+    fit: VariancePolyFit,
     *,
     positivity: str = "error",
     pos_floor_frac: float = 0.01,
@@ -253,8 +246,6 @@ def statistic_corrected(
 
     See :func:`corrected_trace` for parameters and errors.
     """
-    stat = corrected_trace(
+    return corrected_trace(
         series, window, fit, positivity=positivity, pos_floor_frac=pos_floor_frac
     ).statistic
-    assert stat is not None
-    return stat

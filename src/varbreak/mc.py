@@ -23,8 +23,9 @@ worker counts, and execution orders.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +35,7 @@ from varbreak.cusum import statistic_corrected, statistic_subsample
 from varbreak.errors import ExperimentIntegrityError, InvalidVariancePathError, VarbreakError
 from varbreak.nulldist import DecisionRule
 from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import fit_variance_poly, select_poly_order_aic
+from varbreak.variance_poly import select_poly_order_aic
 
 _MASK64 = (1 << 64) - 1
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -52,6 +53,9 @@ TABLE_KAPPA = 0.5
 # Grid calibration: a cubic selection cap and the 1.33 boundary keep the
 # corrected test's size near nominal on these sample sizes.
 TABLE_P_MAX = 3
+
+#: Failure key of a replication whose statistic came out NaN or infinite.
+NONFINITE_FAILURE = "NonFiniteStatistic"
 
 
 def stream(seed: int, replication: int) -> np.random.Generator:
@@ -220,8 +224,7 @@ def _replicate(spec: McExperimentSpec, replication: int) -> tuple[float, float, 
     except VarbreakError as exc:
         err_std = type(exc).__name__
     try:
-        selection = select_poly_order_aic(residuals, window, spec.poly_p_max)
-        fit = fit_variance_poly(residuals, window, selection.chosen_p)
+        fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
         q_mod = statistic_corrected(residuals, window, fit, positivity=spec.positivity)
     except VarbreakError as exc:
         err_mod = type(exc).__name__
@@ -255,7 +258,8 @@ def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
     ------
     ExperimentIntegrityError
         If more than 1 percent of replications fail to produce both
-        statistics; partial failures are never silently dropped.
+        statistics, by a :class:`VarbreakError` or a non-finite value;
+        partial failures are never silently dropped.
     """
     n_rep = spec.replications
     if workers > 1:
@@ -268,14 +272,16 @@ def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
 
     stats_std = np.array([o[0] for o in outcomes])
     stats_mod = np.array([o[1] for o in outcomes])
-    failure_counts: dict[str, int] = {}
+    failure_counts: Counter[str] = Counter()
     n_failed_reps = 0
-    for _, _, err_std, err_mod in outcomes:
-        if err_std or err_mod:
-            n_failed_reps += 1
-        for err in (err_std, err_mod):
-            if err:
-                failure_counts[err] = failure_counts.get(err, 0) + 1
+    for q_std, q_mod, err_std, err_mod in outcomes:
+        errors = [
+            err or NONFINITE_FAILURE
+            for q, err in ((q_std, err_std), (q_mod, err_mod))
+            if err or not math.isfinite(q)
+        ]
+        n_failed_reps += bool(errors)
+        failure_counts.update(errors)
     if n_failed_reps > 0.01 * n_rep:
         raise ExperimentIntegrityError(
             f"{n_failed_reps} of {n_rep} replications failed ({sorted(failure_counts.items())}); "
@@ -369,8 +375,3 @@ def run_table(
         alphas=alphas,
         results=tuple(results),
     )
-
-
-def with_decision(spec: McExperimentSpec, decision: DecisionRule) -> McExperimentSpec:
-    """The same experiment under a different decision rule."""
-    return replace(spec, decision=decision)

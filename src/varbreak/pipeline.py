@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import operator
 from dataclasses import dataclass, field
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
@@ -22,22 +23,35 @@ from varbreak.errors import VarbreakError
 from varbreak.mc import McResult, SimulationTable
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import (
-    VariancePolyFit,
-    check_positivity,
-    fit_variance_poly,
-    select_poly_order_aic,
-)
+from varbreak.variance_poly import check_positivity, select_poly_order_aic
 
 REPORT_SCHEMA_VERSION = 1
 MIN_PIPELINE_LENGTH = 10
 
 FORMATS = ("human", "json", "csv")
 
-_EXPERIMENT_CSV_HEADER = (
-    "dgp,n,alpha,kappa,replications,seed,rate_std,se_std,rate_mod,se_mod,"
-    "n_valid_std,n_valid_mod,critical_value,rule,failures"
-)
+#: The row model of experiment output: field name -> attribute path on
+#: :class:`McResult`, in CSV column order.
+_EXPERIMENT_FIELDS = {
+    "dgp": "spec.dgp",
+    "n": "spec.n",
+    "alpha": "spec.path.alpha",
+    "kappa": "spec.path.kappa",
+    "replications": "spec.replications",
+    "seed": "spec.seed",
+    "rate_std": "rejection_rate_std",
+    "se_std": "se_std",
+    "rate_mod": "rejection_rate_mod",
+    "se_mod": "se_mod",
+    "n_valid_std": "n_valid_std",
+    "n_valid_mod": "n_valid_mod",
+    "critical_value": "spec.decision.critical_value",
+    "rule": "spec.decision.source",
+    "failures": "failures",
+}
+_EXPERIMENT_GETTER = operator.attrgetter(*_EXPERIMENT_FIELDS.values())
+# fields a simulation table states once for all of its cells
+_TABLE_LEVEL_FIELDS = ("dgp", "kappa", "critical_value", "rule")
 
 
 @dataclass(frozen=True)
@@ -163,9 +177,9 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     warnings: list[str] = []
     try:
         selection = select_poly_order_aic(residuals, window, config.p_max)
-        poly_fit: VariancePolyFit = fit_variance_poly(residuals, window, selection.chosen_p)
     except VarbreakError as exc:
         raise _stage("variance-fit", exc) from exc
+    poly_fit = selection.fit
     positivity = check_positivity(poly_fit, config.pos_floor_frac)
     if not positivity.passed and config.clamp:
         warnings.append(
@@ -223,26 +237,17 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     return report_std, report_mod
 
 
-def _experiment_row(result: McResult) -> str:
-    spec = result.spec
-    cells = [
-        spec.dgp,
-        str(spec.n),
-        repr(float(spec.path.alpha)),
-        repr(float(spec.path.kappa)),
-        str(spec.replications),
-        str(spec.seed),
-        repr(result.rejection_rate_std),
-        repr(result.se_std),
-        repr(result.rejection_rate_mod),
-        repr(result.se_mod),
-        str(result.n_valid_std),
-        str(result.n_valid_mod),
-        repr(spec.decision.critical_value),
-        spec.decision.source,
-        ";".join(f"{name}:{count}" for name, count in result.failures),
-    ]
-    return ",".join(cells)
+def _experiment_fields(result: McResult) -> dict:
+    """One experiment as a row; every experiment and table report format reads it."""
+    return dict(zip(_EXPERIMENT_FIELDS, _EXPERIMENT_GETTER(result)))
+
+
+def _csv_cell(name: str, value) -> str:
+    if name == "failures":
+        return ";".join(f"{failure}:{count}" for failure, count in value)
+    if name in ("alpha", "kappa"):
+        value = float(value)
+    return value if isinstance(value, str) else repr(value)
 
 
 def _table_csv(table: SimulationTable) -> str:
@@ -277,17 +282,9 @@ def _table_dict(table: SimulationTable) -> dict:
         },
         "cells": [
             {
-                "n": r.spec.n,
-                "alpha": r.spec.path.alpha,
-                "seed": r.spec.seed,
-                "replications": r.spec.replications,
-                "rate_std": r.rejection_rate_std,
-                "se_std": r.se_std,
-                "rate_mod": r.rejection_rate_mod,
-                "se_mod": r.se_mod,
-                "n_valid_std": r.n_valid_std,
-                "n_valid_mod": r.n_valid_mod,
-                "failures": [list(f) for f in r.failures],
+                name: value
+                for name, value in _experiment_fields(r).items()
+                if name not in _TABLE_LEVEL_FIELDS
             }
             for r in table.results
         ],
@@ -362,40 +359,23 @@ def emit_report(reports, fmt: str = "human") -> str:
 
     # experiment results (possibly empty)
     if fmt == "csv":
-        return "\n".join([_EXPERIMENT_CSV_HEADER] + [_experiment_row(r) for r in items]) + "\n"
+        rows = [
+            ",".join(_csv_cell(name, value) for name, value in _experiment_fields(r).items())
+            for r in items
+        ]
+        return "\n".join([",".join(_EXPERIMENT_FIELDS)] + rows) + "\n"
     if fmt == "json":
         payload = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "kind": "experiments",
-            "experiments": [
-                {
-                    "dgp": r.spec.dgp,
-                    "n": r.spec.n,
-                    "alpha": r.spec.path.alpha,
-                    "kappa": r.spec.path.kappa,
-                    "replications": r.spec.replications,
-                    "seed": r.spec.seed,
-                    "rate_std": r.rejection_rate_std,
-                    "se_std": r.se_std,
-                    "rate_mod": r.rejection_rate_mod,
-                    "se_mod": r.se_mod,
-                    "n_valid_std": r.n_valid_std,
-                    "n_valid_mod": r.n_valid_mod,
-                    "critical_value": r.spec.decision.critical_value,
-                    "rule": r.spec.decision.source,
-                    "failures": [list(f) for f in r.failures],
-                }
-                for r in items
-            ],
+            "experiments": [_experiment_fields(r) for r in items],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = []
-    for r in items:
-        spec = r.spec
-        lines.append(
-            f"{spec.dgp} n={spec.n} alpha={spec.path.alpha:g}: "
-            f"Q_std {r.rejection_rate_std:.1f}% (se {r.se_std:.2f}), "
-            f"Q_mod {r.rejection_rate_mod:.1f}% (se {r.se_mod:.2f}) "
-            f"[crit {spec.decision.critical_value:g}, N={spec.replications}]"
+    lines = [
+        "{dgp} n={n} alpha={alpha:g}: Q_std {rate_std:.1f}% (se {se_std:.2f}), Q_mod "
+        "{rate_mod:.1f}% (se {se_mod:.2f}) [crit {critical_value:g}, N={replications}]".format(
+            **_experiment_fields(r)
         )
+        for r in items
+    ]
     return "\n".join(lines) + "\n"

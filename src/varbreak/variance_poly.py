@@ -5,20 +5,24 @@ window by a polynomial centered at the window midpoint r0:
 
     u_t**2 = sum_{i=0}^{p} a_i * (t/n - r0)**i + error,   t in window,
 
-fitted by least squares through an orthogonal decomposition (the
-centered power columns are strongly collinear for larger p, so normal
-equations are avoided).  The fitted profile feeds the corrected
-statistic in :mod:`varbreak.cusum`; order selection uses the Gaussian
-AIC ``q * log(RSS/q) + 2(p+1)``.
+fitted by least squares through a QR decomposition (the centered power
+columns are strongly collinear for larger p, so normal equations are
+avoided).  The fitted profile feeds the corrected statistic in
+:mod:`varbreak.cusum`; order selection uses the Gaussian AIC
+``q * log(RSS/q) + 2(p+1)``.  The designs of successive orders are
+nested, so one QR of the largest design gives every order's fit; this
+AIC search and the AR one in :mod:`varbreak.armodel` share that routine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from varbreak.errors import SingularDesignError
+from varbreak._ols import NestedOls, nested_ols
+from varbreak.errors import DegenerateSeriesError
 from varbreak.series import ResidualSeries, SubsampleWindow
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
@@ -63,10 +67,6 @@ class VariancePolyFit:
         x = window.times() / window.n - self.center
         return _horner(self.coefficients, x)
 
-    def evaluate(self, t: int, n: int) -> float:
-        """Fitted value at a single observation index."""
-        return float(_horner(self.coefficients, np.float64(t / n - self.center)))
-
 
 @dataclass(frozen=True)
 class OrderSelection:
@@ -75,9 +75,7 @@ class OrderSelection:
     chosen_p: int
     scores: tuple[tuple[int, float], ...]
     p_max: int
-
-    def score(self, p: int) -> float:
-        return dict(self.scores)[p]
+    fit: VariancePolyFit  # the chosen order's fit
 
 
 @dataclass(frozen=True)
@@ -90,16 +88,39 @@ class PositivityReport:
     t_min: int
 
 
-def _horner(coefficients: tuple[float, ...], x):
-    result = np.zeros_like(x, dtype=np.float64) if isinstance(x, np.ndarray) else 0.0
+def _horner(coefficients: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    result = np.zeros_like(x)
     for c in reversed(coefficients):
         result = result * x + c
     return result
 
 
-def _design_matrix(window: SubsampleWindow, p: int) -> np.ndarray:
+def _fit_order(
+    series: ResidualSeries, window: SubsampleWindow, p: int
+) -> tuple[np.ndarray, NestedOls]:
+    """Squared window residuals and their nested fits up to order ``p``."""
+    if p < 1:
+        raise ValueError(f"polynomial order must be at least 1, got {p}")
+    if window.length < p + 2:
+        raise ValueError(
+            f"window length {window.length} cannot support order {p}; need at least {p + 2}"
+        )
+    u = window.slice_values(series)
+    squares = u * u
     x = window.times() / window.n - window.center
-    return np.vander(x, p + 1, increasing=True)
+    ols = nested_ols(np.vander(x, p + 1, increasing=True), squares, f"order {p} design")
+    return squares, ols
+
+
+def _poly_fit(ols: NestedOls, squares: np.ndarray, window: SubsampleWindow, p: int):
+    return VariancePolyFit(
+        order=p,
+        center=window.center,
+        coefficients=tuple(float(c) for c in ols.coefficients(p + 1)),
+        rss=float(ols.rss[p + 1]),
+        window=window,
+        mean_sq=float(np.mean(squares)),
+    )
 
 
 def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -> VariancePolyFit:
@@ -121,29 +142,8 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
     SingularDesignError
         If the design matrix is numerically rank deficient.
     """
-    if p < 1:
-        raise ValueError(f"polynomial order must be at least 1, got {p}")
-    if window.length < p + 2:
-        raise ValueError(
-            f"window length {window.length} cannot support order {p}; need at least {p + 2}"
-        )
-    u = window.slice_values(series)
-    squares = u * u
-    design = _design_matrix(window, p)
-    coef, _, rank, _ = np.linalg.lstsq(design, squares, rcond=None)
-    if rank < p + 1:
-        raise SingularDesignError(
-            f"design matrix has rank {rank} < {p + 1}; the window time grid is degenerate"
-        )
-    rss = float(np.sum((squares - design @ coef) ** 2))
-    return VariancePolyFit(
-        order=p,
-        center=window.center,
-        coefficients=tuple(float(c) for c in coef),
-        rss=rss,
-        window=window,
-        mean_sq=float(np.mean(squares)),
-    )
+    squares, ols = _fit_order(series, window, p)
+    return _poly_fit(ols, squares, window, p)
 
 
 def select_poly_order_aic(
@@ -154,48 +154,39 @@ def select_poly_order_aic(
     Ties break toward the smaller order.  RSS is floored at
     ``AIC_RSS_FLOOR_FRAC * mean(u**4)`` before the logarithm so exact
     fits stay comparable.  Order 0 is never considered; a constant
-    profile is the uncorrected test's job.
+    profile is the uncorrected test's job.  Every order's RSS, and the
+    chosen fit returned in the selection, come from one QR
+    factorisation of the order-``p_max`` design.
 
     Raises
     ------
     ValueError
         If ``p_max < 1`` or the window cannot support ``p_max``.
     SingularDesignError
-        From the failing order, if any fit is rank deficient.
+        If the order-``p_max`` design is rank deficient.
+    DegenerateSeriesError
+        If no order has an AIC below infinity (the squared residuals
+        overflow).
     """
-    if p_max < 1:
-        raise ValueError(f"p_max must be at least 1, got {p_max}")
-    if window.length < p_max + 2:
-        raise ValueError(
-            f"window length {window.length} cannot support p_max={p_max}; need {p_max + 2}"
-        )
-    u = window.slice_values(series)
-    squares = u * u
+    squares, ols = _fit_order(series, window, p_max)
     floor = AIC_RSS_FLOOR_FRAC * float(np.mean(squares * squares))
     q = window.length
-    scores: list[tuple[int, float]] = []
-    chosen_p = 0
-    best = np.inf
-    for p in range(1, p_max + 1):
-        try:
-            fit = fit_variance_poly(series, window, p)
-        except SingularDesignError as exc:
-            raise SingularDesignError(f"order {p}: {exc}") from exc
-        aic = q * np.log(max(fit.rss, floor) / q) + 2.0 * (p + 1)
-        scores.append((p, float(aic)))
-        if aic < best:
-            best = aic
-            chosen_p = p
-    return OrderSelection(chosen_p=chosen_p, scores=tuple(scores), p_max=p_max)
-
-
-def eval_variance(fit: VariancePolyFit, t: int, n: int) -> float:
-    """Evaluate the fitted profile at observation ``t`` of a series of length ``n``.
-
-    Total on all inputs; positivity is the caller's concern, see
-    :func:`check_positivity`.
-    """
-    return fit.evaluate(t, n)
+    scores = tuple(
+        (p, float(q * np.log(max(ols.rss[p + 1], floor) / q) + 2.0 * (p + 1)))
+        for p in range(1, p_max + 1)
+    )
+    candidates = [(aic, p) for p, aic in scores if aic < math.inf]
+    if not candidates:
+        raise DegenerateSeriesError(
+            "every polynomial order's AIC is infinite or undefined; the squared residuals overflow"
+        )
+    chosen_p = min(candidates)[1]
+    return OrderSelection(
+        chosen_p=chosen_p,
+        scores=scores,
+        p_max=p_max,
+        fit=_poly_fit(ols, squares, window, chosen_p),
+    )
 
 
 def check_positivity(fit: VariancePolyFit, pos_floor_frac: float = 0.01) -> PositivityReport:

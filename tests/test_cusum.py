@@ -12,7 +12,6 @@ from varbreak import (
     SubsampleWindow,
     VariancePolyFit,
     ZeroDispersionError,
-    cumulative_squares,
     fit_variance_poly,
     sanso_trace,
     statistic_corrected,
@@ -23,7 +22,6 @@ from varbreak import (
 
 from oracles import (
     corrected_statistic_literal,
-    cumsums_bruteforce,
     it_statistic_literal,
     sanso_statistic_literal,
     subsample_statistic_literal,
@@ -56,33 +54,6 @@ def _dispersed_series(min_size=5, max_size=40):
         .map(lambda v: np.asarray(v, dtype=np.float64))
         .filter(lambda v: np.ptp(v * v) > 1e-6 * (1.0 + np.max(v * v)))
     )
-
-
-class TestCumulativeSquares:
-    def test_partial_sums(self):
-        s = series_from_squares([1.0, 2.0, 3.0, 4.0])
-        trace = cumulative_squares(s, SubsampleWindow.full(4))
-        np.testing.assert_allclose(trace.cumsums, [1.0, 3.0, 6.0, 10.0], rtol=1e-14)
-        assert trace.eta is None and trace.bridge is None and trace.statistic is None
-
-    def test_zero_series(self):
-        trace = cumulative_squares(ResidualSeries([0.0, 0.0, 0.0]), SubsampleWindow.full(3))
-        np.testing.assert_array_equal(trace.cumsums, [0.0, 0.0, 0.0])
-
-    def test_against_bruteforce_resummation(self):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(0.0, 1.0, size=100)
-        s = ResidualSeries(values)
-        w = SubsampleWindow(n=100, offset=17, length=60)
-        trace = cumulative_squares(s, w)
-        expected = cumsums_bruteforce(values, 17, 60)
-        np.testing.assert_allclose(trace.cumsums, expected, rtol=0, atol=1e-12)
-
-    def test_window_must_match_series(self):
-        from varbreak import WindowBoundsError
-
-        with pytest.raises(WindowBoundsError):
-            cumulative_squares(ResidualSeries([1.0, 2.0, 3.0]), SubsampleWindow.full(4))
 
 
 class TestStatisticIt:
@@ -213,6 +184,8 @@ class TestStatisticCorrected:
         other = ResidualSeries(rng.standard_normal(40))
         with pytest.raises(ValueError):
             statistic_corrected(other, SubsampleWindow.full(40), fit)
+        with pytest.raises(ValueError):  # same length, another window
+            statistic_corrected(s, SubsampleWindow(n=30, offset=1, length=29), fit)
 
     def test_unknown_positivity_mode(self):
         rng = np.random.default_rng(8)
@@ -277,6 +250,23 @@ class TestScaleInvariance:
             scaled, w, fit_variance_poly(scaled, w, 2), positivity="none"
         )
         assert stat_scaled == pytest.approx(stat, rel=1e-8)
+
+
+    @settings(max_examples=50)
+    @given(values=_dispersed_series())
+    @pytest.mark.parametrize("exponent", [-532, 266, 532])  # about 1e-160, 1e80, 1e160
+    def test_extreme_power_of_two_scales_are_exact(self, exponent, values):
+        s = ResidualSeries(values)
+        scaled = ResidualSeries(np.ldexp(values, exponent))
+        assert statistic_it(scaled) == statistic_it(s)
+        assert statistic_sanso(scaled) == statistic_sanso(s)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e80, 1e160])
+    def test_extreme_decimal_scales(self, scale):
+        s = ResidualSeries(np.random.default_rng(13).standard_normal(200))
+        scaled = ResidualSeries(scale * s.values)
+        assert statistic_it(scaled) == pytest.approx(statistic_it(s), rel=1e-12)
+        assert statistic_sanso(scaled) == pytest.approx(statistic_sanso(s), rel=1e-12)
 
 
 class TestTraceInvariants:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import varbreak.mc
 from varbreak import (
     DecisionRule,
     ExperimentIntegrityError,
@@ -168,6 +169,11 @@ class TestRunExperiment:
         spec = make_spec(replications=200, positivity="error")
         with pytest.raises(ExperimentIntegrityError, match="NonpositiveVarianceError"):
             run_experiment(spec)
+
+    def test_nonfinite_statistics_count_as_failures(self, monkeypatch):
+        monkeypatch.setattr(varbreak.mc, "statistic_subsample", lambda series, window: math.nan)
+        with pytest.raises(ExperimentIntegrityError, match="NonFiniteStatistic"):
+            run_experiment(make_spec(replications=20))
 
     def test_clamped_runs_have_no_failures(self):
         result = run_experiment(make_spec(replications=100, positivity="clamp"))

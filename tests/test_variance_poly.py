@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varbreak import (
+    DegenerateSeriesError,
     ResidualSeries,
     SingularDesignError,
     SubsampleWindow,
     VariancePathSpec,
     VariancePolyFit,
     check_positivity,
-    eval_variance,
     fit_variance_poly,
     sample_innovations,
     select_poly_order_aic,
@@ -127,6 +127,33 @@ class TestOrderSelection:
         assert 1 <= selection.chosen_p <= 5
         assert all(math.isfinite(score) for _, score in selection.scores)
 
+    def test_returns_the_fit_of_the_chosen_order(self):
+        rng = np.random.default_rng(3)
+        s = ResidualSeries(rng.standard_normal(150) * np.linspace(1.0, 3.0, 150))
+        w = SubsampleWindow(n=150, offset=10, length=120)
+        selection = select_poly_order_aic(s, w, 5)
+        assert selection.fit.order == selection.chosen_p
+        assert selection.fit.window == w
+        squares = s.values[w.offset : w.stop] ** 2
+        floor = 1e-12 * np.mean(squares * squares)
+        for p, score in selection.scores:
+            refit = fit_variance_poly(s, w, p)
+            expected = w.length * math.log(max(refit.rss, floor) / w.length) + 2.0 * (p + 1)
+            assert score == pytest.approx(expected, rel=1e-12)
+            if p == selection.chosen_p:
+                np.testing.assert_allclose(
+                    selection.fit.coefficients, refit.coefficients, rtol=1e-10
+                )
+                assert selection.fit.rss == pytest.approx(refit.rss, rel=1e-12)
+                assert selection.fit.mean_sq == refit.mean_sq
+
+    def test_overflowing_squares_raise_a_named_error(self):
+        # u**4 overflows at this scale, so no order has a finite AIC
+        rng = np.random.default_rng(2)
+        s = ResidualSeries(1e80 * rng.standard_normal(100))
+        with pytest.raises(DegenerateSeriesError):
+            select_poly_order_aic(s, SubsampleWindow.full(100), 3)
+
     def test_propagates_singular_order(self):
         rng = np.random.default_rng(1)
         n = 1_000_000
@@ -140,12 +167,12 @@ class TestEvaluation:
     def test_center_returns_intercept(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (2.0, 3.0))
-        assert eval_variance(fit, 50, 100) == 2.0
+        assert fit.profile(w)[50 - 1] == 2.0
 
     def test_linear_step(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (2.0, 3.0))
-        assert eval_variance(fit, 60, 100) == pytest.approx(2.3, abs=1e-12)
+        assert fit.profile(w)[60 - 1] == pytest.approx(2.3, abs=1e-12)
 
     @settings(max_examples=100)
     @given(
@@ -158,7 +185,7 @@ class TestEvaluation:
         w = SubsampleWindow.full(500)
         fit = make_fit(w, coefficients)
         naive = polyval_naive(coefficients, t / 500 - w.center)
-        assert eval_variance(fit, t, 500) == pytest.approx(naive, abs=1e-12, rel=1e-12)
+        assert fit.profile(w)[t - 1] == pytest.approx(naive, abs=1e-12, rel=1e-12)
 
 
 class TestPositivity:
