@@ -107,11 +107,12 @@ def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = Fa
     )
 
 
-def select_ar_order(values, max_order: int, *, demean: bool = False, intercept: bool = True) -> int:
+def select_ar_order(values, max_order: int) -> int:
     """AIC order selection over m = 0..max_order on a common sample.
 
-    Every candidate is fitted on the same responses t = max_order+1..n,
-    scored with ``n_eff * log(RSS/n_eff) + 2(m+1)``, and the smallest
+    Every candidate regresses the same responses t = max_order+1..n on
+    an intercept and m lags, is scored with
+    ``n_eff * log(RSS/n_eff) + 2(m+1)``, and the smallest
     minimizing order is returned.  The candidates' designs are the
     leading columns of the max_order design, so one QR factorisation
     gives every RSS.
@@ -128,14 +129,13 @@ def select_ar_order(values, max_order: int, *, demean: bool = False, intercept: 
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     if x.size <= max_order + 2:
         raise ValueError(f"series length {x.size} must exceed max_order + 2 = {max_order + 2}")
-    z = x - x.mean() if demean else x
-    design = _ar_design(z, max_order, intercept)
-    rss = nested_ols(design, z[max_order:], f"AR({max_order}) design").rss
+    design = _ar_design(x, max_order, intercept=True)
+    rss = nested_ols(design, x[max_order:], f"AR({max_order}) design").rss
     n_eff = design.shape[0]
     chosen = 0
     best = np.inf
     for m in range(0, max_order + 1):
-        aic = n_eff * np.log(max(rss[int(intercept) + m], _RSS_FLOOR) / n_eff) + 2.0 * (m + 1)
+        aic = n_eff * np.log(max(rss[1 + m], _RSS_FLOOR) / n_eff) + 2.0 * (m + 1)
         if aic < best:
             best = aic
             chosen = m

@@ -203,7 +203,6 @@ def corrected_trace(
     fit: VariancePolyFit,
     *,
     positivity: str = "error",
-    pos_floor_frac: float = 0.01,
 ) -> CusumTrace:
     """Full trace of the variance-profile-corrected statistic.
 
@@ -223,8 +222,6 @@ def corrected_trace(
         floor of :func:`varbreak.variance_poly.check_positivity` inside
         the window: raise (default), replace the offending values by the
         floor, or use the profile as is.
-    pos_floor_frac : float
-        Floor fraction; see :func:`varbreak.variance_poly.check_positivity`.
 
     Raises
     ------
@@ -244,7 +241,7 @@ def corrected_trace(
         raise ValueError(f"variance fit was built on {fit.window}, not on {window}")
     profile = fit.profile()
     if positivity != "none":
-        report = check_positivity(fit, pos_floor_frac)
+        report = check_positivity(fit)
         if positivity == "error" and not report.passed:
             raise NonpositiveVarianceError(
                 f"fitted variance dips to {report.min_value:.6g} at t={report.t_min} "
@@ -264,7 +261,6 @@ def statistic_corrected(
     fit: VariancePolyFit,
     *,
     positivity: str = "error",
-    pos_floor_frac: float = 0.01,
 ) -> float:
     """Variance-profile-corrected statistic on a window.
 
@@ -275,6 +271,4 @@ def statistic_corrected(
 
     See :func:`corrected_trace` for parameters and errors.
     """
-    return corrected_trace(
-        series, window, fit, positivity=positivity, pos_floor_frac=pos_floor_frac
-    ).statistic
+    return corrected_trace(series, window, fit, positivity=positivity).statistic

@@ -66,13 +66,7 @@ def infer_frequency(dates: tuple[str, ...]) -> str:
     return "unknown"
 
 
-def load_csv(
-    path,
-    *,
-    date_column: str = "DATE",
-    value_column: str | None = None,
-    missing_markers: tuple[str, ...] = MISSING_MARKERS,
-) -> SeriesFile:
+def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None) -> SeriesFile:
     """Parse a FRED-style CSV export into a :class:`SeriesFile`.
 
     Parameters
@@ -84,9 +78,8 @@ def load_csv(
     value_column : str, optional
         Header name of the value column; defaults to the first column
         other than the date column, whose name becomes ``source_id``.
-    missing_markers : tuple of str
-        Cell contents treated as missing; such rows are dropped and
-        counted in ``dropped_missing``.
+        Rows whose value is one of :data:`MISSING_MARKERS` are dropped
+        and counted in ``dropped_missing``.
 
     Raises
     ------
@@ -135,7 +128,7 @@ def load_csv(
                     f"line {lineno}: date {raw_date} does not increase past {previous.isoformat()}"
                 )
             raw_value = row[value_idx].strip()
-            if raw_value in missing_markers:
+            if raw_value in MISSING_MARKERS:
                 dropped += 1
                 previous = parsed
                 continue

@@ -12,9 +12,9 @@ optional level shift of size ``alpha`` at fraction ``kappa``:
 * ``dgp2`` observes x_t = 0.4*x_{t-1} + u_t (x_0 = 0) and tests the
   residuals of an OLS AR(1) fit.
 
-Each replication runs the uncorrected full-sample statistic (Q_std) and
-the variance-profile-corrected statistic with AIC-selected order
-(Q_mod) and counts rejections against a decision rule.  Every
+Each replication runs the uncorrected statistic (Q_std) and the
+variance-profile-corrected statistic with AIC-selected order (Q_mod) on
+the full sample, and counts rejections against a decision rule.  Every
 replication draws from its own counter-based Philox stream keyed by
 ``(seed, replication)``, so results are bit-identical across runs,
 worker counts, and execution orders.
@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
 
 import numpy as np
 
@@ -53,6 +53,9 @@ TABLE_KAPPA = 0.5
 # Grid calibration: a cubic selection cap and the 1.33 boundary keep the
 # corrected test's size near nominal on these sample sizes.
 TABLE_P_MAX = 3
+# The corrected statistic uses the fitted profile as is, with no positivity
+# floor: the rejection frequencies of run_table were calibrated that way.
+GRID_POSITIVITY = "none"
 
 #: Failure key of a replication whose statistic came out NaN or infinite.
 NONFINITE_FAILURE = "NonFiniteStatistic"
@@ -64,23 +67,18 @@ def stream(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_innovations(
-    count: int, rng: np.random.Generator, *, scale_to_unit_variance: bool = True
-) -> np.ndarray:
+def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. logistic draws via the inverse CDF ``log(u / (1 - u))``.
 
-    The standard logistic has variance pi**2/3; by default draws are
-    multiplied by sqrt(3)/pi so the innovations have unit variance.  The
-    tests are scale invariant, so this cannot change any statistic.
+    The standard logistic has variance pi**2/3; draws are multiplied by
+    sqrt(3)/pi so the innovations have unit variance.  The tests are
+    scale invariant, so the scaling cannot change any statistic.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     u = rng.random(count)
     u = np.where(u == 0.0, np.finfo(np.float64).tiny, u)
-    draws = np.log(u / (1.0 - u))
-    if scale_to_unit_variance:
-        draws *= _SQRT3_OVER_PI
-    return draws
+    return np.log(u / (1.0 - u)) * _SQRT3_OVER_PI
 
 
 @dataclass(frozen=True)
@@ -129,12 +127,10 @@ def variance_path(spec: VariancePathSpec) -> np.ndarray:
 class McExperimentSpec:
     """Configuration of one Monte Carlo experiment.
 
-    Identical spec and seed give bit-identical results.  ``gamma`` and
-    ``offset_fraction`` select a subsample analysis window; by default
-    both statistics run on the full (residual) sample.  ``positivity``
-    is passed to the corrected statistic; the grid default "none"
-    evaluates the fitted profile as is, mirroring how the rejection
-    frequencies of :func:`run_table` were calibrated.
+    Identical spec and seed give bit-identical results.  Both statistics
+    run on the full (residual) sample; ``poly_p_max`` caps the AIC order
+    search of the variance profile, and ``keep_statistics`` keeps every
+    replication's statistics in the result.
     """
 
     dgp: str
@@ -144,10 +140,6 @@ class McExperimentSpec:
     seed: int
     decision: DecisionRule
     poly_p_max: int = TABLE_P_MAX
-    gamma: float | None = None
-    offset_fraction: float = 0.0
-    scale_innovations: bool = True
-    positivity: str = "none"
     keep_statistics: bool = False
 
     def __post_init__(self) -> None:
@@ -185,9 +177,7 @@ def simulate_dgp1(spec: McExperimentSpec, replication: int, innovations=None) ->
     eps = (
         np.asarray(innovations, dtype=np.float64)
         if innovations is not None
-        else sample_innovations(
-            spec.n, stream(spec.seed, replication), scale_to_unit_variance=spec.scale_innovations
-        )
+        else sample_innovations(spec.n, stream(spec.seed, replication))
     )
     return ResidualSeries(np.sqrt(variance_path(spec.path)) * eps)
 
@@ -203,12 +193,6 @@ def simulate_dgp2(spec: McExperimentSpec, replication: int, innovations=None) ->
     return x
 
 
-def _analysis_window(spec: McExperimentSpec, n_resid: int) -> SubsampleWindow:
-    if spec.gamma is None:
-        return SubsampleWindow.full(n_resid)
-    return SubsampleWindow.from_exponent(n_resid, spec.gamma, spec.offset_fraction)
-
-
 def _replicate(spec: McExperimentSpec, replication: int) -> tuple[float, float, str, str]:
     """One replication; returns (q_std, q_mod, error_std, error_mod), NaN on error."""
     if spec.dgp == "dgp2":
@@ -216,7 +200,7 @@ def _replicate(spec: McExperimentSpec, replication: int) -> tuple[float, float, 
         residuals = fit_ar_ols(x, 1).residuals
     else:
         residuals = simulate_dgp1(spec, replication)
-    window = _analysis_window(spec, residuals.n)
+    window = SubsampleWindow.full(residuals.n)
     q_std, err_std = math.nan, ""
     q_mod, err_mod = math.nan, ""
     try:
@@ -225,14 +209,10 @@ def _replicate(spec: McExperimentSpec, replication: int) -> tuple[float, float, 
         err_std = type(exc).__name__
     try:
         fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
-        q_mod = statistic_corrected(residuals, window, fit, positivity=spec.positivity)
+        q_mod = statistic_corrected(residuals, window, fit, positivity=GRID_POSITIVITY)
     except VarbreakError as exc:
         err_mod = type(exc).__name__
     return q_std, q_mod, err_std, err_mod
-
-
-def _replicate_packed(args: tuple[McExperimentSpec, int]) -> tuple[float, float, str, str]:
-    return _replicate(*args)
 
 
 def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, int]:
@@ -263,10 +243,9 @@ def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
     """
     n_rep = spec.replications
     if workers > 1:
-        jobs: Iterable[tuple[McExperimentSpec, int]] = ((spec, rep) for rep in range(n_rep))
         chunksize = max(1, n_rep // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_packed, jobs, chunksize=chunksize))
+            outcomes = list(pool.map(_replicate, repeat(spec), range(n_rep), chunksize=chunksize))
     else:
         outcomes = [_replicate(spec, rep) for rep in range(n_rep)]
 

@@ -7,11 +7,17 @@ that supremum is the Kolmogorov distribution, with CDF
 
     P(sup|W| <= x) = 1 - 2 * sum_{k>=1} (-1)**(k+1) * exp(-2 k**2 x**2).
 
-This module evaluates the series (truncated once terms fall below
-``1e-12``, hard cap 100 terms), inverts it by bisection, and packages
-the two decision boundaries used by the tests: the exact asymptotic
-quantile at a requested level, and the conventional tabulated boundary
-1.33 of Sansó, Aragó and Carrion (2004).
+For x >= 1 the survival function is summed from that series directly;
+for x < 1 the CDF is summed from the dual theta-function series
+
+    P(sup|W| <= x) = sqrt(2 pi) / x * sum_{k>=1} exp(-(2k-1)**2 pi**2 / (8 x**2)),
+
+and each side is the complement of the other, so both tails keep full
+relative precision.  A sum stops once its next term is below the
+rounding of the running total.  This module inverts the CDF by
+bisection and packages the two decision boundaries used by the tests:
+the exact asymptotic quantile at a requested level, and the
+conventional tabulated boundary 1.33 of Sansó, Aragó and Carrion (2004).
 
 The corrected statistic with its variance profile fitted on the same
 sample converges instead to the supremum of a profile-weighted
@@ -24,18 +30,34 @@ polynomial class.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-TERM_TOLERANCE = 1e-12
-MAX_TERMS = 100
-
-# Below x = 0.05 the true CDF is under exp(-pi**2 / (8 * 0.05**2)) ~ 1e-214,
-# far beneath double precision; the alternating series is also past its
-# 100-term budget there.
-_UNDERFLOW_X = 0.05
+_EPS = sys.float_info.epsilon
 
 #: Conventional finite-sample 5% boundary tabulated by Sansó et al. (2004).
 FIXED_BOUNDARY = 1.33
+
+
+def _upper_tail(x: float) -> float:
+    """P(sup|W| > x) for x >= 1: 2 * sum_{k>=1} (-1)**(k+1) * exp(-2 k**2 x**2)."""
+    total = 0.0
+    k = 1
+    while (term := math.exp(-2.0 * k * k * x * x)) > _EPS * total:
+        total += term if k % 2 else -term
+        k += 1
+    return 2.0 * total
+
+
+def _lower_tail(x: float) -> float:
+    """P(sup|W| <= x) for 0 < x < 1 by the theta-function series."""
+    scale = -(math.pi / x) * (math.pi / x) / 8.0
+    total = 0.0
+    k = 1
+    while (term := math.exp(scale * (2 * k - 1) ** 2)) > _EPS * total:
+        total += term
+        k += 1
+    return math.sqrt(2.0 * math.pi) * (total / x)  # 0.0 once the first term underflows
 
 
 def kolmogorov_cdf(x: float) -> float:
@@ -49,7 +71,7 @@ def kolmogorov_cdf(x: float) -> float:
     Returns
     -------
     float
-        Probability in [0, 1].
+        Probability in [0, 1], with full relative precision below x = 1.
 
     Raises
     ------
@@ -58,48 +80,40 @@ def kolmogorov_cdf(x: float) -> float:
     """
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x < _UNDERFLOW_X:
+    if x == 0.0:
         return 0.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, MAX_TERMS + 1):
-        term = math.exp(-2.0 * k * k * x * x)
-        total += sign * term
-        sign = -sign
-        if term < TERM_TOLERANCE:
-            break
-    result = 1.0 - 2.0 * total
-    # below the truncation tolerance's resolution the series leaves only
-    # wobble; snap it to the (true, underflowed) zero
-    if result < 1e-10:
-        return 0.0
-    return min(result, 1.0)
+    if x < 1.0:
+        return _lower_tail(x)
+    return 1.0 - _upper_tail(x)
 
 
 def kolmogorov_quantile(p: float) -> float:
-    """Inverse of :func:`kolmogorov_cdf`, by bisection on [0.2, 4].
+    """Inverse of :func:`kolmogorov_cdf`, by bisection to a width of 1e-12.
+
+    The bracket [0.2, 4] is widened until it holds ``p``.
 
     Parameters
     ----------
     p : float
-        Probability strictly between 0 and 1.  Must lie in the range the
-        bracket can reach, roughly [6e-8, 1 - 3e-14].
+        Probability strictly between 0 and 1.
 
     Returns
     -------
     float
-        The x with ``|kolmogorov_cdf(x) - p| < 1e-10``.
+        The x with ``kolmogorov_cdf(x)`` closest to ``p``, to 1e-12 in x.
 
     Raises
     ------
     ValueError
-        If ``p`` is outside (0, 1) or outside the bracket's range.
+        If ``p`` is outside (0, 1).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     lo, hi = 0.2, 4.0
-    if not kolmogorov_cdf(lo) <= p <= kolmogorov_cdf(hi):
-        raise ValueError(f"p={p} is outside the invertible range of the bracket [0.2, 4]")
+    while kolmogorov_cdf(lo) > p:
+        lo /= 2.0
+    while kolmogorov_cdf(hi) < p:
+        hi *= 2.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if kolmogorov_cdf(mid) < p:
@@ -110,7 +124,7 @@ def kolmogorov_quantile(p: float) -> float:
 
 
 def pvalue(statistic: float) -> float:
-    """Asymptotic p-value, 1 - kolmogorov_cdf(statistic).
+    """Asymptotic p-value, P(sup|W| > statistic), with full relative precision from 1 up.
 
     Raises
     ------
@@ -119,6 +133,8 @@ def pvalue(statistic: float) -> float:
     """
     if statistic < 0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
+    if statistic >= 1.0:
+        return _upper_tail(statistic)
     return 1.0 - kolmogorov_cdf(statistic)
 
 

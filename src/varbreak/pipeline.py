@@ -11,7 +11,6 @@ audited or replicated from its output alone.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import operator
 from dataclasses import dataclass, field
@@ -53,6 +52,19 @@ _EXPERIMENT_GETTER = operator.attrgetter(*_EXPERIMENT_FIELDS.values())
 # fields a simulation table states once for all of its cells
 _TABLE_LEVEL_FIELDS = ("dgp", "kappa", "critical_value", "rule")
 
+#: The CSV row model of :class:`TestReport`: column name -> attribute.
+_REPORT_FIELDS = {
+    "kind": "kind",
+    "statistic": "statistic",
+    "critical_value": "critical_value",
+    "rule": "rule_source",
+    "p_value": "p_value",
+    "reject": "reject",
+    "ar_order": "ar_order",
+    "poly_order": "poly_order",
+}
+_REPORT_GETTER = operator.attrgetter(*_REPORT_FIELDS.values())
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -60,15 +72,11 @@ class PipelineConfig:
 
     diff_order: int = 1
     ar_order: int | None = None  # None selects by AIC
-    ar_max_order: int | None = None  # None uses the frequency default
-    ar_intercept: bool = True
-    ar_demean: bool = False
     p_max: int = 5
     gamma: float | None = None  # None analyses the full residual sample
     offset_fraction: float = 0.0
     rule: DecisionRule = field(default_factory=DecisionRule.asymptotic)
     clamp: bool = False
-    pos_floor_frac: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -147,19 +155,10 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
 
     try:
         if config.ar_order is None:
-            cap = (
-                config.ar_max_order
-                if config.ar_max_order is not None
-                else default_max_order(values.size, worked.frequency)
-            )
-            order = select_ar_order(
-                values, cap, demean=config.ar_demean, intercept=config.ar_intercept
-            )
+            order = select_ar_order(values, default_max_order(values.size, worked.frequency))
         else:
             order = config.ar_order
-        ar_fit: ArFit = fit_ar_ols(
-            values, order, demean=config.ar_demean, intercept=config.ar_intercept
-        )
+        ar_fit: ArFit = fit_ar_ols(values, order, intercept=True)
     except VarbreakError as exc:
         raise _stage("ar-fit", exc) from exc
     residuals: ResidualSeries = ar_fit.residuals
@@ -180,7 +179,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     except VarbreakError as exc:
         raise _stage("variance-fit", exc) from exc
     poly_fit = selection.fit
-    positivity = check_positivity(poly_fit, config.pos_floor_frac)
+    positivity = check_positivity(poly_fit)
     if not positivity.passed and config.clamp:
         warnings.append(
             f"variance profile floored at {positivity.floor:.6g} "
@@ -188,11 +187,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         )
     try:
         q_mod = statistic_corrected(
-            residuals,
-            window,
-            poly_fit,
-            positivity="clamp" if config.clamp else "error",
-            pos_floor_frac=config.pos_floor_frac,
+            residuals, window, poly_fit, positivity="clamp" if config.clamp else "error"
         )
     except VarbreakError as exc:
         raise _stage("statistic-mod", exc) from exc
@@ -207,7 +202,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         dropped_missing=series.dropped_missing,
         ar_order=ar_fit.order,
         ar_coefficients=ar_fit.coefficients,
-        ar_intercept=ar_fit.intercept if ar_fit.with_intercept else None,
+        ar_intercept=ar_fit.intercept,
         ar_demeaned=ar_fit.demeaned,
         n_effective=residuals.n,
         window_offset=window.offset,
@@ -242,35 +237,48 @@ def _experiment_fields(result: McResult) -> dict:
     return dict(zip(_EXPERIMENT_FIELDS, _EXPERIMENT_GETTER(result)))
 
 
-def _csv_cell(name: str, value) -> str:
-    if name == "failures":
-        return ";".join(f"{failure}:{count}" for failure, count in value)
-    if name in ("alpha", "kappa"):
-        value = float(value)
+def _experiment_csv_cells(result: McResult):
+    """One experiment's row with the shift as a float and failures as ``name:count;...``."""
+    row = _experiment_fields(result)
+    row["alpha"], row["kappa"] = float(row["alpha"]), float(row["kappa"])
+    row["failures"] = ";".join(f"{failure}:{count}" for failure, count in row["failures"])
+    return row.values()
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     return value if isinstance(value, str) else repr(value)
 
 
-def _table_csv(table: SimulationTable) -> str:
-    out = io.StringIO()
-    columns = ",".join(f"n={n}" for n in table.ns)
+def _csv(columns, rows) -> str:
+    """A header line of ``columns``, then one line of :func:`_csv_cell` cells per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _table_rows(table: SimulationTable) -> tuple[str, list[tuple[str, list[float]]]]:
+    """Header label and ``(label, rejection rates by n)`` rows of a size or power table."""
     if table.kind == "size":
-        out.write(f"statistic,{columns}\n")
-        std = [repr(table.cell(n, 0.0).rejection_rate_std) for n in table.ns]
-        mod = [repr(table.cell(n, 0.0).rejection_rate_mod) for n in table.ns]
-        out.write("Q_std," + ",".join(std) + "\n")
-        out.write("Q_mod," + ",".join(mod) + "\n")
-    else:
-        out.write(f"alpha,{columns}\n")
-        for alpha in table.alphas:
-            row = [repr(table.cell(n, alpha).rejection_rate_mod) for n in table.ns]
-            out.write(f"{alpha:g}," + ",".join(row) + "\n")
-    return out.getvalue()
+        cells = [table.cell(n, 0.0) for n in table.ns]
+        return "statistic", [
+            ("Q_std", [cell.rejection_rate_std for cell in cells]),
+            ("Q_mod", [cell.rejection_rate_mod for cell in cells]),
+        ]
+    return "alpha", [
+        (f"{alpha:g}", [table.cell(n, alpha).rejection_rate_mod for n in table.ns])
+        for alpha in table.alphas
+    ]
+
+
+def _table_csv(table: SimulationTable) -> str:
+    label, rows = _table_rows(table)
+    return _csv([label, *(f"n={n}" for n in table.ns)], ((name, *rates) for name, rates in rows))
 
 
 def _table_dict(table: SimulationTable) -> dict:
     return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "simulation_table",
         "table": table.table,
         "table_kind": table.kind,
         "dgp": table.dgp,
@@ -292,22 +300,20 @@ def _table_dict(table: SimulationTable) -> dict:
 
 
 def _table_human(table: SimulationTable) -> str:
+    label, rows = _table_rows(table)
     lines = [
         f"table {table.table} ({table.kind}, {table.dgp}), "
         f"decision {table.results[0].spec.decision.label}",
+        f"{label:<10}" + "".join(f"{'n=' + str(n):>12}" for n in table.ns),
     ]
-    header = "".join(f"{'n=' + str(n):>12}" for n in table.ns)
-    if table.kind == "size":
-        lines.append(f"{'statistic':<10}{header}")
-        for kind, attr in (("Q_std", "rejection_rate_std"), ("Q_mod", "rejection_rate_mod")):
-            row = "".join(f"{getattr(table.cell(n, 0.0), attr):>12.1f}" for n in table.ns)
-            lines.append(f"{kind:<10}{row}")
-    else:
-        lines.append(f"{'alpha':<10}{header}")
-        for alpha in table.alphas:
-            row = "".join(f"{table.cell(n, alpha).rejection_rate_mod:>12.1f}" for n in table.ns)
-            lines.append(f"{alpha:<10g}{row}")
+    lines.extend(f"{name:<10}" + "".join(f"{rate:>12.1f}" for rate in rates) for name, rates in rows)
     return "\n".join(lines) + "\n"
+
+
+def _json(kind: str, **fields) -> str:
+    """A JSON document of ``kind`` with the schema version; keys sorted, numbers lossless."""
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(reports, fmt: str = "human") -> str:
@@ -325,52 +331,22 @@ def emit_report(reports, fmt: str = "human") -> str:
         if fmt == "csv":
             return _table_csv(reports)
         if fmt == "json":
-            return json.dumps(_table_dict(reports), sort_keys=True, indent=2) + "\n"
+            return _json("simulation_table", **_table_dict(reports))
         return _table_human(reports)
 
     items = list(reports)
     if items and isinstance(items[0], TestReport):
         if fmt == "json":
-            payload = {
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "kind": "test_reports",
-                "reports": [r.to_dict() for r in items],
-            }
-            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            return _json("test_reports", reports=[r.to_dict() for r in items])
         if fmt == "csv":
-            header = "kind,statistic,critical_value,rule,p_value,reject,ar_order,poly_order"
-            rows = [
-                ",".join(
-                    [
-                        r.kind,
-                        repr(r.statistic),
-                        repr(r.critical_value),
-                        r.rule_source,
-                        repr(r.p_value),
-                        str(r.reject),
-                        str(r.ar_order),
-                        "" if r.poly_order is None else str(r.poly_order),
-                    ]
-                )
-                for r in items
-            ]
-            return "\n".join([header] + rows) + "\n"
+            return _csv(_REPORT_FIELDS, map(_REPORT_GETTER, items))
         return "\n\n".join(r.summary() for r in items) + "\n"
 
     # experiment results (possibly empty)
     if fmt == "csv":
-        rows = [
-            ",".join(_csv_cell(name, value) for name, value in _experiment_fields(r).items())
-            for r in items
-        ]
-        return "\n".join([",".join(_EXPERIMENT_FIELDS)] + rows) + "\n"
+        return _csv(_EXPERIMENT_FIELDS, map(_experiment_csv_cells, items))
     if fmt == "json":
-        payload = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "kind": "experiments",
-            "experiments": [_experiment_fields(r) for r in items],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json("experiments", experiments=[_experiment_fields(r) for r in items])
     lines = [
         "{dgp} n={n} alpha={alpha:g}: Q_std {rate_std:.1f}% (se {se_std:.2f}), Q_mod "
         "{rate_mod:.1f}% (se {se_mod:.2f}) [crit {critical_value:g}, N={replications}]".format(

@@ -30,6 +30,9 @@ from varbreak.series import ResidualSeries, SubsampleWindow
 #: makes order selection prefer the smallest exact order.
 AIC_RSS_FLOOR_FRAC = 1e-12
 
+#: Positivity floor of a fitted profile, in units of the window mean of u**2.
+POS_FLOOR_FRAC = 0.01
+
 DEFAULT_P_MAX = 5
 
 
@@ -60,11 +63,9 @@ class VariancePolyFit:
     window: SubsampleWindow
     mean_sq: float
 
-    def profile(self, window: SubsampleWindow | None = None) -> np.ndarray:
-        """Fitted values g_hat**2(t/n) at every t of ``window`` (default: own window)."""
-        if window is None:
-            window = self.window
-        x = window.times() / window.n - self.center
+    def profile(self) -> np.ndarray:
+        """Fitted values g_hat**2(t/n) at every t of the fit's own window."""
+        x = self.window.times() / self.window.n - self.center
         return _horner(self.coefficients, x)
 
 
@@ -189,18 +190,18 @@ def select_poly_order_aic(
     )
 
 
-def check_positivity(fit: VariancePolyFit, pos_floor_frac: float = 0.01) -> PositivityReport:
+def check_positivity(fit: VariancePolyFit) -> PositivityReport:
     """Check the fitted profile against its positivity floor.
 
     Evaluates g_hat**2 at every in-window t and compares the minimum to
-    ``floor = pos_floor_frac * mean_sq``.  The report is advisory: the
+    ``floor = POS_FLOOR_FRAC * mean_sq``.  The report is advisory: the
     corrected statistic raises on violation unless clamping is
     explicitly enabled.
     """
     values = fit.profile()
     idx = int(np.argmin(values))
     min_value = float(values[idx])
-    floor = pos_floor_frac * fit.mean_sq
+    floor = POS_FLOOR_FRAC * fit.mean_sq
     return PositivityReport(
         min_value=min_value,
         floor=floor,

@@ -8,14 +8,19 @@ from varbreak import (
     DecisionRule,
     ExperimentIntegrityError,
     McExperimentSpec,
+    NonpositiveVarianceError,
+    SubsampleWindow,
     VariancePathSpec,
     experiment_for_cell,
     fit_ar_ols,
     run_experiment,
     run_table,
     sample_innovations,
+    select_poly_order_aic,
     simulate_dgp1,
     simulate_dgp2,
+    statistic_corrected,
+    statistic_subsample,
     stream,
     variance_path,
 )
@@ -36,6 +41,20 @@ def make_spec(**overrides) -> McExperimentSpec:
             n=overrides["n"], alpha=defaults["path"].alpha, kappa=defaults["path"].kappa
         )
     return McExperimentSpec(**defaults)
+
+
+def replication_statistics(spec, innovations):
+    """Q_std and Q_mod of one replication of ``spec`` driven by ``innovations``."""
+    if spec.dgp == "dgp2":
+        residuals = fit_ar_ols(simulate_dgp2(spec, 0, innovations), 1).residuals
+    else:
+        residuals = simulate_dgp1(spec, 0, innovations)
+    window = SubsampleWindow.full(residuals.n)
+    fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
+    return (
+        statistic_subsample(residuals, window),
+        statistic_corrected(residuals, window, fit, positivity="none"),
+    )
 
 
 class TestVariancePath:
@@ -72,10 +91,6 @@ class TestInnovations:
         draws = sample_innovations(10**6, stream(77, 0))
         assert -0.01 < draws.mean() < 0.01
         assert 0.99 < draws.var() < 1.01
-
-    def test_unscaled_variance_is_pi_squared_over_three(self):
-        draws = sample_innovations(10**6, stream(78, 0), scale_to_unit_variance=False)
-        assert draws.var() == pytest.approx(math.pi**2 / 3.0, rel=0.01)
 
     def test_streams_are_deterministic(self):
         first = sample_innovations(10, stream(123, 4))
@@ -150,35 +165,35 @@ class TestRunExperiment:
         assert serial.rejection_rate_mod == parallel.rejection_rate_mod
 
     def test_innovation_scaling_cannot_move_any_statistic(self):
-        base = make_spec(replications=30, keep_statistics=True)
-        raw = make_spec(replications=30, keep_statistics=True, scale_innovations=False)
-        a = run_experiment(base)
-        b = run_experiment(raw)
-        np.testing.assert_allclose(a.statistics_std, b.statistics_std, rtol=1e-8)
-        np.testing.assert_allclose(a.statistics_mod, b.statistics_mod, rtol=1e-8)
-        assert a.rejection_rate_std == b.rejection_rate_std
-        assert a.rejection_rate_mod == b.rejection_rate_mod
+        # the raw standard logistic draws, variance pi**2/3, against the unit-variance ones
+        for dgp in ("dgp1", "dgp2"):
+            spec = make_spec(dgp=dgp, replications=30, keep_statistics=True)
+            result = run_experiment(spec)
+            for rep in range(spec.replications):
+                unit = sample_innovations(spec.n, stream(spec.seed, rep))
+                q_std, q_mod = replication_statistics(spec, unit)
+                assert (q_std, q_mod) == (result.statistics_std[rep], result.statistics_mod[rep])
+                raw_std, raw_mod = replication_statistics(spec, unit * (math.pi / math.sqrt(3.0)))
+                assert raw_std == pytest.approx(q_std, rel=1e-8)
+                assert raw_mod == pytest.approx(q_mod, rel=1e-8)
 
     def test_dgp2_runs_on_ar_residuals(self):
         result = run_experiment(make_spec(dgp="dgp2", n=60, replications=25))
         assert 0.0 <= result.rejection_rate_std <= 100.0
         assert result.n_valid_std == 25
 
-    def test_hard_positivity_failures_abort_the_experiment(self):
-        # strict positivity fails in a sizable share of small-sample fits
-        spec = make_spec(replications=200, positivity="error")
+    def test_hard_positivity_failures_abort_the_experiment(self, monkeypatch):
+        def nonpositive(*args, **kwargs):
+            raise NonpositiveVarianceError("fitted variance dips below the floor")
+
+        monkeypatch.setattr(varbreak.mc, "statistic_corrected", nonpositive)
         with pytest.raises(ExperimentIntegrityError, match="NonpositiveVarianceError"):
-            run_experiment(spec)
+            run_experiment(make_spec(replications=20))
 
     def test_nonfinite_statistics_count_as_failures(self, monkeypatch):
         monkeypatch.setattr(varbreak.mc, "statistic_subsample", lambda series, window: math.nan)
         with pytest.raises(ExperimentIntegrityError, match="NonFiniteStatistic"):
             run_experiment(make_spec(replications=20))
-
-    def test_clamped_runs_have_no_failures(self):
-        result = run_experiment(make_spec(replications=100, positivity="clamp"))
-        assert result.failures == ()
-        assert result.n_valid_mod == 100
 
     def test_binomial_standard_error(self):
         result = run_experiment(make_spec(replications=100, seed=8))

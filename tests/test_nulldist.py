@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.special import kolmogorov as scipy_kolmogorov_sf
+from scipy.stats import kstwobign
 
 from varbreak import DecisionRule, kolmogorov_cdf, kolmogorov_quantile, pvalue
 
@@ -31,6 +32,13 @@ class TestCdf:
                 1.0 - float(scipy_kolmogorov_sf(x)), abs=1e-9
             )
 
+    def test_lower_tail_has_full_relative_precision(self):
+        # the alternating series cancels to nothing here: 6.6e-53 at x = 0.1
+        for x in np.linspace(0.1, 1.0, 181):
+            assert kolmogorov_cdf(float(x)) == pytest.approx(
+                float(kstwobign.cdf(x)), rel=1e-12, abs=0.0
+            )
+
 
 class TestQuantile:
     def test_ninety_five_percent(self):
@@ -53,6 +61,12 @@ class TestQuantile:
                 float(x), abs=1e-8
             )
 
+    def test_round_trip_over_the_whole_range(self):
+        for p in [*np.logspace(-300, -1, 60), 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-15]:
+            assert kolmogorov_cdf(kolmogorov_quantile(float(p))) == pytest.approx(
+                float(p), rel=1e-6, abs=0.0
+            )
+
     def test_inversion_tolerance(self):
         for p in (0.01, 0.5, 0.9, 0.95, 0.99):
             assert abs(kolmogorov_cdf(kolmogorov_quantile(p)) - p) < 1e-10
@@ -71,6 +85,13 @@ class TestPvalue:
     def test_negative_statistic(self):
         with pytest.raises(ValueError):
             pvalue(-1.0)
+
+    def test_upper_tail_has_full_relative_precision(self):
+        # 1 - cdf would read 0.0 from x = 5.0 (true value 3.857e-22)
+        for x in np.linspace(1.0, 8.0, 141):
+            assert pvalue(float(x)) == pytest.approx(
+                float(scipy_kolmogorov_sf(x)), rel=1e-12, abs=0.0
+            )
 
 
 class TestDecisionRule:

@@ -167,12 +167,12 @@ class TestEvaluation:
     def test_center_returns_intercept(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (2.0, 3.0))
-        assert fit.profile(w)[50 - 1] == 2.0
+        assert fit.profile()[50 - 1] == 2.0
 
     def test_linear_step(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (2.0, 3.0))
-        assert fit.profile(w)[60 - 1] == pytest.approx(2.3, abs=1e-12)
+        assert fit.profile()[60 - 1] == pytest.approx(2.3, abs=1e-12)
 
     @settings(max_examples=100)
     @given(
@@ -185,7 +185,7 @@ class TestEvaluation:
         w = SubsampleWindow.full(500)
         fit = make_fit(w, coefficients)
         naive = polyval_naive(coefficients, t / 500 - w.center)
-        assert fit.profile(w)[t - 1] == pytest.approx(naive, abs=1e-12, rel=1e-12)
+        assert fit.profile()[t - 1] == pytest.approx(naive, abs=1e-12, rel=1e-12)
 
 
 class TestPositivity:
