@@ -9,9 +9,6 @@ for size/power studies, and a CSV-to-report pipeline with a CLI.
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
 from varbreak.cusum import (
-    CusumTrace,
-    corrected_trace,
-    sanso_trace,
     statistic_corrected,
     statistic_it,
     statistic_sanso,
@@ -23,7 +20,6 @@ from varbreak.errors import (
     DateOrderError,
     DegenerateSeriesError,
     ExperimentIntegrityError,
-    InvalidVariancePathError,
     NonpositiveVarianceError,
     SingularDesignError,
     VarbreakError,
@@ -61,12 +57,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ArFit",
     "CsvParseError",
-    "CusumTrace",
     "DateOrderError",
     "DecisionRule",
     "DegenerateSeriesError",
     "ExperimentIntegrityError",
-    "InvalidVariancePathError",
     "McExperimentSpec",
     "McResult",
     "NonpositiveVarianceError",
@@ -85,7 +79,6 @@ __all__ = [
     "WindowBoundsError",
     "ZeroDispersionError",
     "check_positivity",
-    "corrected_trace",
     "default_max_order",
     "difference",
     "emit_report",
@@ -101,7 +94,6 @@ __all__ = [
     "run_table",
     "run_test_pipeline",
     "sample_innovations",
-    "sanso_trace",
     "select_ar_order",
     "select_poly_order_aic",
     "simulate_dgp1",

@@ -26,18 +26,14 @@ class ArFit:
     """An autoregression fitted by OLS.
 
     ``residuals.values[k] = y_k - intercept - sum_i coefficients[i] * y_{k-i}``
-    where y is the (demeaned, if requested) input and k runs over the
-    effective sample t = order+1..n.
+    where y is the input and k runs over the effective sample t = order+1..n.
     """
 
     order: int
     coefficients: tuple[float, ...]
     intercept: float
-    mean: float
     residuals: ResidualSeries
     n_effective: int
-    demeaned: bool
-    with_intercept: bool
 
 
 def _validate_input(values) -> np.ndarray:
@@ -59,7 +55,7 @@ def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
     return design
 
 
-def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = False) -> ArFit:
+def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     """OLS fit of x_t on (x_{t-1}, ..., x_{t-order}).
 
     Parameters
@@ -68,9 +64,7 @@ def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = Fa
         Observed series, length strictly greater than ``order + 1``.
     order : int
         Number of lags m >= 0.  With m = 0 the residuals are the input
-        itself (demeaned or intercept-adjusted if requested).
-    demean : bool
-        Subtract the sample mean before fitting; recorded in the fit.
+        itself (intercept-adjusted if requested).
     intercept : bool
         Include a constant regressor.  Off for zero-mean models,
         on by default in the real-data pipeline.
@@ -87,10 +81,8 @@ def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = Fa
         raise ValueError(f"order must be nonnegative, got {order}")
     if x.size <= order + 1:
         raise ValueError(f"series length {x.size} must exceed order + 1 = {order + 1}")
-    mean = float(x.mean()) if demean else 0.0
-    z = x - mean
-    y = z[order:]
-    design = _ar_design(z, order, intercept)
+    y = x[order:]
+    design = _ar_design(x, order, intercept)
     beta = nested_ols(design, y, f"AR({order}) design").coefficients(design.shape[1])
     const = float(beta[0]) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
@@ -99,11 +91,8 @@ def fit_ar_ols(values, order: int, *, demean: bool = False, intercept: bool = Fa
         order=order,
         coefficients=coeffs,
         intercept=const,
-        mean=mean,
         residuals=ResidualSeries(residuals),
         n_effective=y.size,
-        demeaned=demean,
-        with_intercept=intercept,
     )
 
 

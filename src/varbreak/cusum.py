@@ -21,6 +21,11 @@ fourth is set out after the list:
   ``sum g_hat**-2(t/n) u_t**2`` and the fourth-moment average
   ``q**-1 sum g_hat**-4(t/n) u_t**4``.
 
+All four share one bridge kernel, ``sup_k |C_k - (k/q) C_q|`` over q
+(possibly rescaled) squares, with their mean and dispersion
+``eta - (C_q/q)**2``.  Inclan-Tiao divides the sup by C_n = q * mean;
+the other three divide it by ``sqrt(q * dispersion)``.
+
 When the profile of :func:`statistic_corrected` is fitted on the same
 sample, its null limit is not ``sup|W|``.  If the true profile g lies in
 the fitted polynomial class of order p, the partial sums converge to the
@@ -54,7 +59,6 @@ Sansó, A., Aragó, V., & Carrion-i-Silvestre, J. L. (2004). Testing for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,31 +71,8 @@ POSITIVITY_MODES = ("error", "clamp", "none")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class CusumTrace:
-    """Intermediate quantities of a bridge statistic.
-
-    Attributes
-    ----------
-    cumsums : numpy.ndarray
-        Partial sums C_k of the (possibly variance-rescaled) squared
-        residuals, k = 1..q.
-    eta : float
-        Window average of the (rescaled) fourth powers.
-    bridge : numpy.ndarray
-        Normalized deviations B_k = (C_k - (k/q) C_q) / sqrt(eta - (C_q/q)**2).
-    statistic : float
-        sup_k |q**-0.5 * B_k|.
-    """
-
-    cumsums: np.ndarray
-    eta: float
-    bridge: np.ndarray
-    statistic: float
-
-
-def _scaled_squares(u: np.ndarray) -> tuple[np.ndarray, int]:
-    """Squares of ``u * 2**-e`` with max|u * 2**-e| in [0.5, 1), and the exponent 2e.
+def _scaled_squares(u: np.ndarray) -> np.ndarray:
+    """Squares of ``u * 2**-e``, with e chosen so that max|u * 2**-e| is in [0.5, 1).
 
     Squaring after the scaling keeps u**2 and u**4 clear of overflow and
     of subnormal underflow.  Scaling by a power of two is exact, and the
@@ -99,69 +80,57 @@ def _scaled_squares(u: np.ndarray) -> tuple[np.ndarray, int]:
     """
     _, e = math.frexp(float(np.max(np.abs(u))))
     v = np.ldexp(u, -e)
-    return v * v, 2 * e
+    return v * v
 
 
-def _bridge_trace(squares: np.ndarray, exponent: int = 0) -> CusumTrace:
-    """Full bridge trace of a window of (rescaled) squared residuals.
+def _bridge(squares: np.ndarray) -> tuple[float, float, float]:
+    """(sup, mean, dispersion) of q squares: the kernel of all four statistics.
 
-    ``squares`` are the true squares times ``2**-exponent``; the trace
-    reports C_k and eta in the true units.
-
-    The dispersion eta - (C_q/q)**2 is formed as the mean squared
-    deviation from the window mean, and the bridge as ``D_k - k D_q / q``
-    over the partial sums D_k of those deviations: the literal
-    differences cancel when the squares nearly agree, and the second
-    term removes the rounding left in the mean.  The squares count as
-    constant when the dispersion is within the rounding of their mean,
-    (q * eps * mean)**2.
+    ``sup = max_k |D_k - k D_q / q|`` over the partial sums D_k of the
+    deviations from the mean, and the dispersion is their mean square.
+    Centring first avoids the cancellation of the literal forms when the
+    squares nearly agree; ``k D_q / q`` removes the rounding in the mean.
     """
     q = squares.size
     mean = float(squares.sum()) / q
     deviations = squares - mean
-    dispersion = float((deviations * deviations).sum()) / q
+    partial = np.cumsum(deviations)
+    sup = float(np.max(np.abs(partial - np.arange(1, q + 1) * (partial[-1] / q))))
+    return sup, mean, float((deviations * deviations).sum()) / q
+
+
+def _sanso(squares: np.ndarray) -> float:
+    """``sup / sqrt(q * dispersion)``, or ZeroDispersionError for constant squares.
+
+    The squares count as constant when the dispersion is within the
+    rounding of their mean, ``(q * eps * mean)**2``.
+    """
+    sup, mean, dispersion = _bridge(squares)
+    q = squares.size
     if dispersion <= (q * _EPS * mean) ** 2:
         raise ZeroDispersionError(
             f"squared residuals are empirically constant (dispersion {dispersion:.3g}); "
             "the statistic is undefined"
         )
-    partial = np.cumsum(deviations)
-    bridge = (partial - np.arange(1, q + 1) * (partial[-1] / q)) / math.sqrt(dispersion)
-    statistic = float(np.max(np.abs(bridge)) / math.sqrt(q))
-    cumsums = np.cumsum(squares)
-    eta = dispersion + mean * mean
-    with np.errstate(over="ignore"):  # true sums beyond the float range read as inf
-        cumsums, eta = np.ldexp(cumsums, exponent), float(np.ldexp(eta, 2 * exponent))
-    return CusumTrace(cumsums=cumsums, eta=eta, bridge=bridge, statistic=statistic)
+    return sup / math.sqrt(dispersion) / math.sqrt(q)
 
 
 def statistic_it(series: ResidualSeries) -> float:
     """The Inclan-Tiao statistic ``sup_k |sqrt(n/2) * (C_k/C_n - k/n)|``.
+
+    Computed as ``sqrt(n/2) * sup / (n * mean)`` from :func:`_bridge`,
+    since ``C_k/C_n - k/n = (D_k - k D_n / n) / (n * mean)`` in exact arithmetic.
 
     Raises
     ------
     DegenerateSeriesError
         If every residual is zero, so C_n = 0.
     """
-    sq, _ = _scaled_squares(series.values)
-    cumsums = np.cumsum(sq)
     n = series.n
-    if cumsums[-1] <= 0.0:
+    sup, mean, _ = _bridge(_scaled_squares(series.values))
+    if mean <= 0.0:
         raise DegenerateSeriesError("all residuals are zero; the statistic is undefined")
-    k = np.arange(1, n + 1, dtype=np.float64)
-    drift = cumsums / cumsums[-1] - k / n
-    return float(math.sqrt(n / 2.0) * np.max(np.abs(drift)))
-
-
-def sanso_trace(series: ResidualSeries, window: SubsampleWindow | None = None) -> CusumTrace:
-    """Full trace of the fourth-moment corrected statistic on a window.
-
-    With ``window=None`` the whole sample is used, which reproduces
-    :func:`statistic_sanso` exactly.
-    """
-    if window is None:
-        window = SubsampleWindow.full(series.n)
-    return _bridge_trace(*_scaled_squares(window.slice_values(series)))
+    return math.sqrt(n / 2.0) * sup / (n * mean)
 
 
 def statistic_sanso(series: ResidualSeries) -> float:
@@ -177,7 +146,7 @@ def statistic_sanso(series: ResidualSeries) -> float:
         If the squared residuals are empirically constant, so the
         denominator is not positive.
     """
-    return sanso_trace(series).statistic
+    return _sanso(_scaled_squares(series.values))
 
 
 def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> float:
@@ -194,22 +163,24 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     ZeroDispersionError
         If the windowed squared residuals are empirically constant.
     """
-    return sanso_trace(series, window).statistic
+    return _sanso(_scaled_squares(window.slice_values(series)))
 
 
-def corrected_trace(
+def statistic_corrected(
     series: ResidualSeries,
     window: SubsampleWindow,
     fit: VariancePolyFit,
     *,
     positivity: str = "error",
-) -> CusumTrace:
-    """Full trace of the variance-profile-corrected statistic.
+) -> float:
+    """Variance-profile-corrected statistic on a window.
 
-    The squared residuals are divided by the fitted variance profile
-    ``g_hat**2(t/n)`` before the bridge is formed, so ``cumsums`` holds
-    the rescaled partial sums and ``eta`` the rescaled fourth-moment
-    average.
+    ``sup_k |q**-0.5 * B_k|`` computed from
+    ``C_k = sum g_hat**-2(t/n) u_t**2`` and
+    ``eta = q**-1 sum g_hat**-4(t/n) u_t**4``: the squared residuals are
+    divided by the fitted variance profile ``g_hat**2(t/n)`` before the
+    bridge is formed.  When the profile is a positive constant this
+    reduces exactly to :func:`statistic_subsample`.
 
     Parameters
     ----------
@@ -252,23 +223,4 @@ def corrected_trace(
     rescaled = u * u / profile
     if not np.all(np.isfinite(rescaled)):
         raise NonpositiveVarianceError("fitted variance is exactly zero inside the window")
-    return _bridge_trace(rescaled)
-
-
-def statistic_corrected(
-    series: ResidualSeries,
-    window: SubsampleWindow,
-    fit: VariancePolyFit,
-    *,
-    positivity: str = "error",
-) -> float:
-    """Variance-profile-corrected statistic on a window.
-
-    ``sup_k |q**-0.5 * B_k|`` computed from
-    ``C_k = sum g_hat**-2(t/n) u_t**2`` and
-    ``eta = q**-1 sum g_hat**-4(t/n) u_t**4``.  When the profile is a
-    positive constant this reduces exactly to :func:`statistic_subsample`.
-
-    See :func:`corrected_trace` for parameters and errors.
-    """
-    return corrected_trace(series, window, fit, positivity=positivity).statistic
+    return _sanso(rescaled)

@@ -25,10 +25,6 @@ class NonpositiveVarianceError(VarbreakError):
     """Fitted variance profile is not positive over the analysis window."""
 
 
-class InvalidVariancePathError(VarbreakError):
-    """Simulated variance path takes a nonpositive value."""
-
-
 class ExperimentIntegrityError(VarbreakError):
     """Too many replications failed for the experiment to be trusted."""
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from varbreak.armodel import fit_ar_ols
 from varbreak.cusum import statistic_corrected, statistic_subsample
-from varbreak.errors import ExperimentIntegrityError, InvalidVariancePathError, VarbreakError
+from varbreak.errors import ExperimentIntegrityError, VarbreakError
 from varbreak.nulldist import DecisionRule
 from varbreak.series import ResidualSeries, SubsampleWindow
 from varbreak.variance_poly import select_poly_order_aic
@@ -96,7 +96,6 @@ class VariancePathSpec:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
-        variance_path(self)  # positivity holds analytically for alpha >= 0; checked anyway
 
     @property
     def break_index(self) -> int:
@@ -105,21 +104,10 @@ class VariancePathSpec:
 
 
 def variance_path(spec: VariancePathSpec) -> np.ndarray:
-    """Pointwise h2(t) for t = 1..n.
-
-    Raises
-    ------
-    InvalidVariancePathError
-        If any value is nonpositive (impossible for alpha >= 0; the
-        shift-free path has infimum approximately 1.17).
-    """
+    """Pointwise h2(t), t = 1..n; positive for alpha >= 0, infimum -2.7 + 1.5e, about 1.377."""
     t = np.arange(1, spec.n + 1, dtype=np.float64)
     path = -2.7 + 1.5 * np.exp(1.0 + t / spec.n) + 0.2 * np.sin(5.0 * np.pi * t / spec.n)
     path[t >= spec.break_index] += spec.alpha
-    if np.min(path) <= 0.0:
-        raise InvalidVariancePathError(
-            f"variance path reaches {np.min(path):.6g}; it must stay positive"
-        )
     return path
 
 

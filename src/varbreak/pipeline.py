@@ -203,7 +203,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         ar_order=ar_fit.order,
         ar_coefficients=ar_fit.coefficients,
         ar_intercept=ar_fit.intercept,
-        ar_demeaned=ar_fit.demeaned,
+        ar_demeaned=False,
         n_effective=residuals.n,
         window_offset=window.offset,
         window_length=window.length,

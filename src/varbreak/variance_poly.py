@@ -44,8 +44,6 @@ class VariancePolyFit:
     ----------
     order : int
         Polynomial order p >= 1.
-    center : float
-        Centering point r0 in rescaled time (the window midpoint).
     coefficients : tuple of float
         a_0, ..., a_p of the centered powers.
     rss : float
@@ -57,11 +55,15 @@ class VariancePolyFit:
     """
 
     order: int
-    center: float
     coefficients: tuple[float, ...]
     rss: float
     window: SubsampleWindow
     mean_sq: float
+
+    @property
+    def center(self) -> float:
+        """Centering point r0 in rescaled time: the midpoint of the fit's window."""
+        return self.window.center
 
     def profile(self) -> np.ndarray:
         """Fitted values g_hat**2(t/n) at every t of the fit's own window."""
@@ -116,7 +118,6 @@ def _fit_order(
 def _poly_fit(ols: NestedOls, squares: np.ndarray, window: SubsampleWindow, p: int):
     return VariancePolyFit(
         order=p,
-        center=window.center,
         coefficients=tuple(float(c) for c in ols.coefficients(p + 1)),
         rss=float(ols.rss[p + 1]),
         window=window,

@@ -21,9 +21,6 @@ class TestFitArOls:
         x = np.array([1.0, 4.0, 2.0, 8.0])
         fit = fit_ar_ols(x, 0)
         np.testing.assert_array_equal(fit.residuals.values, x)
-        demeaned = fit_ar_ols(x, 0, demean=True)
-        np.testing.assert_allclose(demeaned.residuals.values, x - x.mean(), rtol=1e-15)
-        assert demeaned.mean == pytest.approx(x.mean())
 
     def test_residuals_match_their_definition(self):
         rng = np.random.default_rng(17)
@@ -43,11 +40,11 @@ class TestFitArOls:
         gradient = design.T @ fit.residuals.values
         assert np.max(np.abs(gradient)) < 1e-8 * np.max(np.abs(x))
 
-    def test_shift_equivariance_with_demean(self):
+    def test_shift_equivariance_with_intercept(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal(150)
-        base = fit_ar_ols(x, 2, demean=True)
-        shifted = fit_ar_ols(x + 100.0, 2, demean=True)
+        base = fit_ar_ols(x, 2, intercept=True)
+        shifted = fit_ar_ols(x + 100.0, 2, intercept=True)
         np.testing.assert_allclose(
             shifted.residuals.values, base.residuals.values, atol=1e-10
         )

@@ -1,7 +1,6 @@
 import datetime
 import json
 
-import numpy as np
 import pytest
 
 from varbreak.cli import main

@@ -10,10 +10,11 @@ from varbreak import (
     NonpositiveVarianceError,
     ResidualSeries,
     SubsampleWindow,
+    VarbreakError,
     VariancePolyFit,
     ZeroDispersionError,
     fit_variance_poly,
-    sanso_trace,
+    select_poly_order_aic,
     statistic_corrected,
     statistic_it,
     statistic_sanso,
@@ -35,7 +36,6 @@ def series_from_squares(squares) -> ResidualSeries:
 def constant_profile_fit(window: SubsampleWindow, value: float) -> VariancePolyFit:
     return VariancePolyFit(
         order=1,
-        center=window.center,
         coefficients=(value, 0.0),
         rss=0.0,
         window=window,
@@ -57,8 +57,10 @@ def _dispersed_series(min_size=5, max_size=40):
 
 
 class TestStatisticIt:
-    def test_constant_squares_give_zero(self):
-        assert statistic_it(ResidualSeries([2.0, 2.0, 2.0, 2.0, 2.0])) == 0.0
+    # the mean of n equal squares need not round to that square
+    @pytest.mark.parametrize("value,n", [(2.0, 5), (0.7, 6), (0.7, 7), (0.7, 50), (0.7, 200)])
+    def test_constant_squares_give_zero(self, value, n):
+        assert statistic_it(ResidualSeries(np.full(n, value))) == 0.0
 
     def test_hand_computed_example(self):
         s = series_from_squares([1.0, 2.0, 3.0, 4.0])
@@ -169,7 +171,6 @@ class TestStatisticCorrected:
         bad_fit = constant_profile_fit(w, 1.0)
         bad_fit = VariancePolyFit(
             order=1,
-            center=w.center,
             coefficients=(0.001, -10.0),
             rss=0.0,
             window=w,
@@ -252,6 +253,7 @@ class TestScaleInvariance:
         scaled = ResidualSeries(scale * values)
         assert statistic_it(scaled) == pytest.approx(statistic_it(s), rel=1e-8)
         assert statistic_sanso(scaled) == pytest.approx(statistic_sanso(s), rel=1e-8)
+        assert statistic_sanso(s) >= 0.0
         w = SubsampleWindow(n=s.n, offset=1, length=s.n - 1)
         inner = values[1:] ** 2
         if np.ptp(inner) > 1e-6 * (1.0 + np.max(inner)):
@@ -291,11 +293,63 @@ class TestScaleInvariance:
         assert statistic_sanso(scaled) == pytest.approx(statistic_sanso(s), rel=1e-12)
 
 
-class TestTraceInvariants:
-    @settings(max_examples=50)
-    @given(values=_dispersed_series())
-    def test_bridge_ends_at_zero_and_trace_is_sane(self, values):
-        trace = sanso_trace(ResidualSeries(values))
-        assert trace.statistic is not None and trace.statistic >= 0.0
-        assert np.all(np.diff(trace.cumsums) >= 0.0)
-        assert abs(trace.bridge[-1]) <= 1e-10 * max(1.0, trace.cumsums[-1])
+# Scales of the golden residuals, as functions of r in [-1, 1]: one growing
+# linearly, and one dipping to zero at the midpoint.
+_GOLDEN_PROFILES = {"growing": lambda r: np.linspace(1.0, 2.0, r.size), "dip": lambda r: r * r}
+
+# (profile, n, exponent of the power-of-two scale): repr of statistic_subsample
+# on the full and on the inner window, then of statistic_corrected on the
+# inner window with positivity "error", "clamp" and "none"; an error reads as
+# its type name.  The corrected values at 2**-532 and the errors at 2**266 are
+# the under- and overflow of the corrected path (ROADMAP), not right answers;
+# a fix changes them on purpose.
+_GOLDEN = {
+    ("growing", 50, 0): ("0.7701428614281964", "1.195677962981897", "0.7684899684452186", "0.7684899684452186", "0.7684899684452186"),
+    ("growing", 50, -532): ("0.7701428614281964", "1.195677962981897", "0.976873010321982", "0.976873010321982", "0.976873010321982"),
+    ("growing", 50, 266): ("0.7701428614281964", "1.195677962981897", "DegenerateSeriesError", "DegenerateSeriesError", "DegenerateSeriesError"),
+    ("growing", 200, 0): ("2.3856944174753387", "1.727934573554769", "0.49975500407382084", "0.49975500407382084", "0.49975500407382084"),
+    ("growing", 200, -532): ("2.3856944174753387", "1.727934573554769", "1.3328598667845268", "1.3328598667845268", "1.3328598667845268"),
+    ("growing", 200, 266): ("2.3856944174753387", "1.727934573554769", "DegenerateSeriesError", "DegenerateSeriesError", "DegenerateSeriesError"),
+    ("growing", 2000, 0): ("4.695443590210217", "3.6344395321196017", "0.42368844381604376", "0.42368844381604376", "0.42368844381604376"),
+    ("growing", 2000, -532): ("4.695443590210217", "3.6344395321196017", "0.9979045272279459", "0.9979045272279459", "0.9979045272279459"),
+    ("growing", 2000, 266): ("4.695443590210217", "3.6344395321196017", "DegenerateSeriesError", "DegenerateSeriesError", "DegenerateSeriesError"),
+    ("dip", 50, 0): ("1.3207754022635472", "0.9197736776478466", "NonpositiveVarianceError", "0.9285843718603076", "1.0125655386196382"),
+    ("dip", 50, -532): ("1.3207754022635472", "0.9197736776478466", "1.1780781145245134", "1.1780781145245134", "1.1780781145245134"),
+    ("dip", 50, 266): ("1.3207754022635472", "0.9197736776478466", "DegenerateSeriesError", "DegenerateSeriesError", "DegenerateSeriesError"),
+    ("dip", 200, 0): ("1.603572745506856", "1.8845441218372674", "NonpositiveVarianceError", "1.1673273338413237", "1.062485080115159"),
+    ("dip", 200, -532): ("1.603572745506856", "1.8845441218372674", "1.9421136754181152", "1.9421136754181152", "1.9421136754181152"),
+    ("dip", 200, 266): ("1.603572745506856", "1.8845441218372674", "DegenerateSeriesError", "DegenerateSeriesError", "DegenerateSeriesError"),
+    ("dip", 2000, 0): ("4.917462902101246", "3.7484212490409936", "NonpositiveVarianceError", "1.9272863216496519", "1.5699059761882128"),
+    ("dip", 2000, -532): ("4.917462902101246", "3.7484212490409936", "3.7928183069613874", "3.7928183069613874", "3.7928183069613874"),
+    ("dip", 2000, 266): ("4.917462902101246", "3.7484212490409936", "DegenerateSeriesError", "DegenerateSeriesError", "DegenerateSeriesError"),
+}
+
+
+def _outcome(function, *args, **kwargs) -> str:
+    try:
+        return repr(function(*args, **kwargs))
+    except VarbreakError as exc:
+        return type(exc).__name__
+
+
+class TestGolden:
+    @pytest.mark.parametrize("profile,n,exponent", list(_GOLDEN))
+    def test_statistics_are_pinned(self, profile, n, exponent):
+        r = np.linspace(-1.0, 1.0, n)
+        values = np.random.default_rng(13).standard_normal(n) * _GOLDEN_PROFILES[profile](r)
+        s = ResidualSeries(np.ldexp(values, exponent))
+        inner = SubsampleWindow(n=n, offset=n // 10, length=n - n // 5)
+        got = [
+            _outcome(statistic_subsample, s, SubsampleWindow.full(n)),
+            _outcome(statistic_subsample, s, inner),
+        ]
+        try:
+            fit = select_poly_order_aic(s, inner, 3).fit
+        except VarbreakError as exc:
+            got += [type(exc).__name__] * 3
+        else:
+            got += [
+                _outcome(statistic_corrected, s, inner, fit, positivity=mode)
+                for mode in ("error", "clamp", "none")
+            ]
+        assert tuple(got) == _GOLDEN[profile, n, exponent]

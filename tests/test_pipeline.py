@@ -9,7 +9,6 @@ from varbreak import (
     NonpositiveVarianceError,
     PipelineConfig,
     SeriesFile,
-    TestReport,
     emit_report,
     run_table,
     run_test_pipeline,

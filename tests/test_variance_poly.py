@@ -14,7 +14,6 @@ from varbreak import (
     VariancePolyFit,
     check_positivity,
     fit_variance_poly,
-    sample_innovations,
     select_poly_order_aic,
     simulate_dgp1,
     stream,
@@ -32,7 +31,6 @@ def series_with_squares(squares) -> ResidualSeries:
 def make_fit(window, coefficients, mean_sq=1.0) -> VariancePolyFit:
     return VariancePolyFit(
         order=len(coefficients) - 1,
-        center=window.center,
         coefficients=tuple(coefficients),
         rss=0.0,
         window=window,
