@@ -33,7 +33,6 @@ class ArFit:
     coefficients: tuple[float, ...]
     intercept: float
     residuals: ResidualSeries
-    n_effective: int
 
 
 def _validate_input(values) -> np.ndarray:
@@ -92,7 +91,6 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
         coefficients=coeffs,
         intercept=const,
         residuals=ResidualSeries(residuals),
-        n_effective=y.size,
     )
 
 

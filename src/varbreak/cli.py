@@ -13,7 +13,6 @@ is data, not an error), 1 on operational errors, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from varbreak.dataio import load_csv
@@ -23,7 +22,6 @@ from varbreak.nulldist import DecisionRule, kolmogorov_quantile
 from varbreak.pipeline import PipelineConfig, emit_report, run_test_pipeline
 
 DEFAULT_SEED = 12345
-SEED_ENV_VAR = "VARBREAK_SEED"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--diff", type=int, default=1, metavar="K", help="difference order (default 1, 0 to skip)")
     test.add_argument("--ar", default="auto", metavar="auto|M", help="AR order, or 'auto' for AIC selection")
     test.add_argument("--pmax", type=int, default=5, metavar="P", help="largest polynomial order tried (default 5)")
-    test.add_argument("--gamma", type=float, default=None, metavar="G", help="window exponent, length floor(n**G)")
+    test.add_argument("--gamma", type=float, default=1.0, metavar="G", help="window exponent, length floor(n**G)")
     test.add_argument("--offset", type=float, default=0.0, metavar="F", help="window start as a fraction of n")
     test.add_argument("--rule", choices=("asymptotic", "paper"), default="asymptotic",
                       help="decision boundary: asymptotic quantile at --level, or the fixed 1.33 boundary")
@@ -53,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a preset size/power experiment grid")
     sim.add_argument("--table", type=int, required=True, choices=(1, 2, 3, 4),
                      help="1/2: size grids (dgp1/dgp2); 3/4: power grids (dgp1/dgp2)")
-    sim.add_argument("--seed", type=int, default=None, metavar="S",
-                     help=f"grid seed (default {SEED_ENV_VAR} or {DEFAULT_SEED})")
+    sim.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S", help="grid seed (default %(default)s)")
     sim.add_argument("--reps", type=int, default=1000, metavar="N", help="replications per cell")
     sim.add_argument("--workers", type=int, default=1, metavar="W", help="worker processes")
     sim.add_argument("--rule", choices=("asymptotic", "paper"), default="paper",
@@ -107,13 +104,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
     table = run_table(
         args.table,
-        seed=seed,
+        seed=args.seed,
         replications=args.reps,
         workers=args.workers,
         decision=_decision(args.rule, args.level),

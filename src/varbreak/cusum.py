@@ -17,7 +17,8 @@ fourth is set out after the list:
 * :func:`statistic_corrected` -- the subsample statistic computed on
   squared residuals rescaled by a fitted polynomial variance profile,
   so that a smooth drift in the unconditional variance is removed
-  before testing for an abrupt break.  The partial sums become
+  before testing for an abrupt break, over the window the profile was
+  fitted on.  The partial sums become
   ``sum g_hat**-2(t/n) u_t**2`` and the fourth-moment average
   ``q**-1 sum g_hat**-4(t/n) u_t**4``.
 
@@ -138,7 +139,7 @@ def statistic_sanso(series: ResidualSeries) -> float:
 
     ``sup_k |n**-0.5 * B_k|`` with
     ``B_k = (C_k - (k/n) C_n) / sqrt(eta - (C_n/n)**2)`` and
-    ``eta = n**-1 sum u_t**4``.
+    ``eta = n**-1 sum u_t**4``: :func:`statistic_subsample` on the full window.
 
     Raises
     ------
@@ -146,15 +147,14 @@ def statistic_sanso(series: ResidualSeries) -> float:
         If the squared residuals are empirically constant, so the
         denominator is not positive.
     """
-    return _sanso(_scaled_squares(series.values))
+    return statistic_subsample(series, SubsampleWindow.full(series.n))
 
 
 def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> float:
     """Fourth-moment corrected statistic restricted to a window.
 
     All sums run over t = offset+1, ..., offset+q and every n in the
-    full-sample formula is replaced by q.  With the full window this is
-    bit-identical to :func:`statistic_sanso`.
+    full-sample formula is replaced by q.
 
     Raises
     ------
@@ -166,14 +166,8 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     return _sanso(_scaled_squares(window.slice_values(series)))
 
 
-def statistic_corrected(
-    series: ResidualSeries,
-    window: SubsampleWindow,
-    fit: VariancePolyFit,
-    *,
-    positivity: str = "error",
-) -> float:
-    """Variance-profile-corrected statistic on a window.
+def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
+    """Variance-profile-corrected statistic on the window of ``fit``.
 
     ``sup_k |q**-0.5 * B_k|`` computed from
     ``C_k = sum g_hat**-2(t/n) u_t**2`` and
@@ -184,10 +178,10 @@ def statistic_corrected(
 
     Parameters
     ----------
-    series, window
-        Residuals and the analysis window.
+    series : ResidualSeries
+        Residuals.
     fit : VariancePolyFit
-        Polynomial variance profile fitted on ``window``.
+        Polynomial variance profile; the statistic runs over its window.
     positivity : {"error", "clamp", "none"}
         What to do when the profile dips to or below the positivity
         floor of :func:`varbreak.variance_poly.check_positivity` inside
@@ -196,8 +190,8 @@ def statistic_corrected(
 
     Raises
     ------
-    ValueError
-        If ``fit`` was fitted on a different window.
+    WindowBoundsError
+        If the fit's window was built for a series of another length.
     NonpositiveVarianceError
         Under ``positivity="error"`` when the profile dips to or below
         the floor, and under every mode when a rescaled square is not
@@ -207,9 +201,7 @@ def statistic_corrected(
     """
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
-    u = window.slice_values(series)
-    if fit.window != window:
-        raise ValueError(f"variance fit was built on {fit.window}, not on {window}")
+    u = fit.window.slice_values(series)
     profile = fit.profile()
     if positivity != "none":
         report = check_positivity(fit)

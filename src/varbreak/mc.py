@@ -22,6 +22,7 @@ worker counts, and execution orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -103,11 +104,13 @@ class VariancePathSpec:
         return math.floor(self.n * self.kappa)
 
 
+@functools.lru_cache(maxsize=64)
 def variance_path(spec: VariancePathSpec) -> np.ndarray:
-    """Pointwise h2(t), t = 1..n; positive for alpha >= 0, infimum -2.7 + 1.5e, about 1.377."""
+    """Read-only h2(t), t = 1..n, cached per spec; for alpha >= 0 its infimum is -2.7 + 1.5e ~ 1.377."""
     t = np.arange(1, spec.n + 1, dtype=np.float64)
     path = -2.7 + 1.5 * np.exp(1.0 + t / spec.n) + 0.2 * np.sin(5.0 * np.pi * t / spec.n)
     path[t >= spec.break_index] += spec.alpha
+    path.flags.writeable = False
     return path
 
 
@@ -139,6 +142,10 @@ class McExperimentSpec:
             raise ValueError(f"spec n={self.n} disagrees with path n={self.path.n}")
         if self.poly_p_max < 1:
             raise ValueError(f"poly_p_max must be at least 1, got {self.poly_p_max}")
+        # the profile fit needs p_max + 2 residuals; the AR(1) fit of dgp2 uses one
+        n_min = self.poly_p_max + 2 + (self.dgp == "dgp2")
+        if self.n < n_min:
+            raise ValueError(f"{self.dgp} with poly_p_max={self.poly_p_max} needs n >= {n_min}, got {self.n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +204,7 @@ def _replicate(spec: McExperimentSpec, replication: int) -> tuple[float, float, 
         err_std = type(exc).__name__
     try:
         fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
-        q_mod = statistic_corrected(residuals, window, fit, positivity=GRID_POSITIVITY)
+        q_mod = statistic_corrected(residuals, fit, positivity=GRID_POSITIVITY)
     except VarbreakError as exc:
         err_mod = type(exc).__name__
     return q_std, q_mod, err_std, err_mod

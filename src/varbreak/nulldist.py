@@ -171,11 +171,6 @@ class DecisionRule:
         """The conventional tabulated 5% boundary 1.33."""
         return cls(FIXED_BOUNDARY, 0.05, "boundary")
 
-    @classmethod
-    def user(cls, critical_value: float, level: float | None = None) -> "DecisionRule":
-        """A caller-supplied boundary."""
-        return cls(critical_value, level, "user")
-
     def rejects(self, statistic: float) -> bool:
         """True when ``statistic`` strictly exceeds the boundary."""
         return statistic > self.critical_value

@@ -2,10 +2,11 @@
 
 The pipeline differences a loaded series, prewhitens it with an OLS
 autoregression, and runs the uncorrected (Q_std) and variance-profile-
-corrected (Q_mod) statistics on the residuals.  Reports expose every
-choice made along the way (difference order, AR order and coefficients,
-polynomial order and coefficients, window, threshold) so a run can be
-audited or replicated from its output alone.
+corrected (Q_mod) statistics on one window of the residuals, the full
+sample unless ``gamma < 1``.  Reports expose every choice made along the
+way (difference order, AR order and coefficients, polynomial order and
+coefficients, window, threshold) so a run can be audited or replicated
+from its output alone.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class PipelineConfig:
     diff_order: int = 1
     ar_order: int | None = None  # None selects by AIC
     p_max: int = 5
-    gamma: float | None = None  # None analyses the full residual sample
+    gamma: float = 1.0  # window length floor(n**gamma); 1.0 is the full residual sample
     offset_fraction: float = 0.0
     rule: DecisionRule = field(default_factory=DecisionRule.asymptotic)
     clamp: bool = False
@@ -163,10 +164,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         raise _stage("ar-fit", exc) from exc
     residuals: ResidualSeries = ar_fit.residuals
 
-    if config.gamma is None:
-        window = SubsampleWindow.full(residuals.n)
-    else:
-        window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
+    window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
 
     try:
         q_std = statistic_subsample(residuals, window)
@@ -186,9 +184,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
             f"(minimum {positivity.min_value:.6g} at t={positivity.t_min})"
         )
     try:
-        q_mod = statistic_corrected(
-            residuals, window, poly_fit, positivity="clamp" if config.clamp else "error"
-        )
+        q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
     except VarbreakError as exc:
         raise _stage("statistic-mod", exc) from exc
 

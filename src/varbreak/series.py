@@ -123,14 +123,10 @@ class SubsampleWindow:
         """1-based observation indices t covered by the window."""
         return np.arange(self.offset + 1, self.offset + self.length + 1)
 
-    def validate_for(self, series: ResidualSeries) -> None:
-        """Raise :class:`WindowBoundsError` unless the window matches ``series``."""
+    def slice_values(self, series: ResidualSeries) -> np.ndarray:
+        """The values of ``series`` in the window; WindowBoundsError if it has another length."""
         if self.n != series.n:
             raise WindowBoundsError(
                 f"window was built for a series of length {self.n}, got length {series.n}"
             )
-
-    def slice_values(self, series: ResidualSeries) -> np.ndarray:
-        """The residual values covered by the window."""
-        self.validate_for(series)
         return series.values[self.offset : self.stop]

@@ -77,7 +77,6 @@ class OrderSelection:
 
     chosen_p: int
     scores: tuple[tuple[int, float], ...]
-    p_max: int
     fit: VariancePolyFit  # the chosen order's fit
 
 
@@ -186,7 +185,6 @@ def select_poly_order_aic(
     return OrderSelection(
         chosen_p=chosen_p,
         scores=scores,
-        p_max=p_max,
         fit=_poly_fit(ols, squares, window, chosen_p),
     )
 

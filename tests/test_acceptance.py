@@ -187,7 +187,7 @@ def test_c04b_null_quantile_corrected():
     for rep in range(2000):
         series = ResidualSeries(scale * sample_innovations(n, stream(402, rep)))
         fit = fit_variance_poly(series, window, 3)
-        stats.append(statistic_corrected(series, window, fit, positivity="none"))
+        stats.append(statistic_corrected(series, fit, positivity="none"))
     q95 = float(np.quantile(stats, 0.95))
     limit_q95 = generalized_bridge_quantile(3, drift, 0.95, seed=4020)
     _criterion(
@@ -285,7 +285,7 @@ def test_c08_oracle_equivalence():
         literal = corrected_statistic_literal(values, offset, q, n, fit.coefficients, fit.center)
         worst = max(
             worst,
-            abs(statistic_corrected(series, window, fit, positivity="none") - literal),
+            abs(statistic_corrected(series, fit, positivity="none") - literal),
         )
     _criterion(
         "8 (oracle equivalence of all four statistics)",
@@ -309,10 +309,10 @@ def test_c09_scale_invariance():
             (statistic_subsample(series, window), statistic_subsample(scaled, window)),
             (
                 statistic_corrected(
-                    series, window, fit_variance_poly(series, window, 2), positivity="none"
+                    series, fit_variance_poly(series, window, 2), positivity="none"
                 ),
                 statistic_corrected(
-                    scaled, window, fit_variance_poly(scaled, window, 2), positivity="none"
+                    scaled, fit_variance_poly(scaled, window, 2), positivity="none"
                 ),
             ),
         ]

@@ -15,7 +15,7 @@ class TestFitArOls:
         fit = fit_ar_ols(x, 1)
         assert fit.coefficients[0] == pytest.approx(0.4, abs=1e-10)
         assert np.max(np.abs(fit.residuals.values)) < 1e-12
-        assert fit.n_effective == 49
+        assert fit.residuals.n == 49
 
     def test_order_zero_returns_input(self):
         x = np.array([1.0, 4.0, 2.0, 8.0])

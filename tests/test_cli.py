@@ -68,6 +68,12 @@ class TestTestCommand:
         assert main(["test", str(macro_csv), "--format", "json", "--out", str(target)]) == 0
         assert json.loads(target.read_text())["schema_version"] == 1
 
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "1"]])
+    def test_offset_of_a_full_length_window_is_an_error(self, capsys, macro_csv, gamma):
+        # a full-length window cannot start later; the offset is never dropped
+        assert main(["test", str(macro_csv), "--offset", "0.3", *gamma]) == 1
+        assert "does not fit in a series" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:
             main(["test", str(macro_csv), "--rule", "folk"])
@@ -87,14 +93,6 @@ class TestSimulateCommand:
         first = capsys.readouterr().out
         main(["simulate", "--table", "1", "--seed", "4", "--reps", "30"])
         assert capsys.readouterr().out != first
-
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("VARBREAK_SEED", "3")
-        main(["simulate", "--table", "1", "--reps", "30"])
-        from_env = capsys.readouterr().out
-        monkeypatch.delenv("VARBREAK_SEED")
-        main(["simulate", "--table", "1", "--seed", "3", "--reps", "30"])
-        assert capsys.readouterr().out == from_env
 
     def test_json_format(self, capsys):
         assert main(["simulate", "--table", "3", "--seed", "2", "--reps", "10",

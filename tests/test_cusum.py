@@ -12,6 +12,7 @@ from varbreak import (
     SubsampleWindow,
     VarbreakError,
     VariancePolyFit,
+    WindowBoundsError,
     ZeroDispersionError,
     fit_variance_poly,
     select_poly_order_aic,
@@ -137,7 +138,7 @@ class TestStatisticCorrected:
         s = ResidualSeries(rng.standard_normal(50))
         w = SubsampleWindow.full(50)
         fit = constant_profile_fit(w, 1.0)
-        assert statistic_corrected(s, w, fit) == pytest.approx(
+        assert statistic_corrected(s, fit) == pytest.approx(
             statistic_subsample(s, w), rel=1e-12
         )
 
@@ -146,7 +147,7 @@ class TestStatisticCorrected:
         s = ResidualSeries(rng.standard_normal(64))
         w = SubsampleWindow(n=64, offset=10, length=40)
         fit = constant_profile_fit(w, 7.3)
-        assert statistic_corrected(s, w, fit) == pytest.approx(
+        assert statistic_corrected(s, fit) == pytest.approx(
             statistic_subsample(s, w), rel=1e-12
         )
 
@@ -162,7 +163,7 @@ class TestStatisticCorrected:
         expected = corrected_statistic_literal(
             s.values, w.offset, w.length, n, fit.coefficients, fit.center
         )
-        assert statistic_corrected(s, w, fit) == pytest.approx(expected, abs=1e-10)
+        assert statistic_corrected(s, fit) == pytest.approx(expected, abs=1e-10)
 
     def test_nonpositive_profile_raises_by_default(self):
         rng = np.random.default_rng(6)
@@ -177,10 +178,10 @@ class TestStatisticCorrected:
             mean_sq=float(np.mean(s.values**2)),
         )
         with pytest.raises(NonpositiveVarianceError):
-            statistic_corrected(s, w, bad_fit)
+            statistic_corrected(s, bad_fit)
         # clamping floors the profile; "none" evaluates literally; both produce numbers
-        clamped = statistic_corrected(s, w, bad_fit, positivity="clamp")
-        blind = statistic_corrected(s, w, bad_fit, positivity="none")
+        clamped = statistic_corrected(s, bad_fit, positivity="clamp")
+        blind = statistic_corrected(s, bad_fit, positivity="none")
         assert math.isfinite(clamped) and math.isfinite(blind)
 
     def test_constant_rescaled_squares_raise(self):
@@ -188,7 +189,7 @@ class TestStatisticCorrected:
         w = SubsampleWindow.full(6)
         fit = fit_variance_poly(s, w, 1)
         with pytest.raises(ZeroDispersionError):
-            statistic_corrected(s, w, fit)
+            statistic_corrected(s, fit)
 
     @pytest.mark.parametrize(
         "n,value,order", [(7, 0.7, 2), (13, 3.7, 2), (50, 3.7, 3), (2000, 3.7, 1)]
@@ -198,24 +199,22 @@ class TestStatisticCorrected:
         s = ResidualSeries(np.full(n, value))
         w = SubsampleWindow.full(n)
         with pytest.raises(ZeroDispersionError):
-            statistic_corrected(s, w, fit_variance_poly(s, w, order), positivity="none")
+            statistic_corrected(s, fit_variance_poly(s, w, order), positivity="none")
 
     def test_fit_and_window_length_must_agree(self):
         rng = np.random.default_rng(7)
         s = ResidualSeries(rng.standard_normal(30))
         fit = fit_variance_poly(s, SubsampleWindow.full(30), 1)
         other = ResidualSeries(rng.standard_normal(40))
-        with pytest.raises(ValueError):
-            statistic_corrected(other, SubsampleWindow.full(40), fit)
-        with pytest.raises(ValueError):  # same length, another window
-            statistic_corrected(s, SubsampleWindow(n=30, offset=1, length=29), fit)
+        with pytest.raises(WindowBoundsError):
+            statistic_corrected(other, fit)
 
     def test_unknown_positivity_mode(self):
         rng = np.random.default_rng(8)
         s = ResidualSeries(rng.standard_normal(20))
         w = SubsampleWindow.full(20)
         with pytest.raises(ValueError):
-            statistic_corrected(s, w, constant_profile_fit(w, 1.0), positivity="ignore")
+            statistic_corrected(s, constant_profile_fit(w, 1.0), positivity="ignore")
 
 
 class TestOracleEquivalence:
@@ -238,7 +237,7 @@ class TestOracleEquivalence:
                 expected = corrected_statistic_literal(
                     values, offset, q, n, fit.coefficients, fit.center
                 )
-                assert statistic_corrected(s, w, fit, positivity="none") == pytest.approx(
+                assert statistic_corrected(s, fit, positivity="none") == pytest.approx(
                     expected, abs=1e-10
                 )
 
@@ -269,9 +268,9 @@ class TestScaleInvariance:
         s = ResidualSeries(values)
         scaled = ResidualSeries(scale * values)
         w = SubsampleWindow.full(60)
-        stat = statistic_corrected(s, w, fit_variance_poly(s, w, 2), positivity="none")
+        stat = statistic_corrected(s, fit_variance_poly(s, w, 2), positivity="none")
         stat_scaled = statistic_corrected(
-            scaled, w, fit_variance_poly(scaled, w, 2), positivity="none"
+            scaled, fit_variance_poly(scaled, w, 2), positivity="none"
         )
         assert stat_scaled == pytest.approx(stat, rel=1e-8)
 
@@ -349,7 +348,7 @@ class TestGolden:
             got += [type(exc).__name__] * 3
         else:
             got += [
-                _outcome(statistic_corrected, s, inner, fit, positivity=mode)
+                _outcome(statistic_corrected, s, fit, positivity=mode)
                 for mode in ("error", "clamp", "none")
             ]
         assert tuple(got) == _GOLDEN[profile, n, exponent]

@@ -53,7 +53,7 @@ def replication_statistics(spec, innovations):
     fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
     return (
         statistic_subsample(residuals, window),
-        statistic_corrected(residuals, window, fit, positivity="none"),
+        statistic_corrected(residuals, fit, positivity="none"),
     )
 
 
@@ -76,6 +76,13 @@ class TestVariancePath:
 
     def test_path_is_positive(self):
         assert np.min(variance_path(VariancePathSpec(n=1000))) > 1.0
+
+    def test_repeated_calls_return_equal_read_only_paths(self):
+        first = variance_path(VariancePathSpec(n=300, alpha=1.5))
+        second = variance_path(VariancePathSpec(n=300, alpha=1.5))
+        np.testing.assert_array_equal(first, second)
+        with pytest.raises(ValueError):
+            first[0] = 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -214,6 +221,16 @@ class TestRunExperiment:
                 seed=1,
                 decision=DecisionRule.fixed_boundary(),
             )
+
+    @pytest.mark.parametrize("dgp,n,n_min", [("dgp1", 4, 5), ("dgp2", 5, 6), ("dgp2", 2, 6)])
+    def test_spec_rejects_n_below_the_fit_minimum(self, dgp, n, n_min):
+        with pytest.raises(ValueError, match=f"needs n >= {n_min}, got {n}"):
+            make_spec(dgp=dgp, n=n)
+
+    @pytest.mark.parametrize("dgp,n", [("dgp1", 5), ("dgp2", 6)])
+    def test_smallest_accepted_n_runs(self, dgp, n):
+        result = run_experiment(make_spec(dgp=dgp, n=n))
+        assert result.n_valid_std == result.n_valid_mod == 20
 
 
 class TestTables:

@@ -110,12 +110,12 @@ class TestDecisionRule:
         assert DecisionRule.asymptotic(0.05).critical_value != DecisionRule.fixed_boundary().critical_value
 
     def test_rejection_is_strict(self):
-        rule = DecisionRule.user(2.0)
+        rule = DecisionRule(2.0, None, "user")
         assert not rule.rejects(2.0)
         assert rule.rejects(2.0000001)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DecisionRule.user(-1.0)
+            DecisionRule(-1.0, None, "user")
         with pytest.raises(ValueError):
             DecisionRule(1.0, 0.05, "folklore")

@@ -1,4 +1,4 @@
-"""The README's Quickstart runs, and its command-line synopsis names every option."""
+"""The README's Quickstart runs, the paths it names exist, and its synopsis names every option."""
 
 import re
 from pathlib import Path
@@ -7,7 +7,12 @@ import pytest
 
 from varbreak.cli import _build_parser
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+#: A repo-relative path in running text: directories ending in "/", then
+#: optionally a source or document file name.
+_PATH = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)+(?:[\w.-]+\.(?:py|md|json|toml))?)(?![\w/])")
 
 
 def _first_block(section: str, language: str) -> str:
@@ -28,6 +33,27 @@ def _synopses() -> dict[str, str]:
 def _subparsers():
     (action,) = [a for a in _build_parser()._actions if a.choices and hasattr(a, "add_parser")]
     return action.choices
+
+
+def _named_paths() -> set[str]:
+    """Every path the README names: in its text, and in the package layout tree."""
+    paths = set(_PATH.findall(README))
+    directory = ""
+    for line in _first_block("Package layout", "text").splitlines():
+        name = line.split()[0]
+        if line.startswith(" "):
+            paths.add(directory + name)
+        else:
+            directory = name
+            paths.add(name)
+    return paths
+
+
+def test_named_paths_exist():
+    paths = _named_paths()
+    assert "tests/oracles.py" in paths and "src/varbreak/cusum.py" in paths
+    missing = sorted(path for path in paths if not (ROOT / path).exists())
+    assert not missing, f"README names paths that do not exist: {missing}"
 
 
 def test_quickstart_runs(capsys):

@@ -33,6 +33,9 @@ class TestSubsampleWindow:
     def test_full_window(self):
         w = SubsampleWindow.full(7)
         assert (w.offset, w.length, w.gamma, w.center) == (0, 7, 1.0, 0.5)
+        # the pipeline's default window, gamma = 1, is the full window
+        for n in (2, 7, 660, 2000):
+            assert SubsampleWindow.from_exponent(n, 1.0) == SubsampleWindow.full(n)
 
     def test_from_exponent_floors(self):
         w = SubsampleWindow.from_exponent(200, 2.0 / 3.0, start_fraction=0.25)
@@ -63,10 +66,10 @@ class TestSubsampleWindow:
         with pytest.raises(ValueError):
             SubsampleWindow(**kwargs)
 
-    def test_validate_for_rejects_mismatched_series(self):
+    def test_slice_values_rejects_mismatched_series(self):
         w = SubsampleWindow.full(5)
         with pytest.raises(WindowBoundsError):
-            w.validate_for(ResidualSeries([1.0, 2.0, 3.0]))
+            w.slice_values(ResidualSeries([1.0, 2.0, 3.0]))
 
     def test_times_are_one_based(self):
         w = SubsampleWindow(n=8, offset=2, length=4)
