@@ -37,12 +37,14 @@ def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
     Raises
     ------
     SingularDesignError
-        If a column is numerically dependent on the columns before it,
+        If the design is wider than tall, or a column depends numerically on those before it,
         ``|R_kk| <= eps * max(m, K) * max_j |R_jj|`` for an m x K design,
         the default rank threshold of numpy's least-squares solver.
         ``what`` names the design in the message.
     """
     m, width = design.shape
+    if m < width:
+        raise SingularDesignError(f"{what} has {m} rows for {width} columns")
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diagonal(r))
     dependent = diag <= _EPS * max(m, width) * np.max(diag, initial=0.0)

@@ -7,6 +7,8 @@ common effective sample so scores are comparable across orders.  All
 fits, and both AIC searches (this one and the polynomial order search
 in :mod:`varbreak.variance_poly`), go through one nested least-squares
 routine that factorises the largest design once with a QR.
+Both fit at unit scale, as a ``ResidualSeries`` holds the input: scaling it by 2**k
+keeps the order and lag coefficients and scales the intercept and residuals exactly.
 """
 
 from __future__ import annotations
@@ -33,15 +35,6 @@ class ArFit:
     coefficients: tuple[float, ...]
     intercept: float
     residuals: ResidualSeries
-
-
-def _validate_input(values) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"series must be one-dimensional, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains NaN or infinite values")
-    return x
 
 
 def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
@@ -75,7 +68,8 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     SingularDesignError
         If the regressor matrix is rank deficient.
     """
-    x = _validate_input(values)
+    series = ResidualSeries(values)  # validated and held at unit scale
+    x = series.unit_values
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if x.size <= order + 1:
@@ -83,9 +77,9 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     y = x[order:]
     design = _ar_design(x, order, intercept)
     beta = nested_ols(design, y, f"AR({order}) design").coefficients(design.shape[1])
-    const = float(beta[0]) if intercept else 0.0
+    const = float(np.ldexp(beta[0], series.exponent)) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
-    residuals = y - design @ beta
+    residuals = np.ldexp(y - design @ beta, series.exponent)
     return ArFit(
         order=order,
         coefficients=coeffs,
@@ -111,7 +105,7 @@ def select_ar_order(values, max_order: int) -> int:
     SingularDesignError
         If the max_order regressor matrix is rank deficient.
     """
-    x = _validate_input(values)
+    x = ResidualSeries(values).unit_values
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     if x.size <= max_order + 2:
@@ -137,4 +131,4 @@ def default_max_order(n: int, frequency: str = "unknown") -> int:
         cap = 12
     else:
         cap = int(round(4.0 * (n / 100.0) ** 0.25))
-    return max(0, min(cap, n - 3))
+    return max(0, min(cap, n - 3, (n - 1) // 2))  # no design wider than it is tall

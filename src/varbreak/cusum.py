@@ -39,7 +39,8 @@ against 1.358), so the Kolmogorov boundary and p-value are conservative
 for the corrected statistic in that case.
 
 All functions are pure; inputs are immutable value types from
-:mod:`varbreak.series` and :mod:`varbreak.variance_poly`.
+:mod:`varbreak.series` and :mod:`varbreak.variance_poly`.  Each reads the
+residuals at unit scale, so no power-of-two scale of them can change it.
 
 References
 ----------
@@ -70,18 +71,6 @@ from varbreak.variance_poly import VariancePolyFit, check_positivity
 POSITIVITY_MODES = ("error", "clamp", "none")
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-def _scaled_squares(u: np.ndarray) -> np.ndarray:
-    """Squares of ``u * 2**-e``, with e chosen so that max|u * 2**-e| is in [0.5, 1).
-
-    Squaring after the scaling keeps u**2 and u**4 clear of overflow and
-    of subnormal underflow.  Scaling by a power of two is exact, and the
-    bridge statistics are scale invariant, so they are unchanged.
-    """
-    _, e = math.frexp(float(np.max(np.abs(u))))
-    v = np.ldexp(u, -e)
-    return v * v
 
 
 def _bridge(squares: np.ndarray) -> tuple[float, float, float]:
@@ -128,7 +117,7 @@ def statistic_it(series: ResidualSeries) -> float:
         If every residual is zero, so C_n = 0.
     """
     n = series.n
-    sup, mean, _ = _bridge(_scaled_squares(series.values))
+    sup, mean, _ = _bridge(np.square(series.unit_values))
     if mean <= 0.0:
         raise DegenerateSeriesError("all residuals are zero; the statistic is undefined")
     return math.sqrt(n / 2.0) * sup / (n * mean)
@@ -163,7 +152,7 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     ZeroDispersionError
         If the windowed squared residuals are empirically constant.
     """
-    return _sanso(_scaled_squares(window.slice_values(series)))
+    return _sanso(np.square(window.slice_values(series)))
 
 
 def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
@@ -201,8 +190,8 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     """
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
-    u = fit.window.slice_values(series)
-    profile = fit.profile()
+    v = fit.window.slice_values(series)
+    profile = fit.unit_profile()
     if positivity != "none":
         report = check_positivity(fit)
         if positivity == "error" and not report.passed:
@@ -211,8 +200,8 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
                 f"(positivity floor {report.floor:.6g}); "
                 "clamp explicitly or refit with a lower order"
             )
-        profile = np.maximum(profile, report.floor)  # a no-op once "error" has passed
-    rescaled = u * u / profile
+        profile = np.maximum(profile, fit.unit_floor)  # a no-op once "error" has passed
+    rescaled = v * v / profile
     if not np.all(np.isfinite(rescaled)):
         raise NonpositiveVarianceError("fitted variance is exactly zero inside the window")
     return _sanso(rescaled)

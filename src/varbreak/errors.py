@@ -10,7 +10,7 @@ class WindowBoundsError(VarbreakError):
 
 
 class DegenerateSeriesError(VarbreakError):
-    """Squared residuals are all zero or overflow; the statistic is undefined."""
+    """Squared residuals are all zero; the statistic is undefined."""
 
 
 class ZeroDispersionError(VarbreakError):

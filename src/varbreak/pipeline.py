@@ -203,7 +203,7 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         n_effective=residuals.n,
         window_offset=window.offset,
         window_length=window.length,
-        window_gamma=window.gamma,
+        window_gamma=config.gamma,
         window_center=window.center,
     )
     report_std = TestReport(

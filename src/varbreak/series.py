@@ -8,7 +8,7 @@ freely across threads or worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class ResidualSeries:
     """
 
     values: np.ndarray
+    exponent: int = field(init=False, repr=False)  # max|values| in [2**(e-1), 2**e); 0 if all are 0
+    unit_values: np.ndarray = field(init=False, repr=False)  # values * 2**-e: what fits read
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64)
@@ -39,10 +41,15 @@ class ResidualSeries:
             raise ValueError(f"residuals must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:
             raise ValueError(f"need at least 2 residuals, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        peak = float(np.abs(arr).max())
+        if not math.isfinite(peak):
             raise ValueError("residuals contain NaN or infinite values")
-        arr.flags.writeable = False
+        exponent = math.frexp(peak)[1]  # the one place a series' scale is decided
+        unit = np.ldexp(arr, -exponent)
+        arr.flags.writeable = unit.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "unit_values", unit)
 
     @property
     def n(self) -> int:
@@ -67,15 +74,11 @@ class SubsampleWindow:
         Number of observations skipped before the window starts.
     length : int
         Window length q; at least 2 and ``offset + length <= n``.
-    gamma : float, optional
-        The exponent such that ``length = floor(n ** gamma)`` when the
-        window was derived from one.  Defaults to ``log(length)/log(n)``.
     """
 
     n: int
     offset: int
     length: int
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -89,16 +92,11 @@ class SubsampleWindow:
                 f"window [{self.offset + 1}, {self.offset + self.length}] "
                 f"does not fit in a series of length {self.n}"
             )
-        if self.gamma is None:
-            gamma = 1.0 if self.length == self.n else math.log(self.length) / math.log(self.n)
-            object.__setattr__(self, "gamma", gamma)
-        elif not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
     @classmethod
     def full(cls, n: int) -> "SubsampleWindow":
         """The whole sample as a window."""
-        return cls(n=n, offset=0, length=n, gamma=1.0)
+        return cls(n=n, offset=0, length=n)
 
     @classmethod
     def from_exponent(cls, n: int, gamma: float, start_fraction: float = 0.0) -> "SubsampleWindow":
@@ -107,7 +105,7 @@ class SubsampleWindow:
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
         if not 0.0 <= start_fraction < 1.0:
             raise ValueError(f"start_fraction must be in [0, 1), got {start_fraction}")
-        return cls(n=n, offset=math.floor(start_fraction * n), length=math.floor(n**gamma), gamma=gamma)
+        return cls(n=n, offset=math.floor(start_fraction * n), length=math.floor(n**gamma))
 
     @property
     def center(self) -> float:
@@ -124,9 +122,9 @@ class SubsampleWindow:
         return np.arange(self.offset + 1, self.offset + self.length + 1)
 
     def slice_values(self, series: ResidualSeries) -> np.ndarray:
-        """The values of ``series`` in the window; WindowBoundsError if it has another length."""
+        """``series.unit_values`` in the window; WindowBoundsError if it has another length."""
         if self.n != series.n:
             raise WindowBoundsError(
                 f"window was built for a series of length {self.n}, got length {series.n}"
             )
-        return series.values[self.offset : self.stop]
+        return series.unit_values[self.offset : self.stop]

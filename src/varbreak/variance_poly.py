@@ -12,17 +12,17 @@ avoided).  The fitted profile feeds the corrected statistic in
 ``q * log(RSS/q) + 2(p+1)``.  The designs of successive orders are
 nested, so one QR of the largest design gives every order's fit; this
 AIC search and the AR one in :mod:`varbreak.armodel` share that routine.
+Fits, order choices and positivity checks run on unit-scale squares; what
+they report is mapped to true units by exact powers of two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from varbreak._ols import NestedOls, nested_ols
-from varbreak.errors import DegenerateSeriesError
 from varbreak.series import ResidualSeries, SubsampleWindow
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
@@ -36,39 +36,66 @@ POS_FLOOR_FRAC = 0.01
 DEFAULT_P_MAX = 5
 
 
+def _true_units(values, power: int):
+    """``values * 2**power``: exact, and inf where the true value leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, power)
+
+
 @dataclass(frozen=True, eq=False)
 class VariancePolyFit:
-    """A fitted polynomial variance profile.
+    """Profile fitted to the squares of ``u * 2**-exponent``; names without unit_ read true units.
 
     Attributes
     ----------
     order : int
         Polynomial order p >= 1.
-    coefficients : tuple of float
+    unit_coefficients : tuple of float
         a_0, ..., a_p of the centered powers.
-    rss : float
+    unit_rss : float
         Residual sum of squares of the fit.
     window : SubsampleWindow
         Window the profile was fitted on.
-    mean_sq : float
-        Window mean of the squared residuals; scale for positivity floors.
+    unit_mean_sq : float
+        Window mean of the squares; scale for positivity floors.
     """
 
     order: int
-    coefficients: tuple[float, ...]
-    rss: float
+    unit_coefficients: tuple[float, ...]
+    unit_rss: float
     window: SubsampleWindow
-    mean_sq: float
+    unit_mean_sq: float
+    exponent: int = 0
+
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in _true_units(self.unit_coefficients, 2 * self.exponent))
+
+    @property
+    def rss(self) -> float:
+        return float(_true_units(self.unit_rss, 4 * self.exponent))
+
+    @property
+    def mean_sq(self) -> float:
+        return float(_true_units(self.unit_mean_sq, 2 * self.exponent))
+
+    @property
+    def unit_floor(self) -> float:
+        """Positivity floor of the unit-scale profile."""
+        return POS_FLOOR_FRAC * self.unit_mean_sq
 
     @property
     def center(self) -> float:
         """Centering point r0 in rescaled time: the midpoint of the fit's window."""
         return self.window.center
 
-    def profile(self) -> np.ndarray:
+    def unit_profile(self) -> np.ndarray:
         """Fitted values g_hat**2(t/n) at every t of the fit's own window."""
         x = self.window.times() / self.window.n - self.center
-        return _horner(self.coefficients, x)
+        return _horner(self.unit_coefficients, x)
+
+    def profile(self) -> np.ndarray:
+        return _true_units(self.unit_profile(), 2 * self.exponent)
 
 
 @dataclass(frozen=True)
@@ -76,13 +103,22 @@ class OrderSelection:
     """Outcome of AIC order selection."""
 
     chosen_p: int
-    scores: tuple[tuple[int, float], ...]
+    unit_rss: tuple[float, ...]  # floored RSS of orders 1..p_max, at the fit's unit scale
     fit: VariancePolyFit  # the chosen order's fit
+
+    @property
+    def scores(self) -> tuple[tuple[int, float], ...]:
+        """``(p, q*log(RSS/q) + 2(p+1))`` for every order, from the true-unit RSS."""
+        q = self.fit.window.length
+        rss = _true_units(self.unit_rss, 4 * self.fit.exponent)
+        with np.errstate(divide="ignore"):  # a true-unit RSS that underflows to 0 scores -inf
+            scores = [float(q * np.log(r / q) + 2.0 * (p + 1)) for p, r in enumerate(rss, 1)]
+        return tuple(enumerate(scores, 1))
 
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Minimum of a fitted profile over its window versus the positivity floor."""
+    """Minimum of a fitted profile over its window versus the positivity floor, in true units."""
 
     min_value: float
     floor: float
@@ -114,13 +150,14 @@ def _fit_order(
     return squares, ols
 
 
-def _poly_fit(ols: NestedOls, squares: np.ndarray, window: SubsampleWindow, p: int):
+def _poly_fit(ols: NestedOls, squares: np.ndarray, window: SubsampleWindow, p: int, exponent: int):
     return VariancePolyFit(
         order=p,
-        coefficients=tuple(float(c) for c in ols.coefficients(p + 1)),
-        rss=float(ols.rss[p + 1]),
+        unit_coefficients=tuple(float(c) for c in ols.coefficients(p + 1)),
+        unit_rss=float(ols.rss[p + 1]),
         window=window,
-        mean_sq=float(np.mean(squares)),
+        unit_mean_sq=float(np.mean(squares)),
+        exponent=exponent,
     )
 
 
@@ -144,7 +181,7 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
         If the design matrix is numerically rank deficient.
     """
     squares, ols = _fit_order(series, window, p)
-    return _poly_fit(ols, squares, window, p)
+    return _poly_fit(ols, squares, window, p, series.exponent)
 
 
 def select_poly_order_aic(
@@ -157,7 +194,8 @@ def select_poly_order_aic(
     fits stay comparable.  Order 0 is never considered; a constant
     profile is the uncorrected test's job.  Every order's RSS, and the
     chosen fit returned in the selection, come from one QR
-    factorisation of the order-``p_max`` design.
+    factorisation of the order-``p_max`` design.  The order is chosen
+    from unit-scale scores; the reported ones use the true-unit RSS.
 
     Raises
     ------
@@ -165,27 +203,17 @@ def select_poly_order_aic(
         If ``p_max < 1`` or the window cannot support ``p_max``.
     SingularDesignError
         If the order-``p_max`` design is rank deficient.
-    DegenerateSeriesError
-        If no order has an AIC below infinity (the squared residuals
-        overflow).
     """
     squares, ols = _fit_order(series, window, p_max)
     floor = AIC_RSS_FLOOR_FRAC * float(np.mean(squares * squares))
     q = window.length
-    scores = tuple(
-        (p, float(q * np.log(max(ols.rss[p + 1], floor) / q) + 2.0 * (p + 1)))
-        for p in range(1, p_max + 1)
-    )
-    candidates = [(aic, p) for p, aic in scores if aic < math.inf]
-    if not candidates:
-        raise DegenerateSeriesError(
-            "every polynomial order's AIC is infinite or undefined; the squared residuals overflow"
-        )
-    chosen_p = min(candidates)[1]
+    rss = tuple(float(max(r, floor)) for r in ols.rss[2:])  # orders 1..p_max
+    unit_scores = [q * np.log(r / q) + 2.0 * (p + 1) for p, r in enumerate(rss, 1)]
+    chosen_p = 1 + unit_scores.index(min(unit_scores))
     return OrderSelection(
         chosen_p=chosen_p,
-        scores=scores,
-        fit=_poly_fit(ols, squares, window, chosen_p),
+        unit_rss=rss,
+        fit=_poly_fit(ols, squares, window, chosen_p, series.exponent),
     )
 
 
@@ -197,13 +225,12 @@ def check_positivity(fit: VariancePolyFit) -> PositivityReport:
     corrected statistic raises on violation unless clamping is
     explicitly enabled.
     """
-    values = fit.profile()
+    values = fit.unit_profile()
     idx = int(np.argmin(values))
-    min_value = float(values[idx])
-    floor = POS_FLOOR_FRAC * fit.mean_sq
+    min_value, floor = _true_units([values[idx], fit.unit_floor], 2 * fit.exponent)
     return PositivityReport(
-        min_value=min_value,
-        floor=floor,
-        passed=min_value > floor,
+        min_value=float(min_value),
+        floor=float(floor),
+        passed=bool(values[idx] > fit.unit_floor),
         t_min=fit.window.offset + 1 + idx,
     )

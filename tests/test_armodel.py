@@ -49,6 +49,17 @@ class TestFitArOls:
             shifted.residuals.values, base.residuals.values, atol=1e-10
         )
 
+    @pytest.mark.parametrize("k", [-1000, -60, -46, 43, 60, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # the fit runs at unit scale, so only the intercept and residuals
+        # scale, and by exactly 2**k
+        x = np.random.default_rng(20).standard_normal(150).cumsum() + 30.0
+        base = fit_ar_ols(x, 3, intercept=True)
+        scaled = fit_ar_ols(np.ldexp(x, k), 3, intercept=True)
+        assert scaled.coefficients == base.coefficients
+        assert scaled.intercept == np.ldexp(base.intercept, k)
+        np.testing.assert_array_equal(scaled.residuals.values, np.ldexp(base.residuals.values, k))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_ar_ols([1.0, 2.0, 3.0], -1)
@@ -94,4 +105,5 @@ class TestDefaultMaxOrder:
         assert default_max_order(1600, "unknown") == 8
 
     def test_capped_for_short_series(self):
-        assert default_max_order(10, "monthly") == 7
+        # the largest AR design, n - cap rows by cap + 1 columns, must not be wide
+        assert default_max_order(10, "monthly") == 4

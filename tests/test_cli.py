@@ -74,6 +74,22 @@ class TestTestCommand:
         assert main(["test", str(macro_csv), "--offset", "0.3", *gamma]) == 1
         assert "does not fit in a series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ar", [[], ["--ar", "8"]])
+    @pytest.mark.parametrize("step_months", [1, 3])
+    @pytest.mark.parametrize("count", range(10, 27))
+    def test_short_series_end_in_a_report_or_one_error_line(
+        self, capsys, tmp_path, count, step_months, ar
+    ):
+        # too few observations for the AR designs must be a named error, not a traceback
+        dates = month_starts(datetime.date(1990, 1, 1), count, step_months)
+        path = write_fred_csv(tmp_path / "SHORT.csv", "SHORT", dates, growing_variance_levels(count, 7))
+        code = main(["test", str(path), "--clamp", *ar])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1 and err.startswith("varbreak: error:") and err.count("\n") == 1
+
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:
             main(["test", str(macro_csv), "--rule", "folk"])

@@ -86,6 +86,18 @@ class TestRunTestPipeline:
         _, report_mod = run_test_pipeline(series, clamped)
         assert any("floored" in warning for warning in report_mod.warnings)
 
+    @pytest.mark.parametrize("k", [-60, -46, -43, 43, 46, 60])
+    def test_power_of_two_scaling_of_the_levels_changes_no_outcome(self, k):
+        # levels in currency units (x 2**43, increments near 1e13) or tiny
+        # units give the orders, statistics and decisions of the unscaled run
+        levels = growing_variance_levels(300, seed=42)
+        config = PipelineConfig(clamp=True)
+        base = run_test_pipeline(series_from_values(levels), config)
+        scaled = run_test_pipeline(series_from_values(np.ldexp(levels, k)), config)
+        fields = ("ar_order", "ar_coefficients", "poly_order", "statistic", "p_value", "reject")
+        for got, want in zip(scaled, base):
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
     def test_subsample_window_configuration(self):
         series = white_noise_series(300, seed=6)
         config = PipelineConfig(diff_order=0, gamma=0.8, offset_fraction=0.1, clamp=True)

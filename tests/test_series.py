@@ -32,7 +32,7 @@ class TestSubsampleWindow:
 
     def test_full_window(self):
         w = SubsampleWindow.full(7)
-        assert (w.offset, w.length, w.gamma, w.center) == (0, 7, 1.0, 0.5)
+        assert (w.offset, w.length, w.center) == (0, 7, 0.5)
         # the pipeline's default window, gamma = 1, is the full window
         for n in (2, 7, 660, 2000):
             assert SubsampleWindow.from_exponent(n, 1.0) == SubsampleWindow.full(n)
@@ -41,12 +41,9 @@ class TestSubsampleWindow:
         w = SubsampleWindow.from_exponent(200, 2.0 / 3.0, start_fraction=0.25)
         assert w.length == math.floor(200 ** (2.0 / 3.0)) == 34
         assert w.offset == 50
-        assert w.gamma == 2.0 / 3.0
-
-    def test_gamma_derived_when_omitted(self):
-        w = SubsampleWindow(n=100, offset=0, length=10)
-        assert w.gamma == math.log(10) / math.log(100)
-        assert SubsampleWindow(n=100, offset=0, length=100).gamma == 1.0
+        # a window is its bounds, however it was built
+        assert w == SubsampleWindow(n=200, offset=50, length=34)
+        assert SubsampleWindow.from_exponent(661, 0.9) == SubsampleWindow(661, 0, 345)
 
     def test_out_of_bounds_window(self):
         with pytest.raises(WindowBoundsError):
@@ -58,13 +55,14 @@ class TestSubsampleWindow:
             dict(n=10, offset=0, length=1),
             dict(n=10, offset=-1, length=5),
             dict(n=1, offset=0, length=1),
-            dict(n=10, offset=0, length=5, gamma=1.5),
-            dict(n=10, offset=0, length=5, gamma=0.0),
+            dict(n=10, gamma=1.5),
+            dict(n=10, gamma=0.0),
         ],
     )
     def test_invalid_parameters(self, kwargs):
+        make = SubsampleWindow.from_exponent if "gamma" in kwargs else SubsampleWindow
         with pytest.raises(ValueError):
-            SubsampleWindow(**kwargs)
+            make(**kwargs)
 
     def test_slice_values_rejects_mismatched_series(self):
         w = SubsampleWindow.full(5)

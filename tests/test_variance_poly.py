@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varbreak import (
-    DegenerateSeriesError,
     ResidualSeries,
     SingularDesignError,
     SubsampleWindow,
@@ -31,10 +30,10 @@ def series_with_squares(squares) -> ResidualSeries:
 def make_fit(window, coefficients, mean_sq=1.0) -> VariancePolyFit:
     return VariancePolyFit(
         order=len(coefficients) - 1,
-        coefficients=tuple(coefficients),
-        rss=0.0,
+        unit_coefficients=tuple(coefficients),
+        unit_rss=0.0,
         window=window,
-        mean_sq=mean_sq,
+        unit_mean_sq=mean_sq,
     )
 
 
@@ -145,12 +144,19 @@ class TestOrderSelection:
                 assert selection.fit.rss == pytest.approx(refit.rss, rel=1e-12)
                 assert selection.fit.mean_sq == refit.mean_sq
 
-    def test_overflowing_squares_raise_a_named_error(self):
-        # u**4 overflows at this scale, so no order has a finite AIC
-        rng = np.random.default_rng(2)
-        s = ResidualSeries(1e80 * rng.standard_normal(100))
-        with pytest.raises(DegenerateSeriesError):
-            select_poly_order_aic(s, SubsampleWindow.full(100), 3)
+    def test_overflowing_scale_keeps_the_order_and_maps_the_fit(self):
+        # at 2**266 u**4 overflows; the order is chosen at unit scale, and the
+        # fit reads in true units: coefficients times 2**532, RSS beyond the float range
+        values = np.random.default_rng(2).standard_normal(100) * np.linspace(1.0, 3.0, 100)
+        w = SubsampleWindow.full(100)
+        base = select_poly_order_aic(ResidualSeries(values), w, 3)
+        scaled = select_poly_order_aic(ResidualSeries(np.ldexp(values, 266)), w, 3)
+        assert scaled.chosen_p == base.chosen_p
+        assert scaled.fit.coefficients == tuple(np.ldexp(base.fit.coefficients, 532))
+        assert scaled.fit.mean_sq == np.ldexp(base.fit.mean_sq, 532)
+        np.testing.assert_array_equal(scaled.fit.profile(), np.ldexp(base.fit.profile(), 532))
+        assert scaled.fit.rss == math.inf
+        assert all(score == math.inf for _, score in scaled.scores)
 
     def test_propagates_singular_order(self):
         rng = np.random.default_rng(1)
