@@ -1,4 +1,4 @@
-"""Nested least squares: every leading-column fit of one design from one QR."""
+"""Nested least squares: every leading-column fit of one design from one QR, for a stack of responses."""
 
 from __future__ import annotations
 
@@ -13,49 +13,67 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True, eq=False)
 class NestedOls:
-    """Least-squares fits of y on the leading k columns of a design, k = 0..K.
+    """Least-squares fits of y on the leading k columns of a design, k = 0..K, for each row of y.
 
     With the thin factorisation ``design = Q R`` and ``z = Q.T y``, the
     fit on the first k columns has coefficients ``R[:k, :k]**-1 z[:k]``
     and residual sum of squares ``rss[k] = |y - Q z|**2 + sum_{i>=k} z_i**2``,
     a sum of nonnegative terms that, unlike ``|y|**2 - sum_{i<k} z_i**2``,
-    does not cancel.
+    does not cancel.  ``z`` is (..., K) and ``rss`` (..., K + 1) over the
+    rows of y.  ``r`` is (K, K) for a design shared by every row, or
+    (R, K, K) for a stack of designs, one per row; ``singular`` flags the
+    rows of a stack whose design is rank deficient.
     """
 
     r: np.ndarray
     z: np.ndarray
     rss: np.ndarray
+    singular: np.ndarray
 
-    def coefficients(self, k: int) -> np.ndarray:
-        """Coefficients of the fit on the first ``k`` columns."""
-        return np.linalg.solve(self.r[:k, :k], self.z[:k])
+    def coefficients(self, k: int, rows=...) -> np.ndarray:
+        """Coefficients (..., k) of the selected rows' fits on the first ``k`` columns; zero for a singular row."""
+        r = self.r[:k, :k] if self.r.ndim == 2 else self.r[rows, :k, :k]
+        return np.linalg.solve(r, self.z[rows, :k, None])[..., 0]
 
 
 def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
     """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs.
 
+    ``design`` is one m x K matrix shared by every row of the (..., m)
+    responses ``y``, or a stack (R, m, K) of designs for (R, m) responses,
+    one per row.  Every row goes through the same BLAS and LAPACK calls as
+    a lone series, so its fit does not depend on the rows stacked with it.
+    A column depends numerically on those before it when
+    ``|R_kk| <= eps * max(m, K) * max_j |R_jj|``, the default rank
+    threshold of numpy's least-squares solver.
+
     Raises
     ------
     SingularDesignError
-        If the design is wider than tall, or a column depends numerically on those before it,
-        ``|R_kk| <= eps * max(m, K) * max_j |R_jj|`` for an m x K design,
-        the default rank threshold of numpy's least-squares solver.
-        ``what`` names the design in the message.
+        If the design is wider than tall, or a shared design is rank
+        deficient; ``what`` names the design in the message.  A row of a
+        stack whose design is rank deficient is flagged instead, and its
+        fit is zero.
     """
-    m, width = design.shape
+    m, width = design.shape[-2:]
     if m < width:
         raise SingularDesignError(f"{what} has {m} rows for {width} columns")
     q, r = np.linalg.qr(design)
-    diag = np.abs(np.diagonal(r))
-    dependent = diag <= _EPS * max(m, width) * np.max(diag, initial=0.0)
-    if np.any(dependent):
-        k = int(np.argmax(dependent))
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    dependent = diag <= _EPS * max(m, width) * diag.max(axis=-1, initial=0.0, keepdims=True)
+    singular = dependent.any(axis=-1)
+    if design.ndim == 2 and singular:
         raise SingularDesignError(
-            f"{what} is rank deficient: column {k} of {width} depends numerically "
-            "on the columns before it"
+            f"{what} is rank deficient: column {int(np.argmax(dependent))} of {width} "
+            "depends numerically on the columns before it"
         )
-    z = q.T @ y
-    resid = y - q @ z
-    tail = np.cumsum((z * z)[::-1])[::-1]
-    rss = float(resid @ resid) + np.append(tail, 0.0)
-    return NestedOls(r=r, z=z, rss=rss)
+    z = np.matmul(np.swapaxes(q, -1, -2), y[..., None])
+    if singular.any():
+        r[singular], z[singular] = np.eye(width), 0.0
+    resid = np.matmul(q, z)[..., 0]
+    np.subtract(y, resid, out=resid)
+    z = z[..., 0]
+    rss = np.zeros((*z.shape[:-1], width + 1))
+    rss[..., :width] = np.cumsum((z * z)[..., ::-1], axis=-1)[..., ::-1]
+    rss += np.matmul(resid[..., None, :], resid[..., None])[..., 0]
+    return NestedOls(r=r, z=z, rss=rss, singular=singular)

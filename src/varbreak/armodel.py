@@ -38,13 +38,31 @@ class ArFit:
 
 
 def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
-    # responses z_t, t = order..n-1 (0-based): an optional constant, then z_{t-1}..z_{t-order}
-    design = np.empty((z.size - order, int(intercept) + order))
+    # per row of z: responses z_t, t = order..n-1 (0-based); an optional constant, then z_{t-1}..z_{t-order}
+    n = z.shape[-1]
+    design = np.empty((*z.shape[:-1], n - order, int(intercept) + order))
     if intercept:
-        design[:, 0] = 1.0
+        design[..., 0] = 1.0
     for i in range(1, order + 1):
-        design[:, int(intercept) + i - 1] = z[order - i : z.size - i]
+        design[..., int(intercept) + i - 1] = z[..., order - i : n - i]
     return design
+
+
+def _fit_rows(units: np.ndarray, exponent, order: int, intercept: bool):
+    """OLS AR fits of unit-scale series ``units`` (..., n), scaled back by ``2**exponent``.
+
+    One series gets one design; the rows of an (R, n) block get a stack of
+    designs, one each.  Returns the fits, the unit-scale coefficients
+    (..., K) and the true-unit residuals (..., n - order); a row of a
+    block whose design is rank deficient is flagged by the fits and has
+    zero coefficients.
+    """
+    y = units[..., order:]
+    design = _ar_design(units, order, intercept)
+    ols = nested_ols(design, y, f"AR({order}) design")
+    beta = ols.coefficients(design.shape[-1])
+    residuals = np.ldexp(y - np.matmul(design, beta[..., None])[..., 0], exponent)
+    return ols, beta, residuals
 
 
 def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
@@ -74,12 +92,9 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
         raise ValueError(f"order must be nonnegative, got {order}")
     if x.size <= order + 1:
         raise ValueError(f"series length {x.size} must exceed order + 1 = {order + 1}")
-    y = x[order:]
-    design = _ar_design(x, order, intercept)
-    beta = nested_ols(design, y, f"AR({order}) design").coefficients(design.shape[1])
+    _, beta, residuals = _fit_rows(x, series.exponent, order, intercept)
     const = float(np.ldexp(beta[0], series.exponent)) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
-    residuals = np.ldexp(y - design @ beta, series.exponent)
     return ArFit(
         order=order,
         coefficients=coeffs,

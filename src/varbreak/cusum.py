@@ -73,36 +73,62 @@ POSITIVITY_MODES = ("error", "clamp", "none")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _bridge(squares: np.ndarray) -> tuple[float, float, float]:
-    """(sup, mean, dispersion) of q squares: the kernel of all four statistics.
+def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sup, mean, dispersion) of each row of (..., q) squares: the kernel of all four statistics.
 
     ``sup = max_k |D_k - k D_q / q|`` over the partial sums D_k of the
     deviations from the mean, and the dispersion is their mean square.
     Centring first avoids the cancellation of the literal forms when the
     squares nearly agree; ``k D_q / q`` removes the rounding in the mean.
+    Every reduction runs along the last axis, so a row's values do not
+    depend on the rows stacked with it: one series is the one-row case.
     """
-    q = squares.size
-    mean = float(squares.sum()) / q
+    q = squares.shape[-1]
+    mean = squares.sum(axis=-1, keepdims=True) / q
     deviations = squares - mean
-    partial = np.cumsum(deviations)
-    sup = float(np.max(np.abs(partial - np.arange(1, q + 1) * (partial[-1] / q))))
-    return sup, mean, float((deviations * deviations).sum()) / q
+    dispersion = np.square(deviations).sum(axis=-1) / q
+    bridge = deviations.cumsum(axis=-1, out=deviations)  # in place: blocks stay a few arrays
+    bridge -= np.arange(1, q + 1) * (bridge[..., -1:] / q)
+    return np.abs(bridge, out=bridge).max(axis=-1), mean[..., 0], dispersion
 
 
-def _sanso(squares: np.ndarray) -> float:
-    """``sup / sqrt(q * dispersion)``, or ZeroDispersionError for constant squares.
+def _sanso(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's ``sup / sqrt(q * dispersion)``, its dispersion, and whether its squares are constant.
 
     The squares count as constant when the dispersion is within the
-    rounding of their mean, ``(q * eps * mean)**2``.
+    rounding of their mean, ``(q * eps * mean)**2``; the statistic is then
+    undefined and the value given for it means nothing.
     """
     sup, mean, dispersion = _bridge(squares)
-    q = squares.size
-    if dispersion <= (q * _EPS * mean) ** 2:
+    q = squares.shape[-1]
+    constant = dispersion <= (q * _EPS * mean) ** 2
+    # adding the mask keeps a constant row from 0/0 and adds an exact 0 to every other row
+    return sup / np.sqrt(dispersion + constant) / math.sqrt(q), dispersion, constant
+
+
+def _corrected(values: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_sanso` of each row of ``values**2 / profile``, and whether that row's rescaled squares are finite.
+
+    A rescaled square that is not finite comes from a profile exactly
+    zero, or one so small that the square overflows; such a row is
+    scored as constant squares.
+    """
+    rescaled = values * values
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rescaled /= profile
+    finite = np.isfinite(rescaled).all(axis=-1)
+    rescaled[~finite] = 1.0  # a 0-d mask selects the whole of one series
+    return *_sanso(rescaled), finite
+
+
+def _one(statistic, dispersion, constant) -> float:
+    """The statistic of one series, or ZeroDispersionError where :func:`_sanso` found its squares constant."""
+    if constant:
         raise ZeroDispersionError(
             f"squared residuals are empirically constant (dispersion {dispersion:.3g}); "
             "the statistic is undefined"
         )
-    return sup / math.sqrt(dispersion) / math.sqrt(q)
+    return float(statistic)
 
 
 def statistic_it(series: ResidualSeries) -> float:
@@ -120,7 +146,7 @@ def statistic_it(series: ResidualSeries) -> float:
     sup, mean, _ = _bridge(np.square(series.unit_values))
     if mean <= 0.0:
         raise DegenerateSeriesError("all residuals are zero; the statistic is undefined")
-    return math.sqrt(n / 2.0) * sup / (n * mean)
+    return math.sqrt(n / 2.0) * float(sup) / (n * float(mean))
 
 
 def statistic_sanso(series: ResidualSeries) -> float:
@@ -152,7 +178,7 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     ZeroDispersionError
         If the windowed squared residuals are empirically constant.
     """
-    return _sanso(np.square(window.slice_values(series)))
+    return _one(*_sanso(np.square(window.slice_values(series))))
 
 
 def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
@@ -201,7 +227,7 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
                 "clamp explicitly or refit with a lower order"
             )
         profile = np.maximum(profile, fit.unit_floor)  # a no-op once "error" has passed
-    rescaled = v * v / profile
-    if not np.all(np.isfinite(rescaled)):
+    *statistic, finite = _corrected(v, profile)
+    if not finite:
         raise NonpositiveVarianceError("fitted variance is exactly zero inside the window")
-    return _sanso(rescaled)
+    return _one(*statistic)

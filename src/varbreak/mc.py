@@ -16,8 +16,17 @@ Each replication runs the uncorrected statistic (Q_std) and the
 variance-profile-corrected statistic with AIC-selected order (Q_mod) on
 the full sample, and counts rejections against a decision rule.  Every
 replication draws from its own counter-based Philox stream keyed by
-``(seed, replication)``, so results are bit-identical across runs,
-worker counts, and execution orders.
+``(seed, replication)``.
+
+Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)`` through
+one batched kernel: the draws of a block form an (R, n) array, the
+AR(1) fits are one stacked QR, the polynomial design is factorised once
+for the whole block, and every statistic reduces along rows.  Each row
+goes through the same arithmetic, and the same BLAS and LAPACK calls, as
+a lone replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the
+scalar statistics are the one-row case of the same code), so results are
+byte-identical across runs, worker counts, block sizes and execution
+orders.
 """
 
 from __future__ import annotations
@@ -31,12 +40,12 @@ from itertools import repeat
 
 import numpy as np
 
-from varbreak.armodel import fit_ar_ols
-from varbreak.cusum import statistic_corrected, statistic_subsample
-from varbreak.errors import ExperimentIntegrityError, VarbreakError
+from varbreak.armodel import _fit_rows
+from varbreak.cusum import _corrected, _sanso
+from varbreak.errors import ExperimentIntegrityError, NonpositiveVarianceError, SingularDesignError, ZeroDispersionError
 from varbreak.nulldist import DecisionRule
-from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import select_poly_order_aic
+from varbreak.series import ResidualSeries, SubsampleWindow, _unit_scale
+from varbreak.variance_poly import _aic_orders, _chosen_profiles, _fit_order
 
 _MASK64 = (1 << 64) - 1
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -54,18 +63,23 @@ TABLE_KAPPA = 0.5
 # Grid calibration: a cubic selection cap and the 1.33 boundary keep the
 # corrected test's size near nominal on these sample sizes.
 TABLE_P_MAX = 3
-# The corrected statistic uses the fitted profile as is, with no positivity
-# floor: the rejection frequencies of run_table were calibrated that way.
-GRID_POSITIVITY = "none"
-
 #: Failure key of a replication whose statistic came out NaN or infinite.
 NONFINITE_FAILURE = "NonFiniteStatistic"
+
+#: Replications times n in one block of the kernel, which bounds its memory at any n.
+BLOCK_ELEMENTS = 2**15
 
 
 def stream(seed: int, replication: int) -> np.random.Generator:
     """The counter-based random stream of one replication."""
     key = np.array([seed & _MASK64, replication & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _logistic(u: np.ndarray) -> np.ndarray:
+    """Unit-variance logistic draws from uniforms ``u`` by the inverse CDF."""
+    u = np.where(u == 0.0, np.finfo(np.float64).tiny, u)
+    return np.log(u / (1.0 - u)) * _SQRT3_OVER_PI
 
 
 def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -77,9 +91,25 @@ def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    u = rng.random(count)
-    u = np.where(u == 0.0, np.finfo(np.float64).tiny, u)
-    return np.log(u / (1.0 - u)) * _SQRT3_OVER_PI
+    return _logistic(rng.random(count))
+
+
+def _uniforms(seed: int, replications: range, n: int) -> np.ndarray:
+    """``stream(seed, rep).random(n)`` of each replication, as rows.
+
+    One Philox is reset for every row to the state a new stream starts
+    from, key ``(seed, rep)`` with counter 0 and an empty buffer, which
+    skips the entropy a new generator draws only for the key to override.
+    """
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, empty buffer
+    draws = np.empty((len(replications), n))
+    for row, rep in zip(draws, replications):
+        state["state"]["key"] = np.array([seed & _MASK64, rep & _MASK64], dtype=np.uint64)
+        bit_generator.state = state
+        rng.random(out=row)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -164,50 +194,88 @@ class McResult:
     statistics_mod: np.ndarray | None = None
 
 
+def _simulate_u(spec: McExperimentSpec, replications: range, innovations=None) -> np.ndarray:
+    """Rows u_t = h(t) * eps_t of the given replications; ``innovations`` replaces the draws of one."""
+    if innovations is None:
+        eps = _logistic(_uniforms(spec.seed, replications, spec.n))
+    else:
+        eps = np.asarray(innovations, dtype=np.float64)[None]
+    return np.sqrt(variance_path(spec.path)) * eps
+
+
+def _ar1(u: np.ndarray) -> np.ndarray:
+    """Rows x_t = 0.4*x_{t-1} + u_t with x_0 = 0: one pass over t for all rows."""
+    x = u.T.copy()  # time-major, so that every step is one contiguous vector
+    prev = np.zeros(len(u))
+    for x_t in x:
+        prev *= AR1_COEFF
+        prev += x_t
+        x_t[...] = prev
+    return np.ascontiguousarray(x.T)
+
+
 def simulate_dgp1(spec: McExperimentSpec, replication: int, innovations=None) -> ResidualSeries:
     """Directly observed heteroscedastic errors u_t = h(t) * eps_t.
 
     ``innovations`` overrides the stream draws (testing hook).
     """
-    eps = (
-        np.asarray(innovations, dtype=np.float64)
-        if innovations is not None
-        else sample_innovations(spec.n, stream(spec.seed, replication))
-    )
-    return ResidualSeries(np.sqrt(variance_path(spec.path)) * eps)
+    return ResidualSeries(_simulate_u(spec, range(replication, replication + 1), innovations)[0])
 
 
 def simulate_dgp2(spec: McExperimentSpec, replication: int, innovations=None) -> np.ndarray:
     """AR(1) observations x_t = 0.4*x_{t-1} + u_t with x_0 = 0, no burn-in."""
-    u = simulate_dgp1(spec, replication, innovations).values
-    x = np.empty(spec.n, dtype=np.float64)
-    prev = 0.0
-    for i in range(spec.n):
-        prev = AR1_COEFF * prev + u[i]
-        x[i] = prev
-    return x
+    return _ar1(_simulate_u(spec, range(replication, replication + 1), innovations))[0]
 
 
-def _replicate(spec: McExperimentSpec, replication: int) -> tuple[float, float, str, str]:
-    """One replication; returns (q_std, q_mod, error_std, error_mod), NaN on error."""
+def _name(errors: np.ndarray, rows: np.ndarray, error: type) -> None:
+    """Record ``error`` for the given rows that have no error yet."""
+    errors[rows & (errors == "")] = error.__name__
+
+
+def _residual_units(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale residuals of replications ``start..stop-1``, and the rows whose AR(1) design is singular."""
+    values = _simulate_u(spec, range(start, stop))
+    singular = np.zeros(len(values), dtype=bool)
     if spec.dgp == "dgp2":
-        x = simulate_dgp2(spec, replication)
-        residuals = fit_ar_ols(x, 1).residuals
+        units, exponent = _unit_scale(_ar1(values))
+        ar, _, values = _fit_rows(units, exponent[:, None], 1, intercept=False)
+        singular = ar.singular
+    return _unit_scale(values)[0], singular
+
+
+def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Q_std, Q_mod and their failure names ('' for none) of replications ``start..stop-1``.
+
+    A failure is a :class:`VarbreakError`, named by its class, or a value
+    that is not finite; a statistic is NaN where it failed.  Each row is
+    computed exactly as the one-row calls of :func:`simulate_dgp1`,
+    :func:`simulate_dgp2`, ``fit_ar_ols``, ``statistic_subsample``,
+    ``select_poly_order_aic`` and ``statistic_corrected(positivity="none")``
+    would compute it.  The profile is used as is, with no positivity floor:
+    the rejection frequencies of :func:`run_table` were calibrated that way.
+    """
+    units, singular = _residual_units(spec, start, stop)
+    errors_std = np.full(len(units), "", dtype=object)
+    _name(errors_std, singular, SingularDesignError)
+    errors_mod = errors_std.copy()
+    q_std, _, constant = _sanso(np.square(units))
+    _name(errors_std, constant, ZeroDispersionError)
+    window = SubsampleWindow.full(units.shape[1])
+    try:
+        squares, ols = _fit_order(units, window, spec.poly_p_max)
+    except SingularDesignError:  # the design depends on the window alone, so every row fails
+        q_mod = np.full(len(units), math.nan)
+        _name(errors_mod, True, SingularDesignError)
     else:
-        residuals = simulate_dgp1(spec, replication)
-    window = SubsampleWindow.full(residuals.n)
-    q_std, err_std = math.nan, ""
-    q_mod, err_mod = math.nan, ""
-    try:
-        q_std = statistic_subsample(residuals, window)
-    except VarbreakError as exc:
-        err_std = type(exc).__name__
-    try:
-        fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
-        q_mod = statistic_corrected(residuals, fit, positivity=GRID_POSITIVITY)
-    except VarbreakError as exc:
-        err_mod = type(exc).__name__
-    return q_std, q_mod, err_std, err_mod
+        chosen = _aic_orders(squares, ols)[1]
+        del squares  # one block-sized array fewer alive while the profiles are rescaled
+        q_mod, _, constant, finite = _corrected(units, _chosen_profiles(ols, chosen, window))
+        _name(errors_mod, ~finite, NonpositiveVarianceError)
+        _name(errors_mod, constant, ZeroDispersionError)
+    for q, errors in ((q_std, errors_std), (q_mod, errors_mod)):
+        errors[(errors == "") & ~np.isfinite(q)] = NONFINITE_FAILURE
+        q[errors != ""] = math.nan
+    return q_std, q_mod, errors_std, errors_mod
 
 
 def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, int]:
@@ -225,40 +293,36 @@ def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, 
 def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
     """Run all replications and aggregate rejection frequencies.
 
-    Replications are independent; with ``workers > 1`` they run in a
-    process pool.  Per-replication streams and index-keyed reduction
-    make the result identical to a serial run.
+    Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``; with
+    ``workers > 1`` the blocks run in a process pool.  Per-replication
+    streams and row-wise arithmetic make the result identical to a
+    serial run.
 
     Raises
     ------
     ExperimentIntegrityError
         If more than 1 percent of replications fail to produce both
         statistics, by a :class:`VarbreakError` or a non-finite value;
-        partial failures are never silently dropped.
+        partial failures are never silently dropped.  The message names
+        the first failing replication, which replays from
+        ``(spec.seed, replication)``.
     """
     n_rep = spec.replications
+    starts = range(0, n_rep, max(1, BLOCK_ELEMENTS // spec.n))
+    stops = [*starts[1:], n_rep]
     if workers > 1:
-        chunksize = max(1, n_rep // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate, repeat(spec), range(n_rep), chunksize=chunksize))
+            blocks = list(pool.map(_block, repeat(spec), starts, stops))
     else:
-        outcomes = [_replicate(spec, rep) for rep in range(n_rep)]
-
-    stats_std = np.array([o[0] for o in outcomes])
-    stats_mod = np.array([o[1] for o in outcomes])
-    failure_counts: Counter[str] = Counter()
-    n_failed_reps = 0
-    for q_std, q_mod, err_std, err_mod in outcomes:
-        errors = [
-            err or NONFINITE_FAILURE
-            for q, err in ((q_std, err_std), (q_mod, err_mod))
-            if err or not math.isfinite(q)
-        ]
-        n_failed_reps += bool(errors)
-        failure_counts.update(errors)
+        blocks = [_block(spec, start, stop) for start, stop in zip(starts, stops)]
+    stats_std, stats_mod, errors_std, errors_mod = (np.concatenate(parts) for parts in zip(*blocks))
+    failed = (errors_std != "") | (errors_mod != "")
+    failure_counts = Counter(name for name in [*errors_std, *errors_mod] if name)
+    n_failed_reps = int(np.count_nonzero(failed))
     if n_failed_reps > 0.01 * n_rep:
         raise ExperimentIntegrityError(
-            f"{n_failed_reps} of {n_rep} replications failed ({sorted(failure_counts.items())}); "
+            f"{n_failed_reps} of {n_rep} replications failed ({sorted(failure_counts.items())}), "
+            f"the first at replication {int(np.argmax(failed))} of seed {spec.seed}; "
             "the experiment is not trustworthy"
         )
     rate_std, se_std, n_valid_std = _rate_and_se(stats_std, spec.decision)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
 from varbreak.cusum import statistic_corrected, statistic_subsample
 from varbreak.dataio import SeriesFile, difference
-from varbreak.errors import VarbreakError
+from varbreak.errors import SingularDesignError, VarbreakError
 from varbreak.mc import McResult, SimulationTable
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow
@@ -172,8 +172,13 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         raise _stage("statistic-std", exc) from exc
 
     warnings: list[str] = []
+    p_max = min(config.p_max, window.length - 2)  # the largest order the window supports
+    if p_max < config.p_max:
+        warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
     try:
-        selection = select_poly_order_aic(residuals, window, config.p_max)
+        if window.length < 3:
+            raise SingularDesignError(f"window length {window.length} cannot support order 1; need at least 3")
+        selection = select_poly_order_aic(residuals, window, p_max)
     except VarbreakError as exc:
         raise _stage("variance-fit", exc) from exc
     poly_fit = selection.fit

@@ -15,6 +15,18 @@ import numpy as np
 from varbreak.errors import WindowBoundsError
 
 
+def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``values`` times ``2**-e`` (exact), and e, from ``frexp(max|row|)``; 0 for a zero row.
+
+    This is the one place a series' scale is decided.  ValueError if any value is NaN or infinite.
+    """
+    peak = np.abs(values).max(axis=-1, keepdims=True)
+    if not math.isfinite(peak.max()):  # max propagates NaN
+        raise ValueError("residuals contain NaN or infinite values")
+    exponent = np.frexp(peak)[1]
+    return np.ldexp(values, -exponent), exponent[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualSeries:
     """A finite sequence of (possibly prewhitened) residuals.
@@ -41,14 +53,10 @@ class ResidualSeries:
             raise ValueError(f"residuals must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:
             raise ValueError(f"need at least 2 residuals, got {arr.size}")
-        peak = float(np.abs(arr).max())
-        if not math.isfinite(peak):
-            raise ValueError("residuals contain NaN or infinite values")
-        exponent = math.frexp(peak)[1]  # the one place a series' scale is decided
-        unit = np.ldexp(arr, -exponent)
+        unit, exponent = _unit_scale(arr)
         arr.flags.writeable = unit.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "exponent", int(exponent))
         object.__setattr__(self, "unit_values", unit)
 
     @property

@@ -18,6 +18,7 @@ they report is mapped to true units by exact powers of two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,15 @@ class VariancePolyFit:
         return self.window.center
 
     def unit_profile(self) -> np.ndarray:
-        """Fitted values g_hat**2(t/n) at every t of the fit's own window."""
-        x = self.window.times() / self.window.n - self.center
-        return _horner(self.unit_coefficients, x)
+        """Fitted values g_hat**2(t/n) at every t of the fit's own window; read-only."""
+        return self._unit_profile
+
+    @functools.cached_property
+    def _unit_profile(self) -> np.ndarray:
+        # evaluated once: the positivity check and the corrected statistic both read it
+        profile = _profiles(np.array(self.unit_coefficients), self.window)
+        profile.flags.writeable = False
+        return profile
 
     def profile(self) -> np.ndarray:
         return _true_units(self.unit_profile(), 2 * self.exponent)
@@ -126,34 +133,64 @@ class PositivityReport:
     t_min: int
 
 
-def _horner(coefficients: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    result = np.zeros_like(x)
-    for c in reversed(coefficients):
+def _centred_time(window: SubsampleWindow) -> np.ndarray:
+    """The regressor ``t/n - r0`` at every t of the window."""
+    return window.times() / window.n - window.center
+
+
+def _profiles(coefficients: np.ndarray, window: SubsampleWindow) -> np.ndarray:
+    """Unit-scale profiles of the rows of ``coefficients`` (..., p + 1) at every t of ``window``.
+
+    Horner's rule; a row of lower order padded with zero high-order
+    coefficients gets the same values as the unpadded row.
+    """
+    x = _centred_time(window)
+    result = np.zeros((*coefficients.shape[:-1], x.size))
+    for c in coefficients.T[::-1, ..., None]:
         result = result * x + c
     return result
 
 
-def _fit_order(
-    series: ResidualSeries, window: SubsampleWindow, p: int
-) -> tuple[np.ndarray, NestedOls]:
-    """Squared window residuals and their nested fits up to order ``p``."""
+def _fit_order(units: np.ndarray, window: SubsampleWindow, p: int) -> tuple[np.ndarray, NestedOls]:
+    """Squares of the (..., q) unit-scale window values and their nested fits up to order ``p``."""
     if p < 1:
         raise ValueError(f"polynomial order must be at least 1, got {p}")
     if window.length < p + 2:
         raise ValueError(
             f"window length {window.length} cannot support order {p}; need at least {p + 2}"
         )
-    u = window.slice_values(series)
-    squares = u * u
-    x = window.times() / window.n - window.center
-    ols = nested_ols(np.vander(x, p + 1, increasing=True), squares, f"order {p} design")
+    squares = units * units
+    ols = nested_ols(np.vander(_centred_time(window), p + 1, increasing=True), squares, f"order {p} design")
     return squares, ols
+
+
+def _aic_orders(squares: np.ndarray, ols: NestedOls) -> tuple[np.ndarray, np.ndarray]:
+    """Floored RSS of orders 1..p_max for each row of squares, and each row's AIC order.
+
+    The score is ``q*log(RSS/q) + 2(p+1)``; ties go to the smaller order.
+    """
+    q = squares.shape[-1]
+    floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum(axis=-1, keepdims=True) / q)
+    rss = np.maximum(ols.rss[..., 2:], floor)
+    with np.errstate(divide="ignore"):  # an all-zero window scores -inf at every order
+        scores = q * np.log(rss / q) + 2.0 * (np.arange(1, rss.shape[-1] + 1) + 1)
+    return rss, 1 + scores.argmin(axis=-1)
+
+
+def _chosen_profiles(ols: NestedOls, chosen: np.ndarray, window: SubsampleWindow) -> np.ndarray:
+    """Unit-scale profile of each row's fit at its ``chosen`` order: one solve per order."""
+    coefficients = np.zeros_like(ols.z)
+    for p in range(1, coefficients.shape[-1]):
+        rows = chosen == p
+        if rows.any():
+            coefficients[rows, : p + 1] = ols.coefficients(p + 1, rows)
+    return _profiles(coefficients, window)
 
 
 def _poly_fit(ols: NestedOls, squares: np.ndarray, window: SubsampleWindow, p: int, exponent: int):
     return VariancePolyFit(
         order=p,
-        unit_coefficients=tuple(float(c) for c in ols.coefficients(p + 1)),
+        unit_coefficients=tuple(ols.coefficients(p + 1).tolist()),
         unit_rss=float(ols.rss[p + 1]),
         window=window,
         unit_mean_sq=float(np.mean(squares)),
@@ -180,7 +217,7 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
     SingularDesignError
         If the design matrix is numerically rank deficient.
     """
-    squares, ols = _fit_order(series, window, p)
+    squares, ols = _fit_order(window.slice_values(series), window, p)
     return _poly_fit(ols, squares, window, p, series.exponent)
 
 
@@ -204,15 +241,12 @@ def select_poly_order_aic(
     SingularDesignError
         If the order-``p_max`` design is rank deficient.
     """
-    squares, ols = _fit_order(series, window, p_max)
-    floor = AIC_RSS_FLOOR_FRAC * float(np.mean(squares * squares))
-    q = window.length
-    rss = tuple(float(max(r, floor)) for r in ols.rss[2:])  # orders 1..p_max
-    unit_scores = [q * np.log(r / q) + 2.0 * (p + 1) for p, r in enumerate(rss, 1)]
-    chosen_p = 1 + unit_scores.index(min(unit_scores))
+    squares, ols = _fit_order(window.slice_values(series), window, p_max)
+    rss, chosen = _aic_orders(squares, ols)
+    chosen_p = int(chosen)
     return OrderSelection(
         chosen_p=chosen_p,
-        unit_rss=rss,
+        unit_rss=tuple(rss.tolist()),
         fit=_poly_fit(ols, squares, window, chosen_p, series.exponent),
     )
 

@@ -90,6 +90,18 @@ class TestTestCommand:
         else:
             assert code == 1 and err.startswith("varbreak: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("step_months", [1, 3])
+    @pytest.mark.parametrize("count", [10, 11, 12])
+    def test_short_series_with_aic_ar_order_give_a_report(self, capsys, tmp_path, count, step_months):
+        # a residual window shorter than p_max + 2 caps the order search instead of failing
+        dates = month_starts(datetime.date(1990, 1, 1), count, step_months)
+        path = write_fred_csv(tmp_path / "SHORT.csv", "SHORT", dates, growing_variance_levels(count, 7))
+        assert main(["test", str(path), "--clamp", "--ar", "auto", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["reports"][1]
+        cap = report["window_length"] - 2
+        assert cap < 5 and len(report["poly_aic_scores"]) == cap and report["poly_order"] <= cap
+        assert report["warnings"][0] == f"polynomial order search capped at {cap} by window length {cap + 2}"
+
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:
             main(["test", str(macro_csv), "--rule", "folk"])

@@ -8,9 +8,9 @@ from varbreak import (
     DecisionRule,
     ExperimentIntegrityError,
     McExperimentSpec,
-    NonpositiveVarianceError,
     SubsampleWindow,
     VariancePathSpec,
+    ZeroDispersionError,
     experiment_for_cell,
     fit_ar_ols,
     run_experiment,
@@ -110,6 +110,20 @@ class TestInnovations:
             sample_innovations(0, stream(1, 1))
 
 
+class TestBlockStreams:
+    # keys at and beyond 2**63 included: both words of the Philox key are unsigned 64-bit
+    SEEDS = (0, 9, 12345, 2**63 - 1, 2**63, 2**64 - 1)
+    FIRST_REPS = (0, 2**63 - 2, 2**64 - 5)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_draws_equal_the_streams(self, seed):
+        for first in self.FIRST_REPS:
+            reps = range(first, first + 5)  # 6 seeds x 15 replications = 90 (seed, rep) pairs
+            draws = varbreak.mc._uniforms(seed, reps, 37)
+            for row, rep in zip(draws, reps):
+                assert row.tobytes() == stream(seed, rep).random(37).tobytes()
+
+
 class TestSimulateDgp1:
     def test_frozen_innovations_reproduce_the_path(self):
         spec = make_spec(n=64)
@@ -190,17 +204,41 @@ class TestRunExperiment:
         assert result.n_valid_std == 25
 
     def test_hard_positivity_failures_abort_the_experiment(self, monkeypatch):
-        def nonpositive(*args, **kwargs):
-            raise NonpositiveVarianceError("fitted variance dips below the floor")
+        # a fitted profile of exactly zero makes every rescaled square infinite
+        def zero_profiles(ols, chosen, window):
+            return np.zeros((len(chosen), window.length))
 
-        monkeypatch.setattr(varbreak.mc, "statistic_corrected", nonpositive)
+        monkeypatch.setattr(varbreak.mc, "_chosen_profiles", zero_profiles)
         with pytest.raises(ExperimentIntegrityError, match="NonpositiveVarianceError"):
             run_experiment(make_spec(replications=20))
 
     def test_nonfinite_statistics_count_as_failures(self, monkeypatch):
-        monkeypatch.setattr(varbreak.mc, "statistic_subsample", lambda series, window: math.nan)
+        def nan_statistics(squares):
+            rows = len(squares)
+            return np.full(rows, math.nan), np.ones(rows), np.zeros(rows, dtype=bool)
+
+        monkeypatch.setattr(varbreak.mc, "_sanso", nan_statistics)
         with pytest.raises(ExperimentIntegrityError, match="NonFiniteStatistic"):
             run_experiment(make_spec(replications=20))
+
+    def test_integrity_error_names_the_first_failing_replication(self, monkeypatch):
+        # uniforms of 1/2 give zero innovations, so replications 7 and 12 have no dispersion
+        uniforms = varbreak.mc._uniforms
+
+        def zero_innovations_at_7_and_12(seed, replications, n):
+            draws = uniforms(seed, replications, n)
+            for row, rep in enumerate(replications):
+                if rep in (7, 12):
+                    draws[row] = 0.5
+            return draws
+
+        monkeypatch.setattr(varbreak.mc, "_uniforms", zero_innovations_at_7_and_12)
+        spec = make_spec(replications=20)
+        with pytest.raises(ExperimentIntegrityError, match=f"the first at replication 7 of seed {spec.seed};"):
+            run_experiment(spec)
+        with pytest.raises(ZeroDispersionError):  # the named replication replays alone
+            statistic_subsample(simulate_dgp1(spec, 7), SubsampleWindow.full(spec.n))
+        assert run_experiment(make_spec(replications=7)).n_valid_std == 7
 
     def test_binomial_standard_error(self):
         result = run_experiment(make_spec(replications=100, seed=8))
@@ -231,6 +269,23 @@ class TestRunExperiment:
     def test_smallest_accepted_n_runs(self, dgp, n):
         result = run_experiment(make_spec(dgp=dgp, n=n))
         assert result.n_valid_std == result.n_valid_mod == 20
+
+
+class TestBlockKernel:
+    CASES = [(dgp, n) for dgp, n_min in (("dgp1", 5), ("dgp2", 6)) for n in (n_min, 50, 200, 2000)]
+
+    @pytest.mark.parametrize("dgp,n", CASES)
+    def test_blocks_equal_the_scalar_path_at_every_split(self, monkeypatch, dgp, n):
+        reps = 30 if n < 2000 else 18
+        spec = make_spec(dgp=dgp, n=n, replications=reps, seed=2**63 + n, keep_statistics=True)
+        expected = np.array(
+            [replication_statistics(spec, sample_innovations(n, stream(spec.seed, rep))) for rep in range(reps)]
+        )
+        for rows in (1, 7, reps):
+            monkeypatch.setattr(varbreak.mc, "BLOCK_ELEMENTS", rows * n)
+            result = run_experiment(spec)
+            assert result.statistics_std.tobytes() == expected[:, 0].tobytes()
+            assert result.statistics_mod.tobytes() == expected[:, 1].tobytes()
 
 
 class TestTables:

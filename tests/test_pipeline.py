@@ -9,6 +9,7 @@ from varbreak import (
     NonpositiveVarianceError,
     PipelineConfig,
     SeriesFile,
+    SingularDesignError,
     emit_report,
     run_table,
     run_test_pipeline,
@@ -85,6 +86,12 @@ class TestRunTestPipeline:
         clamped = PipelineConfig(diff_order=0, ar_order=0, p_max=1, clamp=True)
         _, report_mod = run_test_pipeline(series, clamped)
         assert any("floored" in warning for warning in report_mod.warnings)
+
+    def test_window_too_short_for_order_one_is_a_labelled_error(self):
+        series = series_from_values(growing_variance_levels(661, seed=42))
+        config = PipelineConfig(gamma=0.15)  # floor(659**0.15) = 2
+        with pytest.raises(SingularDesignError, match="^variance-fit: window length 2 cannot support order 1"):
+            run_test_pipeline(series, config)
 
     @pytest.mark.parametrize("k", [-60, -46, -43, 43, 46, 60])
     def test_power_of_two_scaling_of_the_levels_changes_no_outcome(self, k):
