@@ -89,7 +89,7 @@ class TestRunTestPipeline:
 
     def test_window_too_short_for_order_one_is_a_labelled_error(self):
         series = series_from_values(growing_variance_levels(661, seed=42))
-        config = PipelineConfig(gamma=0.15)  # floor(659**0.15) = 2
+        config = PipelineConfig(gamma=0.15)  # 658 residuals, floor(658**0.15) = 2
         with pytest.raises(SingularDesignError, match="^variance-fit: window length 2 cannot support order 1"):
             run_test_pipeline(series, config)
 
