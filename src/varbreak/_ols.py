@@ -1,4 +1,8 @@
-"""Nested least squares: every leading-column fit of one design from one QR, for a stack of responses."""
+"""Nested least squares: every leading-column fit of one design from one QR, for a stack of responses.
+
+Both AIC order searches share its rules: a fit needs more rows than columns, and
+an order minimizes the AIC of a floored RSS, ties going to the smaller order.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,13 @@ import numpy as np
 from varbreak.errors import SingularDesignError
 
 _EPS = np.finfo(np.float64).eps
+
+
+def aic(rss, n: int, first: int) -> np.ndarray:
+    """Gaussian AIC ``n*log(rss/n) + 2k`` along the last axis of ``rss``, k = first, first + 1, ... columns; 0 scores -inf."""
+    k = np.arange(first, first + rss.shape[-1])
+    with np.errstate(divide="ignore"):
+        return n * np.log(rss / n) + 2.0 * k
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +46,14 @@ class NestedOls:
         r = self.r[:k, :k] if self.r.ndim == 2 else self.r[rows, :k, :k]
         return np.linalg.solve(r, self.z[rows, :k, None])[..., 0]
 
+    def aic_choice(self, n: int, first: int, floor) -> tuple[np.ndarray, np.ndarray]:
+        """Floored RSS (..., K + 1 - first) of the fits on ``first``..K columns, and each row's AIC column count.
+
+        ``floor``, a scalar or one per row, keeps an exact fit comparable; ties go to fewer columns.
+        """
+        rss = np.maximum(self.rss[..., first:], floor)
+        return rss, first + aic(rss, n, first).argmin(axis=-1)
+
 
 def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
     """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs.
@@ -50,13 +69,13 @@ def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
     Raises
     ------
     SingularDesignError
-        If the design is wider than tall, or a shared design is rank
-        deficient; ``what`` names the design in the message.  A row of a
+        If the design has no more rows than columns (no residual degree
+        of freedom), or a shared design is rank deficient; ``what`` names the design in the message.  A row of a
         stack whose design is rank deficient is flagged instead, and its
         fit is zero.
     """
     m, width = design.shape[-2:]
-    if m < width:
+    if m <= width:
         raise SingularDesignError(f"{what} has {m} rows for {width} columns")
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))

@@ -5,8 +5,9 @@ observed series are first regressed on their own lags.  Fitting is
 plain least squares; order selection minimizes the Gaussian AIC on a
 common effective sample so scores are comparable across orders.  All
 fits, and both AIC searches (this one and the polynomial order search
-in :mod:`varbreak.variance_poly`), go through one nested least-squares
-routine that factorises the largest design once with a QR.
+in :mod:`varbreak.variance_poly`), go through :mod:`varbreak._ols`, which
+factorises the largest design once with a QR and owns the AIC rule, its
+tie-break and the bound that a fit needs more rows than columns.
 Both fit at unit scale, as a ``ResidualSeries`` holds the input: scaling it by 2**k
 keeps the order and lag coefficients and scales the intercept and residuals exactly.
 """
@@ -84,7 +85,7 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     ValueError
         For a negative order or a too-short series.
     SingularDesignError
-        If the regressor matrix is rank deficient.
+        If the regressor matrix is rank deficient or not taller than wide.
     """
     series = ResidualSeries(values)  # validated and held at unit scale
     x = series.unit_values
@@ -107,18 +108,18 @@ def select_ar_order(values, max_order: int) -> int:
     """AIC order selection over m = 0..max_order on a common sample.
 
     Every candidate regresses the same responses t = max_order+1..n on
-    an intercept and m lags, is scored with
-    ``n_eff * log(RSS/n_eff) + 2(m+1)``, and the smallest
-    minimizing order is returned.  The candidates' designs are the
-    leading columns of the max_order design, so one QR factorisation
-    gives every RSS.
+    an intercept and m lags and is scored with
+    ``n_eff * log(RSS/n_eff) + 2(m+1)``, RSS floored at the smallest
+    normal float; the smallest minimizing order is returned.  The
+    candidates' designs are the leading columns of the max_order
+    design, so one QR factorisation gives every RSS.
 
     Raises
     ------
     ValueError
         If the series is too short for ``max_order``.
     SingularDesignError
-        If the max_order regressor matrix is rank deficient.
+        If the max_order regressor matrix is rank deficient or not taller than wide.
     """
     x = ResidualSeries(values).unit_values
     if max_order < 0:
@@ -126,16 +127,8 @@ def select_ar_order(values, max_order: int) -> int:
     if x.size <= max_order + 2:
         raise ValueError(f"series length {x.size} must exceed max_order + 2 = {max_order + 2}")
     design = _ar_design(x, max_order, intercept=True)
-    rss = nested_ols(design, x[max_order:], f"AR({max_order}) design").rss
-    n_eff = design.shape[0]
-    chosen = 0
-    best = np.inf
-    for m in range(0, max_order + 1):
-        aic = n_eff * np.log(max(rss[1 + m], _RSS_FLOOR) / n_eff) + 2.0 * (m + 1)
-        if aic < best:
-            best = aic
-            chosen = m
-    return chosen
+    ols = nested_ols(design, x[max_order:], f"AR({max_order}) design")
+    return int(ols.aic_choice(design.shape[0], 1, _RSS_FLOOR)[1]) - 1
 
 
 def default_max_order(n: int, frequency: str = "unknown") -> int:
@@ -146,4 +139,4 @@ def default_max_order(n: int, frequency: str = "unknown") -> int:
         cap = 12
     else:
         cap = int(round(4.0 * (n / 100.0) ** 0.25))
-    return max(0, min(cap, n - 3, (n - 1) // 2))  # no design wider than it is tall
+    return max(0, min(cap, (n - 2) // 2))  # the cap's design, n - cap rows by cap + 1 columns, is taller than wide

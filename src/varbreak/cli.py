@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("file", help="CSV file with a DATE column and one value column")
     test.add_argument("--diff", type=int, default=1, metavar="K", help="difference order (default 1, 0 to skip)")
     test.add_argument("--ar", default="auto", metavar="auto|M", help="AR order, or 'auto' for AIC selection")
-    test.add_argument("--pmax", type=int, default=5, metavar="P", help="largest polynomial order tried (default 5)")
+    test.add_argument("--pmax", type=int, default=PipelineConfig.p_max, metavar="P",
+                      help="largest polynomial order tried (default %(default)s)")
     test.add_argument("--gamma", type=float, default=1.0, metavar="G", help="window exponent, length floor(n**G)")
     test.add_argument("--offset", type=float, default=0.0, metavar="F", help="window start as a fraction of n")
     test.add_argument("--rule", choices=("asymptotic", "paper"), default="asymptotic",

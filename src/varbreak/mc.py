@@ -37,6 +37,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from typing import ClassVar
 
 import numpy as np
 
@@ -149,9 +150,9 @@ class McExperimentSpec:
     """Configuration of one Monte Carlo experiment.
 
     Identical spec and seed give bit-identical results.  Both statistics
-    run on the full (residual) sample; ``poly_p_max`` caps the AIC order
-    search of the variance profile, and ``keep_statistics`` keeps every
-    replication's statistics in the result.
+    run on the full (residual) sample; the AIC order search of the
+    variance profile is capped at ``poly_p_max``, :data:`TABLE_P_MAX`, and
+    ``keep_statistics`` keeps every replication's statistics in the result.
     """
 
     dgp: str
@@ -160,8 +161,8 @@ class McExperimentSpec:
     path: VariancePathSpec
     seed: int
     decision: DecisionRule
-    poly_p_max: int = TABLE_P_MAX
     keep_statistics: bool = False
+    poly_p_max: ClassVar[int] = TABLE_P_MAX
 
     def __post_init__(self) -> None:
         if self.dgp not in DGPS:
@@ -170,8 +171,6 @@ class McExperimentSpec:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if self.n != self.path.n:
             raise ValueError(f"spec n={self.n} disagrees with path n={self.path.n}")
-        if self.poly_p_max < 1:
-            raise ValueError(f"poly_p_max must be at least 1, got {self.poly_p_max}")
         # the profile fit needs p_max + 2 residuals; the AR(1) fit of dgp2 uses one
         n_min = self.poly_p_max + 2 + (self.dgp == "dgp2")
         if self.n < n_min:
@@ -384,7 +383,6 @@ def experiment_for_cell(
         path=VariancePathSpec(n=n, alpha=alpha, kappa=TABLE_KAPPA),
         seed=cell_seed(seed, table, n, alpha),
         decision=decision if decision is not None else DecisionRule.fixed_boundary(),
-        poly_p_max=TABLE_P_MAX,
         keep_statistics=keep_statistics,
     )
 

@@ -11,6 +11,7 @@ from its output alone.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import operator
@@ -23,7 +24,7 @@ from varbreak.errors import SingularDesignError, VarbreakError
 from varbreak.mc import McResult, SimulationTable
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import check_positivity, select_poly_order_aic
+from varbreak.variance_poly import DEFAULT_P_MAX, check_positivity, select_poly_order_aic
 
 REPORT_SCHEMA_VERSION = 1
 MIN_PIPELINE_LENGTH = 10
@@ -73,7 +74,7 @@ class PipelineConfig:
 
     diff_order: int = 1
     ar_order: int | None = None  # None selects by AIC
-    p_max: int = 5
+    p_max: int = DEFAULT_P_MAX
     gamma: float = 1.0  # window length floor(n**gamma); 1.0 is the full residual sample
     offset_fraction: float = 0.0
     rule: DecisionRule = field(default_factory=DecisionRule.asymptotic)
@@ -132,8 +133,13 @@ class TestReport:
         return "\n".join(lines)
 
 
-def _stage(name: str, exc: VarbreakError) -> VarbreakError:
-    return type(exc)(f"{name}: {exc}")
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise a :class:`VarbreakError` of the block as the same type, its message prefixed by ``name``."""
+    try:
+        yield
+    except VarbreakError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestReport, TestReport]:
@@ -154,33 +160,26 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     worked = difference(series, config.diff_order) if config.diff_order > 0 else series
     values = worked.values
 
-    try:
-        if config.ar_order is None:
+    with _stage("ar-fit"):
+        order = config.ar_order
+        if order is None:
             order = select_ar_order(values, default_max_order(values.size, worked.frequency))
-        else:
-            order = config.ar_order
         ar_fit: ArFit = fit_ar_ols(values, order, intercept=True)
-    except VarbreakError as exc:
-        raise _stage("ar-fit", exc) from exc
     residuals: ResidualSeries = ar_fit.residuals
 
     window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
 
-    try:
+    with _stage("statistic-std"):
         q_std = statistic_subsample(residuals, window)
-    except VarbreakError as exc:
-        raise _stage("statistic-std", exc) from exc
 
     warnings: list[str] = []
     p_max = min(config.p_max, window.length - 2)  # the largest order the window supports
     if p_max < config.p_max:
         warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
-    try:
+    with _stage("variance-fit"):
         if window.length < 3:
             raise SingularDesignError(f"window length {window.length} cannot support order 1; need at least 3")
         selection = select_poly_order_aic(residuals, window, p_max)
-    except VarbreakError as exc:
-        raise _stage("variance-fit", exc) from exc
     poly_fit = selection.fit
     positivity = check_positivity(poly_fit)
     if not positivity.passed and config.clamp:
@@ -188,10 +187,8 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
             f"variance profile floored at {positivity.floor:.6g} "
             f"(minimum {positivity.min_value:.6g} at t={positivity.t_min})"
         )
-    try:
+    with _stage("statistic-mod"):
         q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
-    except VarbreakError as exc:
-        raise _stage("statistic-mod", exc) from exc
 
     common = dict(
         rule_source=config.rule.source,

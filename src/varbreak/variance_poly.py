@@ -10,8 +10,9 @@ columns are strongly collinear for larger p, so normal equations are
 avoided).  The fitted profile feeds the corrected statistic in
 :mod:`varbreak.cusum`; order selection uses the Gaussian AIC
 ``q * log(RSS/q) + 2(p+1)``.  The designs of successive orders are
-nested, so one QR of the largest design gives every order's fit; this
-AIC search and the AR one in :mod:`varbreak.armodel` share that routine.
+nested, so one QR of the largest design gives every order's fit.  This
+search and the AR one in :mod:`varbreak.armodel` share :mod:`varbreak._ols`,
+which owns that routine, the AIC rule and the rows-exceed-columns bound.
 Fits, order choices and positivity checks run on unit-scale squares; what
 they report is mapped to true units by exact powers of two.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from varbreak._ols import NestedOls, nested_ols
+from varbreak._ols import NestedOls, aic, nested_ols
 from varbreak.series import ResidualSeries, SubsampleWindow
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
@@ -109,18 +110,18 @@ class VariancePolyFit:
 class OrderSelection:
     """Outcome of AIC order selection."""
 
-    chosen_p: int
     unit_rss: tuple[float, ...]  # floored RSS of orders 1..p_max, at the fit's unit scale
     fit: VariancePolyFit  # the chosen order's fit
 
     @property
+    def chosen_p(self) -> int:
+        return self.fit.order
+
+    @property
     def scores(self) -> tuple[tuple[int, float], ...]:
-        """``(p, q*log(RSS/q) + 2(p+1))`` for every order, from the true-unit RSS."""
-        q = self.fit.window.length
+        """``(p, q*log(RSS/q) + 2(p+1))`` for every order, from the true-unit RSS; an RSS of 0 scores -inf."""
         rss = _true_units(self.unit_rss, 4 * self.fit.exponent)
-        with np.errstate(divide="ignore"):  # a true-unit RSS that underflows to 0 scores -inf
-            scores = [float(q * np.log(r / q) + 2.0 * (p + 1)) for p, r in enumerate(rss, 1)]
-        return tuple(enumerate(scores, 1))
+        return tuple(enumerate(aic(rss, self.fit.window.length, 2).tolist(), 1))
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,11 @@ def _fit_order(units: np.ndarray, window: SubsampleWindow, p: int) -> tuple[np.n
 
 
 def _aic_orders(squares: np.ndarray, ols: NestedOls) -> tuple[np.ndarray, np.ndarray]:
-    """Floored RSS of orders 1..p_max for each row of squares, and each row's AIC order.
-
-    The score is ``q*log(RSS/q) + 2(p+1)``; ties go to the smaller order.
-    """
+    """Floored RSS of orders 1..p_max for each row of squares, and each row's AIC order (p + 1 columns)."""
     q = squares.shape[-1]
     floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum(axis=-1, keepdims=True) / q)
-    rss = np.maximum(ols.rss[..., 2:], floor)
-    with np.errstate(divide="ignore"):  # an all-zero window scores -inf at every order
-        scores = q * np.log(rss / q) + 2.0 * (np.arange(1, rss.shape[-1] + 1) + 1)
-    return rss, 1 + scores.argmin(axis=-1)
+    rss, columns = ols.aic_choice(q, 2, floor)
+    return rss, columns - 1
 
 
 def _chosen_profiles(ols: NestedOls, chosen: np.ndarray, window: SubsampleWindow) -> np.ndarray:
@@ -243,12 +239,7 @@ def select_poly_order_aic(
     """
     squares, ols = _fit_order(window.slice_values(series), window, p_max)
     rss, chosen = _aic_orders(squares, ols)
-    chosen_p = int(chosen)
-    return OrderSelection(
-        chosen_p=chosen_p,
-        unit_rss=tuple(rss.tolist()),
-        fit=_poly_fit(ols, squares, window, chosen_p, series.exponent),
-    )
+    return OrderSelection(tuple(rss.tolist()), _poly_fit(ols, squares, window, int(chosen), series.exponent))
 
 
 def check_positivity(fit: VariancePolyFit) -> PositivityReport:

@@ -1,5 +1,5 @@
-"""Literal, loop-based re-implementations of the statistics, and a
-simulation of the corrected statistic's limit law.
+"""Literal, loop-based re-implementations of the statistics and of the
+AIC order choice, and a simulation of the corrected statistic's limit law.
 
 All of it is independent of the package code.  The re-implementations
 are deliberately unoptimized: every partial sum is re-summed from
@@ -75,6 +75,30 @@ def corrected_statistic_literal(values, offset, q, n, coefficients, center):
     for k in range(1, q + 1):
         best = max(best, abs(cumsums[k - 1] - (k / q) * cumsums[q - 1]) / denominator)
     return best / math.sqrt(q)
+
+
+def aic_choice_literal(rss, n, first, floor):
+    """Index i minimizing ``n*log(max(rss[i], floor)/n) + 2*(first + i)``, scored one order at a time.
+
+    Only a strictly smaller score replaces the best so far, so ties keep
+    the smaller order.  ``first`` is the column count of ``rss[0]``'s fit;
+    an RSS of 0 under a zero floor scores -inf.
+    """
+    chosen = 0
+    best = np.inf
+    for i, r in enumerate(rss):
+        with np.errstate(divide="ignore"):
+            score = n * np.log(max(r, floor) / n) + 2.0 * (first + i)
+        if score < best:
+            best = score
+            chosen = i
+    return chosen
+
+
+def poly_aic_scores_literal(rss, q):
+    """``(p, q*log(RSS/q) + 2(p+1))`` for p = 1, 2, ..., one order at a time; an RSS of 0 scores -inf."""
+    with np.errstate(divide="ignore"):
+        return tuple((p, float(q * np.log(r / q) + 2.0 * (p + 1))) for p, r in enumerate(rss, 1))
 
 
 def generalized_bridge_quantile(

@@ -7,6 +7,11 @@ from varbreak import (
     fit_ar_ols,
     select_ar_order,
 )
+from varbreak._ols import nested_ols
+from varbreak.armodel import _ar_design
+from varbreak.series import ResidualSeries
+
+from oracles import aic_choice_literal
 
 
 class TestFitArOls:
@@ -88,6 +93,25 @@ class TestSelectArOrder:
             hits += select_ar_order(x, 4) == 1
         assert hits > 100
 
+    def test_equals_the_per_order_loop(self):
+        # the vectorised choice is the literal loop's on the same RSS, ties included, over
+        # short and long series of several kinds at power-of-two scales from 2**-1000 to 2**1000
+        rng = np.random.default_rng(909)
+        for case in range(1200):
+            n = int(rng.integers(6, 250))
+            max_order = int(rng.integers(0, min(12, (n - 2) // 2) + 1))
+            noise = rng.standard_normal(n)
+            if case % 3 == 1:
+                noise = np.cumsum(noise)  # a random walk
+            elif case % 3 == 2:
+                noise[2:] += 1.2 * noise[1:-1] - 0.5 * noise[:-2]
+            values = np.ldexp(noise, int(rng.choice([0, 1, -1, 43, -43, 300, -300, 1000, -1000])))
+            x = ResidualSeries(values).unit_values
+            design = _ar_design(x, max_order, intercept=True)
+            rss = nested_ols(design, x[max_order:], "AR design").rss[1:]
+            expected = aic_choice_literal(rss, design.shape[0], 1, np.finfo(np.float64).tiny)
+            assert select_ar_order(values, max_order) == expected
+
     def test_constant_series_is_singular(self):
         with pytest.raises(SingularDesignError):
             select_ar_order(np.full(100, 3.0), 4)
@@ -103,6 +127,13 @@ class TestDefaultMaxOrder:
         assert default_max_order(600, "monthly") == 12
         assert default_max_order(100, "unknown") == 4
         assert default_max_order(1600, "unknown") == 8
+
+    @pytest.mark.parametrize("frequency", ["monthly", "quarterly", "unknown"])
+    def test_largest_design_is_taller_than_wide(self, frequency):
+        # n - cap rows by cap + 1 columns: one residual degree of freedom at least
+        for n in range(3, 60):
+            cap = default_max_order(n, frequency)
+            assert n - cap > cap + 1
 
     def test_capped_for_short_series(self):
         # the largest AR design, n - cap rows by cap + 1 columns, must not be wide

@@ -1,9 +1,12 @@
 import datetime
 import json
 
+import numpy as np
 import pytest
 
+from varbreak.armodel import fit_ar_ols
 from varbreak.cli import main
+from varbreak.errors import SingularDesignError
 
 from conftest import growing_variance_levels, month_starts, write_fred_csv
 
@@ -91,7 +94,7 @@ class TestTestCommand:
             assert code == 1 and err.startswith("varbreak: error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("step_months", [1, 3])
-    @pytest.mark.parametrize("count", [10, 11, 12])
+    @pytest.mark.parametrize("count", [11])
     def test_short_series_with_aic_ar_order_give_a_report(self, capsys, tmp_path, count, step_months):
         # a residual window shorter than p_max + 2 caps the order search instead of failing
         dates = month_starts(datetime.date(1990, 1, 1), count, step_months)
@@ -101,6 +104,21 @@ class TestTestCommand:
         cap = report["window_length"] - 2
         assert cap < 5 and len(report["poly_aic_scores"]) == cap and report["poly_order"] <= cap
         assert report["warnings"][0] == f"polynomial order search capped at {cap} by window length {cap + 2}"
+
+    @pytest.mark.parametrize("step_months", [1, 3])
+    @pytest.mark.parametrize("count", range(10, 27))
+    def test_aic_ar_order_leaves_a_residual_degree_of_freedom(self, capsys, tmp_path, count, step_months):
+        # an AR order whose common-sample design is square fits the series exactly, so the
+        # statistics would run on rounding noise; the search stops one order short of it
+        dates = month_starts(datetime.date(1990, 1, 1), count, step_months)
+        levels = growing_variance_levels(count, 7)
+        path = write_fred_csv(tmp_path / "SHORT.csv", "SHORT", dates, levels)
+        assert main(["test", str(path), "--clamp", "--ar", "auto", "--format", "json"]) == 0
+        n_diff = count - 1
+        assert json.loads(capsys.readouterr().out)["reports"][0]["ar_order"] <= (n_diff - 2) // 2
+        m = (n_diff - 1) // 2
+        with pytest.raises(SingularDesignError, match=f"has {m + 1} rows for {m + 1} columns"):
+            fit_ar_ols(np.diff(levels)[: 2 * m + 1], m, intercept=True)
 
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:

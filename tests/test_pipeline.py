@@ -93,6 +93,14 @@ class TestRunTestPipeline:
         with pytest.raises(SingularDesignError, match="^variance-fit: window length 2 cannot support order 1"):
             run_test_pipeline(series, config)
 
+    def test_stage_label_keeps_the_type_and_chains_the_cause(self):
+        # a fixed AR order whose design is square: 21 differenced values, AR(10) has 11 rows for 11 columns
+        series = series_from_values(growing_variance_levels(22, seed=42))
+        with pytest.raises(SingularDesignError, match="^ar-fit: AR\\(10\\) design has 11 rows for 11 columns$") as info:
+            run_test_pipeline(series, PipelineConfig(ar_order=10))
+        assert type(info.value.__cause__) is SingularDesignError
+        assert str(info.value.__cause__) == "AR(10) design has 11 rows for 11 columns"
+
     @pytest.mark.parametrize("k", [-60, -46, -43, 43, 46, 60])
     def test_power_of_two_scaling_of_the_levels_changes_no_outcome(self, k):
         # levels in currency units (x 2**43, increments near 1e13) or tiny

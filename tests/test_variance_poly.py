@@ -17,10 +17,12 @@ from varbreak import (
     simulate_dgp1,
     stream,
 )
+from varbreak._ols import nested_ols
 from varbreak.mc import McExperimentSpec
 from varbreak.nulldist import DecisionRule
+from varbreak.variance_poly import AIC_RSS_FLOOR_FRAC
 
-from oracles import polyval_naive
+from oracles import aic_choice_literal, poly_aic_scores_literal, polyval_naive
 
 
 def series_with_squares(squares) -> ResidualSeries:
@@ -143,6 +145,40 @@ class TestOrderSelection:
                 )
                 assert selection.fit.rss == pytest.approx(refit.rss, rel=1e-12)
                 assert selection.fit.mean_sq == refit.mean_sq
+
+    def test_choice_and_scores_equal_the_per_order_literal(self):
+        # on the same nested RSS, the chosen order is the literal loop's, ties included, and
+        # the reported scores are the per-order expression's, bit for bit, at scales whose
+        # true-unit RSS underflows to 0 (-inf) or overflows (inf) as well as ordinary ones;
+        # 1,200 series
+        rng = np.random.default_rng(910)
+        for case in range(1200):
+            n = int(rng.integers(7, 300))
+            p_max = int(rng.integers(1, 6))
+            length = int(rng.integers(p_max + 2, n + 1))
+            window = SubsampleWindow(n=n, offset=int(rng.integers(0, n - length + 1)), length=length)
+            t = np.arange(1, n + 1) / n
+            if case % 4 == 0:
+                values = rng.standard_normal(n) * np.linspace(1.0, 3.0, n)
+            elif case % 4 == 1:  # squares an exact polynomial of order 0..3: floored RSS
+                values = np.sqrt((1.0 + t) ** int(rng.integers(0, 4))) * rng.choice([-1.0, 1.0], n)
+            elif case % 4 == 2:
+                values = rng.logistic(size=n) * (1.0 + np.sin(3.0 * t) ** 2)
+            else:  # a zero window outside zero values: every order scores -inf, a tie
+                values = rng.standard_normal(n)
+                values[window.offset : window.stop] = 0.0
+            series = ResidualSeries(np.ldexp(values, int(rng.choice([0, 1, -1, 43, -266, 266, -600, 600]))))
+            selection = select_poly_order_aic(series, window, p_max)
+            squares = window.slice_values(series) ** 2
+            design = np.vander(window.times() / n - window.center, p_max + 1, increasing=True)
+            rss = nested_ols(design, squares, "design").rss[2:]
+            floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum() / length)
+            assert selection.chosen_p == 1 + aic_choice_literal(rss, length, 2, floor)
+            floored = np.maximum(rss, floor)
+            assert selection.unit_rss == tuple(floored.tolist())
+            with np.errstate(over="ignore"):
+                true_rss = np.ldexp(floored, 4 * series.exponent)
+            assert selection.scores == poly_aic_scores_literal(true_rss, length)
 
     def test_overflowing_scale_keeps_the_order_and_maps_the_fit(self):
         # at 2**266 u**4 overflows; the order is chosen at unit scale, and the
