@@ -1,7 +1,8 @@
 """Nested least squares: every leading-column fit of one design from one QR, for a stack of responses.
 
-Both AIC order searches share its rules: a fit needs more rows than columns, and
-an order minimizes the AIC of a floored RSS, ties going to the smaller order.
+Its rules: :func:`nested_ols` alone rejects a design with no more rows than columns,
+however short the input, as a ``SingularDesignError`` naming both, and an AIC order
+search takes the least AIC of a floored RSS, ties going to the smaller order.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
     ------
     SingularDesignError
         If the design has no more rows than columns (no residual degree
-        of freedom), or a shared design is rank deficient; ``what`` names the design in the message.  A row of a
-        stack whose design is rank deficient is flagged instead, and its
-        fit is zero.
+        of freedom), with the message "``what`` has m rows for K columns";
+        or if a shared design is rank deficient.  A row of a stack whose
+        design is rank deficient is flagged instead, and its fit is zero.
     """
     m, width = design.shape[-2:]
     if m <= width:

@@ -7,7 +7,7 @@ common effective sample so scores are comparable across orders.  All
 fits, and both AIC searches (this one and the polynomial order search
 in :mod:`varbreak.variance_poly`), go through :mod:`varbreak._ols`, which
 factorises the largest design once with a QR and owns the AIC rule, its
-tie-break and the bound that a fit needs more rows than columns.
+tie-break and, alone, the bound that a fit needs more rows than columns.
 Both fit at unit scale, as a ``ResidualSeries`` holds the input: scaling it by 2**k
 keeps the order and lag coefficients and scales the intercept and residuals exactly.
 """
@@ -40,12 +40,12 @@ class ArFit:
 
 def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
     # per row of z: responses z_t, t = order..n-1 (0-based); an optional constant, then z_{t-1}..z_{t-order}
-    n = z.shape[-1]
-    design = np.empty((*z.shape[:-1], n - order, int(intercept) + order))
+    rows = max(z.shape[-1] - order, 0)  # none for a series no longer than the order, which nested_ols rejects
+    design = np.empty((*z.shape[:-1], rows, int(intercept) + order))
     if intercept:
         design[..., 0] = 1.0
     for i in range(1, order + 1):
-        design[..., int(intercept) + i - 1] = z[..., order - i : n - i]
+        design[..., int(intercept) + i - 1] = z[..., order - i : order - i + rows]
     return design
 
 
@@ -72,7 +72,7 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     Parameters
     ----------
     values : array_like
-        Observed series, length strictly greater than ``order + 1``.
+        Observed series of n >= 2 values: n - order design rows (none if n <= order).
     order : int
         Number of lags m >= 0.  With m = 0 the residuals are the input
         itself (intercept-adjusted if requested).
@@ -83,17 +83,14 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     Raises
     ------
     ValueError
-        For a negative order or a too-short series.
+        For a negative order, or values that are not a finite series of at least 2.
     SingularDesignError
-        If the regressor matrix is rank deficient or not taller than wide.
+        If ``n <= 2*order + intercept`` (no more rows than columns) or the design is rank deficient.
     """
     series = ResidualSeries(values)  # validated and held at unit scale
-    x = series.unit_values
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if x.size <= order + 1:
-        raise ValueError(f"series length {x.size} must exceed order + 1 = {order + 1}")
-    _, beta, residuals = _fit_rows(x, series.exponent, order, intercept)
+    _, beta, residuals = _fit_rows(series.unit_values, series.exponent, order, intercept)
     const = float(np.ldexp(beta[0], series.exponent)) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
     return ArFit(
@@ -117,15 +114,13 @@ def select_ar_order(values, max_order: int) -> int:
     Raises
     ------
     ValueError
-        If the series is too short for ``max_order``.
+        For a negative ``max_order``, or values that are not a finite series of at least 2.
     SingularDesignError
-        If the max_order regressor matrix is rank deficient or not taller than wide.
+        If ``n <= 2*max_order + 1`` (no more rows than columns) or the design is rank deficient.
     """
     x = ResidualSeries(values).unit_values
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    if x.size <= max_order + 2:
-        raise ValueError(f"series length {x.size} must exceed max_order + 2 = {max_order + 2}")
     design = _ar_design(x, max_order, intercept=True)
     ols = nested_ols(design, x[max_order:], f"AR({max_order}) design")
     return int(ols.aic_choice(design.shape[0], 1, _RSS_FLOOR)[1]) - 1

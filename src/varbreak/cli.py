@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--offset", type=float, default=0.0, metavar="F", help="window start as a fraction of n")
     test.add_argument("--rule", choices=("asymptotic", "paper"), default="asymptotic",
                       help="decision boundary: asymptotic quantile at --level, or the fixed 1.33 boundary")
-    test.add_argument("--level", type=float, default=0.05, metavar="A", help="test level for the asymptotic rule")
+    test.add_argument("--level", type=float, metavar="A", help="test level for the asymptotic rule (default 0.05)")
     test.add_argument("--clamp", action="store_true",
                       help="floor a non-positive fitted variance instead of failing")
     test.add_argument("--date-column", default="DATE")
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=1, metavar="W", help="worker processes")
     sim.add_argument("--rule", choices=("asymptotic", "paper"), default="paper",
                      help="decision boundary (preset grids default to the fixed 1.33 boundary)")
-    sim.add_argument("--level", type=float, default=0.05, metavar="A")
+    sim.add_argument("--level", type=float, metavar="A", help="test level for the asymptotic rule (default 0.05)")
     sim.add_argument("--format", choices=("human", "json", "csv"), default="csv")
     sim.add_argument("--out", default=None, metavar="PATH")
 
@@ -67,10 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decision(rule: str, level: float) -> DecisionRule:
-    if rule == "paper":
+def _decision(args) -> DecisionRule:
+    if args.rule == "paper":
         return DecisionRule.fixed_boundary()
-    return DecisionRule.asymptotic(level)
+    return DecisionRule.asymptotic() if args.level is None else DecisionRule.asymptotic(args.level)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -96,7 +96,7 @@ def _cmd_test(args) -> int:
         p_max=args.pmax,
         gamma=args.gamma,
         offset_fraction=args.offset,
-        rule=_decision(args.rule, args.level),
+        rule=_decision(args),
         clamp=args.clamp,
     )
     reports = run_test_pipeline(series, config)
@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         replications=args.reps,
         workers=args.workers,
-        decision=_decision(args.rule, args.level),
+        decision=_decision(args),
     )
     _write(emit_report(table, args.format), args.out)
     return 0
@@ -124,7 +124,10 @@ def _cmd_critval(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "rule", None) == "paper" and args.level is not None:
+        parser.error(f"{args.command}: --level applies to --rule asymptotic; --rule paper is the fixed boundary 1.33")
     commands = {"test": _cmd_test, "simulate": _cmd_simulate, "critval": _cmd_critval}
     try:
         return commands[args.command](args)

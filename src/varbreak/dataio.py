@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,7 @@ class SeriesFile:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("series values contain NaN or infinite entries")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
+        if not all(map(operator.lt, self.dates, self.dates[1:])):  # pairwise in C, no frame per pair
             raise DateOrderError("dates are not strictly increasing")
         if self.frequency not in ("monthly", "quarterly", "unknown"):
             raise ValueError(f"unknown frequency {self.frequency!r}")
@@ -136,7 +138,7 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
                 value = float(raw_value)
             except ValueError:
                 raise CsvParseError(f"unparseable value {raw_value!r}", line=lineno) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise CsvParseError(f"non-finite value {raw_value!r}", line=lineno)
             dates.append(parsed.isoformat())
             values.append(value)

@@ -31,12 +31,13 @@ orders.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -289,31 +290,18 @@ def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, 
     return rate, se, n_valid
 
 
-def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
-    """Run all replications and aggregate rejection frequencies.
+def _run_cells(specs: list[McExperimentSpec], workers: int) -> list[McResult]:
+    """The result of each spec; with ``workers > 1`` all blocks of all cells share one process pool."""
+    starts = [range(0, spec.replications, max(1, BLOCK_ELEMENTS // spec.n)) for spec in specs]  # block starts
+    jobs = [(spec, start, min(start + r.step, spec.replications)) for spec, r in zip(specs, starts) for start in r]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        done = pool.map(_block, *zip(*jobs)) if pool else itertools.starmap(_block, jobs)  # lazy, in job order
+        return [_aggregate(spec, list(itertools.islice(done, len(r)))) for spec, r in zip(specs, starts)]
 
-    Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``; with
-    ``workers > 1`` the blocks run in a process pool.  Per-replication
-    streams and row-wise arithmetic make the result identical to a
-    serial run.
 
-    Raises
-    ------
-    ExperimentIntegrityError
-        If more than 1 percent of replications fail to produce both
-        statistics, by a :class:`VarbreakError` or a non-finite value;
-        partial failures are never silently dropped.  The message names
-        the first failing replication, which replays from
-        ``(spec.seed, replication)``.
-    """
+def _aggregate(spec: McExperimentSpec, blocks: list[tuple[np.ndarray, ...]]) -> McResult:
+    """One cell's result from its blocks, in replication order; see :func:`run_experiment`."""
     n_rep = spec.replications
-    starts = range(0, n_rep, max(1, BLOCK_ELEMENTS // spec.n))
-    stops = [*starts[1:], n_rep]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block, repeat(spec), starts, stops))
-    else:
-        blocks = [_block(spec, start, stop) for start, stop in zip(starts, stops)]
     stats_std, stats_mod, errors_std, errors_mod = (np.concatenate(parts) for parts in zip(*blocks))
     failed = (errors_std != "") | (errors_mod != "")
     failure_counts = Counter(name for name in [*errors_std, *errors_mod] if name)
@@ -338,6 +326,26 @@ def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
         statistics_std=stats_std if spec.keep_statistics else None,
         statistics_mod=stats_mod if spec.keep_statistics else None,
     )
+
+
+def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
+    """Run all replications and aggregate rejection frequencies.
+
+    Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``; with
+    ``workers > 1`` the blocks run in a process pool.  Per-replication
+    streams and row-wise arithmetic make the result identical to a
+    serial run.
+
+    Raises
+    ------
+    ExperimentIntegrityError
+        If more than 1 percent of replications fail to produce both
+        statistics, by a :class:`VarbreakError` or a non-finite value;
+        partial failures are never silently dropped.  The message names
+        the first failing replication, which replays from
+        ``(spec.seed, replication)``.
+    """
+    return _run_cells([spec], workers)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,20 +402,16 @@ def run_table(
     workers: int = 1,
     decision: DecisionRule | None = None,
 ) -> SimulationTable:
-    """Run a whole preset grid; see :data:`TABLE_DGP` and :data:`TABLE_KIND`."""
+    """Run a whole preset grid, in one process pool if ``workers > 1``; see :data:`TABLE_DGP` and :data:`TABLE_KIND`."""
     if table not in TABLE_DGP:
         raise ValueError(f"table must be one of {sorted(TABLE_DGP)}, got {table}")
     alphas = (0.0,) if TABLE_KIND[table] == "size" else TABLE_ALPHAS
-    results = []
-    for alpha in alphas:
-        for n in TABLE_NS:
-            spec = experiment_for_cell(table, n, alpha, seed, replications, decision)
-            results.append(run_experiment(spec, workers=workers))
+    specs = [experiment_for_cell(table, n, alpha, seed, replications, decision) for alpha in alphas for n in TABLE_NS]
     return SimulationTable(
         table=table,
         kind=TABLE_KIND[table],
         dgp=TABLE_DGP[table],
         ns=TABLE_NS,
         alphas=alphas,
-        results=tuple(results),
+        results=tuple(_run_cells(specs, workers)),
     )

@@ -76,9 +76,9 @@ def kolmogorov_cdf(x: float) -> float:
     Raises
     ------
     ValueError
-        If ``x`` is negative.
+        If ``x`` is negative or NaN.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
@@ -129,9 +129,9 @@ def pvalue(statistic: float) -> float:
     Raises
     ------
     ValueError
-        If ``statistic`` is negative.
+        If ``statistic`` is negative or NaN.
     """
-    if statistic < 0:
+    if not statistic >= 0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
     if statistic >= 1.0:
         return _upper_tail(statistic)
@@ -154,7 +154,7 @@ class DecisionRule:
     source: str
 
     def __post_init__(self) -> None:
-        if self.critical_value <= 0:
+        if not self.critical_value > 0:
             raise ValueError(f"critical value must be positive, got {self.critical_value}")
         if self.level is not None and not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
 from varbreak.cusum import statistic_corrected, statistic_subsample
 from varbreak.dataio import SeriesFile, difference
-from varbreak.errors import SingularDesignError, VarbreakError
+from varbreak.errors import VarbreakError
 from varbreak.mc import McResult, SimulationTable
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow
@@ -173,12 +173,10 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
         q_std = statistic_subsample(residuals, window)
 
     warnings: list[str] = []
-    p_max = min(config.p_max, window.length - 2)  # the largest order the window supports
+    p_max = min(config.p_max, max(1, window.length - 2))  # the largest order the window supports, if any
     if p_max < config.p_max:
         warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
     with _stage("variance-fit"):
-        if window.length < 3:
-            raise SingularDesignError(f"window length {window.length} cannot support order 1; need at least 3")
         selection = select_poly_order_aic(residuals, window, p_max)
     poly_fit = selection.fit
     positivity = check_positivity(poly_fit)

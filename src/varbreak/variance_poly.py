@@ -156,13 +156,8 @@ def _fit_order(units: np.ndarray, window: SubsampleWindow, p: int) -> tuple[np.n
     """Squares of the (..., q) unit-scale window values and their nested fits up to order ``p``."""
     if p < 1:
         raise ValueError(f"polynomial order must be at least 1, got {p}")
-    if window.length < p + 2:
-        raise ValueError(
-            f"window length {window.length} cannot support order {p}; need at least {p + 2}"
-        )
     squares = units * units
-    ols = nested_ols(np.vander(_centred_time(window), p + 1, increasing=True), squares, f"order {p} design")
-    return squares, ols
+    return squares, nested_ols(np.vander(_centred_time(window), p + 1, increasing=True), squares, f"order {p} design")
 
 
 def _aic_orders(squares: np.ndarray, ols: NestedOls) -> tuple[np.ndarray, np.ndarray]:
@@ -203,15 +198,14 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
         Residuals and the analysis window; the regressors are the
         centered powers ``(t/n - r0)**i`` for t in the window.
     p : int
-        Polynomial order, at least 1; the window must satisfy
-        ``length >= p + 2``.
+        Polynomial order, at least 1.
 
     Raises
     ------
     ValueError
-        If ``p < 1`` or the window is too short for the order.
+        If ``p < 1``.
     SingularDesignError
-        If the design matrix is numerically rank deficient.
+        If ``length <= p + 1`` (no more rows than columns) or the design is rank deficient.
     """
     squares, ols = _fit_order(window.slice_values(series), window, p)
     return _poly_fit(ols, squares, window, p, series.exponent)
@@ -233,9 +227,9 @@ def select_poly_order_aic(
     Raises
     ------
     ValueError
-        If ``p_max < 1`` or the window cannot support ``p_max``.
+        If ``p_max < 1``.
     SingularDesignError
-        If the order-``p_max`` design is rank deficient.
+        If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
     squares, ols = _fit_order(window.slice_values(series), window, p_max)
     rss, chosen = _aic_orders(squares, ols)

@@ -3,9 +3,12 @@ import pytest
 
 from varbreak import (
     SingularDesignError,
+    SubsampleWindow,
     default_max_order,
     fit_ar_ols,
+    fit_variance_poly,
     select_ar_order,
+    select_poly_order_aic,
 )
 from varbreak._ols import nested_ols
 from varbreak.armodel import _ar_design
@@ -68,7 +71,7 @@ class TestFitArOls:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_ar_ols([1.0, 2.0, 3.0], -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularDesignError, match="^AR\\(2\\) design has 1 rows for 2 columns$"):
             fit_ar_ols([1.0, 2.0, 3.0], 2)
         with pytest.raises(ValueError):
             fit_ar_ols([1.0, np.nan, 3.0, 4.0], 1)
@@ -117,7 +120,7 @@ class TestSelectArOrder:
             select_ar_order(np.full(100, 3.0), 4)
 
     def test_too_short_series(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularDesignError, match="^AR\\(4\\) design has 2 rows for 5 columns$"):
             select_ar_order(np.arange(6.0), 4)
 
 
@@ -138,3 +141,44 @@ class TestDefaultMaxOrder:
     def test_capped_for_short_series(self):
         # the largest AR design, n - cap rows by cap + 1 columns, must not be wide
         assert default_max_order(10, "monthly") == 4
+
+
+def _poly(fit):
+    return lambda x: fit(ResidualSeries(x), SubsampleWindow.full(x.size), 3)
+
+
+#: A fit of order 3 on n values -> (the fit, its design's rows at n, its columns).
+_ORDER_3_DESIGNS = {
+    "fit_ar_ols": (lambda x: fit_ar_ols(x, 3), lambda n: max(n - 3, 0), 3),
+    "fit_ar_ols_intercept": (lambda x: fit_ar_ols(x, 3, intercept=True), lambda n: max(n - 3, 0), 4),
+    "select_ar_order": (lambda x: select_ar_order(x, 3), lambda n: max(n - 3, 0), 4),
+    "fit_variance_poly": (_poly(fit_variance_poly), lambda n: n, 4),
+    "select_poly_order_aic": (_poly(select_poly_order_aic), lambda n: n, 4),
+}
+
+
+def _lengths_up_to_the_first_accepted(rows, columns):
+    n = 2  # the shortest series
+    while rows(n) <= columns:
+        yield n
+        n += 1
+    yield n
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        (name, n)
+        for name, (_, rows, columns) in _ORDER_3_DESIGNS.items()
+        for n in _lengths_up_to_the_first_accepted(rows, columns)
+    ],
+)
+def test_a_design_no_taller_than_wide_is_one_error_at_every_length(name, n):
+    # from no rows at all up to a square design, the one error names the design's size
+    fit, rows, columns = _ORDER_3_DESIGNS[name]
+    x = np.random.default_rng(n).standard_normal(n)
+    if rows(n) > columns:
+        fit(x)
+    else:
+        with pytest.raises(SingularDesignError, match=f"design has {rows(n)} rows for {columns} columns$"):
+            fit(x)

@@ -120,6 +120,27 @@ class TestTestCommand:
         with pytest.raises(SingularDesignError, match=f"has {m + 1} rows for {m + 1} columns"):
             fit_ar_ols(np.diff(levels)[: 2 * m + 1], m, intercept=True)
 
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_fixed_ar_order_too_long_for_the_series_is_a_labelled_error(self, capsys, tmp_path, m):
+        # 10 observations, 9 differences: AR(m) has 9 - m rows, none at m = 9, for m + 1 columns
+        dates = month_starts(datetime.date(1990, 1, 1), 10, 1)
+        path = write_fred_csv(tmp_path / "SHORT.csv", "SHORT", dates, growing_variance_levels(10, 7))
+        assert main(["test", str(path), "--ar", str(m)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"varbreak: error: ar-fit: AR({m}) design has {9 - m} rows for {m + 1} columns\n"
+
+    def test_pmax_zero_is_an_argument_error_before_any_fit(self, capsys, macro_csv):
+        assert main(["test", str(macro_csv), "--pmax", "0"]) == 1
+        assert capsys.readouterr().err == "varbreak: error: polynomial order must be at least 1, got 0\n"
+
+    def test_level_with_the_paper_rule_is_a_usage_error(self, capsys, macro_csv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["test", str(macro_csv), "--rule", "paper", "--level", "0.01"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: varbreak")
+        assert "test: --level applies to --rule asymptotic" in captured.err
+
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:
             main(["test", str(macro_csv), "--rule", "folk"])
@@ -152,3 +173,18 @@ class TestSimulateCommand:
                      "--format", "json", "--rule", "asymptotic"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["decision"]["critical_value"] == pytest.approx(1.3581, abs=5e-4)
+
+    def test_level_sets_the_asymptotic_rule(self, capsys):
+        assert main(["simulate", "--table", "1", "--seed", "2", "--reps", "10",
+                     "--format", "json", "--rule", "asymptotic", "--level", "0.01"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["decision"]["critical_value"] == pytest.approx(1.6276, abs=5e-4)
+
+    def test_level_with_the_default_paper_rule_is_a_usage_error(self, capsys):
+        # the grid default is the fixed boundary, which has no level to set
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--table", "1", "--reps", "10", "--level", "0.01"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: varbreak")
+        assert "simulate: --level applies to --rule asymptotic" in captured.err

@@ -154,6 +154,20 @@ class TestSeriesFile:
         with pytest.raises(DateOrderError):
             SeriesFile(dates=("2000-02-01", "2000-01-01"), values=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("repeat_at", [0, 1, 2])
+    def test_rejects_equal_adjacent_dates(self, repeat_at):
+        # strictly increasing: a date equal to the one before it fails wherever it sits
+        dates = ["2000-01-01", "2000-02-01", "2000-03-01", "2000-04-01"]
+        dates[repeat_at + 1] = dates[repeat_at]
+        with pytest.raises(DateOrderError, match="^dates are not strictly increasing$"):
+            SeriesFile(dates=tuple(dates), values=np.arange(4.0))
+
+    def test_load_csv_rejects_an_equal_adjacent_date_with_its_line(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("DATE,X\n2001-01-01,1.0\n2001-01-01,2.0\n")
+        with pytest.raises(DateOrderError, match="^line 3: date 2001-01-01 does not increase past 2001-01-01$"):
+            load_csv(path)
+
     def test_values_read_only(self):
         series = SeriesFile(dates=("2000-01-01", "2000-02-01"), values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

@@ -312,3 +312,20 @@ class TestTables:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             run_table(5, seed=1)
+
+    def test_one_process_pool_serves_every_cell(self, monkeypatch):
+        # 15 cells of 2, 3 and 5 blocks at n = 50, 100 and 200: one pool, not one per cell
+        pools = []
+
+        class CountingPool(varbreak.mc.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(varbreak.mc, "ProcessPoolExecutor", CountingPool)
+        parallel = run_table(3, seed=13, replications=700, workers=2)
+        assert len(pools) == 1
+        serial = run_table(3, seed=13, replications=700)
+        assert [(r.rejection_rate_std, r.rejection_rate_mod, r.se_mod, r.failures) for r in parallel.results] == [
+            (r.rejection_rate_std, r.rejection_rate_mod, r.se_mod, r.failures) for r in serial.results
+        ]

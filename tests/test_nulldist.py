@@ -20,6 +20,11 @@ class TestCdf:
         with pytest.raises(ValueError):
             kolmogorov_cdf(-0.1)
 
+    def test_nan_argument(self):
+        # a NaN fails every comparison, so a test of ``x < 0`` would let it through as 1.0
+        with pytest.raises(ValueError, match="x must be nonnegative, got nan"):
+            kolmogorov_cdf(float("nan"))
+
     def test_monotone_and_bounded_on_grid(self):
         grid = np.linspace(0.0, 3.0, 1000)
         values = [kolmogorov_cdf(x) for x in grid]
@@ -86,6 +91,11 @@ class TestPvalue:
         with pytest.raises(ValueError):
             pvalue(-1.0)
 
+    def test_nan_statistic(self):
+        # read as 0.0 before, a p-value that rejects at every level
+        with pytest.raises(ValueError, match="statistic must be nonnegative, got nan"):
+            pvalue(float("nan"))
+
     def test_upper_tail_has_full_relative_precision(self):
         # 1 - cdf would read 0.0 from x = 5.0 (true value 3.857e-22)
         for x in np.linspace(1.0, 8.0, 141):
@@ -119,3 +129,8 @@ class TestDecisionRule:
             DecisionRule(-1.0, None, "user")
         with pytest.raises(ValueError):
             DecisionRule(1.0, 0.05, "folklore")
+
+    def test_nan_critical_value(self):
+        # a NaN boundary would never reject
+        with pytest.raises(ValueError, match="critical value must be positive, got nan"):
+            DecisionRule(float("nan"), None, "asymptotic")

@@ -90,7 +90,7 @@ class TestRunTestPipeline:
     def test_window_too_short_for_order_one_is_a_labelled_error(self):
         series = series_from_values(growing_variance_levels(661, seed=42))
         config = PipelineConfig(gamma=0.15)  # 658 residuals, floor(658**0.15) = 2
-        with pytest.raises(SingularDesignError, match="^variance-fit: window length 2 cannot support order 1"):
+        with pytest.raises(SingularDesignError, match="^variance-fit: order 1 design has 2 rows for 2 columns$"):
             run_test_pipeline(series, config)
 
     def test_stage_label_keeps_the_type_and_chains_the_cause(self):

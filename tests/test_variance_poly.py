@@ -87,7 +87,7 @@ class TestFit:
         s = ResidualSeries(np.ones(10))
         with pytest.raises(ValueError):
             fit_variance_poly(s, SubsampleWindow.full(10), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SingularDesignError, match="^order 9 design has 10 rows for 10 columns$"):
             fit_variance_poly(s, SubsampleWindow.full(10), 9)
 
     def test_degenerate_time_grid_is_singular(self):
