@@ -1,8 +1,9 @@
 """CSV ingestion for FRED-style series exports, and differencing.
 
 Files are expected comma-separated with a header, a DATE column of
-ISO-8601 dates and one value column; missing observations marked "."
-(or empty) are dropped and counted, never interpolated.
+ISO-8601 dates (stored as YYYY-MM-DD) and one value column; missing
+observations marked "." (or empty) are dropped and counted, never
+interpolated.  Loading is one pass that parses each date once.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ class SeriesFile:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _checked(cls, **fields) -> SeriesFile:
+        """A series from all its fields, its dates known to increase; checks only that its float64 values are finite."""
+        if not np.all(np.isfinite(fields["values"])):  # finite values can difference past the float range
+            raise ValueError("series values contain NaN or infinite entries")
+        fields["values"].flags.writeable = False
+        series = object.__new__(cls)
+        series.__dict__.update(fields)
+        return series
+
     @property
     def n(self) -> int:
         return int(self.values.size)
@@ -57,9 +68,12 @@ class SeriesFile:
 
 def infer_frequency(dates: tuple[str, ...]) -> str:
     """Classify the median day gap: ~30 days monthly, ~91 quarterly."""
-    if len(dates) < 3:
+    return _frequency([datetime.date.fromisoformat(d).toordinal() for d in dates])
+
+
+def _frequency(ordinals) -> str:
+    if len(ordinals) < 3:
         return "unknown"
-    ordinals = [datetime.date.fromisoformat(d).toordinal() for d in dates]
     gap = float(np.median(np.diff(ordinals)))
     if 28 <= gap <= 31:
         return "monthly"
@@ -86,8 +100,8 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
     Raises
     ------
     CsvParseError
-        For a missing or malformed header, or an unparseable row; the
-        message carries the 1-based line number.
+        For a missing or malformed header, or a malformed or unparseable
+        row; the message carries the 1-based line number.
     DateOrderError
         If dates are not strictly increasing.
     """
@@ -95,59 +109,63 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
         reader = csv.reader(handle)
         try:
             header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
+            if date_column not in header:
+                raise CsvParseError(f"no {date_column!r} column in header {header}", line=1)
+            date_idx = header.index(date_column)
+            if value_column is None:
+                value_column = next((name for name in header if name != date_column), None)
+                if value_column is None:
+                    raise CsvParseError("no value column besides the date column", line=1)
+            if value_column not in header:
+                raise CsvParseError(f"no {value_column!r} column in header {header}", line=1)
+            value_idx = header.index(value_column)
+
+            width = len(header)
+            fromisoformat, isfinite = datetime.date.fromisoformat, math.isfinite  # looked up once, not per row
+            dates: list[str] = []
+            values: list[float] = []
+            ordinals: list[int] = []  # of the kept rows, for the frequency
+            dropped = 0
+            previous = 0  # ordinal of the last dated row; a real date's is at least 1
+            for lineno, row in enumerate(reader, start=2):
+                raw_date = row[date_idx].strip() if len(row) == width else ""
+                if not raw_date:  # only then can the row be blank
+                    if not "".join(row).strip():
+                        continue
+                    if len(row) != width:
+                        raise CsvParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+                try:
+                    parsed = fromisoformat(raw_date)
+                except ValueError:
+                    raise CsvParseError(f"unparseable date {raw_date!r}", line=lineno) from None
+                ordinal = parsed.toordinal()
+                if ordinal <= previous:
+                    raise DateOrderError(f"line {lineno}: date {raw_date} does not increase past "
+                                         f"{datetime.date.fromordinal(previous).isoformat()}")
+                previous = ordinal
+                raw_value = row[value_idx].strip()
+                if raw_value in MISSING_MARKERS:
+                    dropped += 1
+                    continue
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    raise CsvParseError(f"unparseable value {raw_value!r}", line=lineno) from None
+                if not isfinite(value):
+                    raise CsvParseError(f"non-finite value {raw_value!r}", line=lineno)
+                canonical = len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-"  # YYYY-MM-DD
+                dates.append(raw_date if canonical else parsed.isoformat())
+                values.append(value)
+                ordinals.append(ordinal)
+        except StopIteration:  # from reading the header
             raise CsvParseError("file is empty", line=1) from None
-        if date_column not in header:
-            raise CsvParseError(f"no {date_column!r} column in header {header}", line=1)
-        date_idx = header.index(date_column)
-        if value_column is None:
-            candidates = [name for name in header if name != date_column]
-            if not candidates:
-                raise CsvParseError("no value column besides the date column", line=1)
-            value_column = candidates[0]
-        if value_column not in header:
-            raise CsvParseError(f"no {value_column!r} column in header {header}", line=1)
-        value_idx = header.index(value_column)
+        except csv.Error as exc:
+            raise CsvParseError(str(exc), line=reader.line_num) from None
 
-        dates: list[str] = []
-        values: list[float] = []
-        dropped = 0
-        previous: datetime.date | None = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno
-                )
-            raw_date = row[date_idx].strip()
-            try:
-                parsed = datetime.date.fromisoformat(raw_date)
-            except ValueError:
-                raise CsvParseError(f"unparseable date {raw_date!r}", line=lineno) from None
-            if previous is not None and parsed <= previous:
-                raise DateOrderError(
-                    f"line {lineno}: date {raw_date} does not increase past {previous.isoformat()}"
-                )
-            raw_value = row[value_idx].strip()
-            if raw_value in MISSING_MARKERS:
-                dropped += 1
-                previous = parsed
-                continue
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise CsvParseError(f"unparseable value {raw_value!r}", line=lineno) from None
-            if not math.isfinite(value):
-                raise CsvParseError(f"non-finite value {raw_value!r}", line=lineno)
-            dates.append(parsed.isoformat())
-            values.append(value)
-            previous = parsed
-
-    return SeriesFile(
+    return SeriesFile._checked(
         dates=tuple(dates),
         values=np.array(values, dtype=np.float64),
-        frequency=infer_frequency(tuple(dates)),
+        frequency=_frequency(ordinals),
         source_id=value_column,
         dropped_missing=dropped,
     )
@@ -159,7 +177,7 @@ def difference(series: SeriesFile, order: int = 1) -> SeriesFile:
         raise ValueError(f"difference order must be at least 1, got {order}")
     if series.n <= order:
         raise ValueError(f"series of length {series.n} is too short to difference {order} times")
-    return SeriesFile(
+    return SeriesFile._checked(
         dates=series.dates[order:],
         values=np.diff(series.values, n=order),
         frequency=series.frequency,

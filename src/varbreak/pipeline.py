@@ -12,7 +12,6 @@ from its output alone.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import operator
 from dataclasses import dataclass, field
@@ -113,9 +112,6 @@ class TestReport:
     poly_aic_scores: tuple[tuple[int, float], ...] | None = None
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def summary(self) -> str:
         lines = [
             f"{self.kind} on {self.source_id or 'series'} "
@@ -153,6 +149,8 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     VarbreakError
         Propagated from the failing stage with a stage label.
     """
+    if config.diff_order < 0:
+        raise ValueError(f"difference order must be at least 0, got {config.diff_order}")
     if series.n < MIN_PIPELINE_LENGTH:
         raise ValueError(
             f"need at least {MIN_PIPELINE_LENGTH} observations to run the tests, got {series.n}"
@@ -333,7 +331,8 @@ def emit_report(reports, fmt: str = "human") -> str:
     items = list(reports)
     if items and isinstance(items[0], TestReport):
         if fmt == "json":
-            return _json("test_reports", reports=[r.to_dict() for r in items])
+            # a report's instance dict is its flat field map; json writes its tuples as arrays
+            return _json("test_reports", reports=[vars(r) for r in items])
         if fmt == "csv":
             return _csv(_REPORT_FIELDS, map(_REPORT_GETTER, items))
         return "\n\n".join(r.summary() for r in items) + "\n"

@@ -1,16 +1,24 @@
 """Literal, loop-based re-implementations of the statistics and of the
-AIC order choice, and a simulation of the corrected statistic's limit law.
+AIC order choice, a simulation of the corrected statistic's limit law,
+and the row-by-row CSV loader the one-pass ``load_csv`` replaced.
 
-All of it is independent of the package code.  The re-implementations
-are deliberately unoptimized: every partial sum is re-summed from
-scratch, every polynomial evaluated by naive powers.  Tests compare the
-fast implementations against them, and the simulated limit law against
-the empirical law of the corrected statistic.
+The statistics are independent of the package code.  The
+re-implementations are deliberately unoptimized: every partial sum is
+re-summed from scratch, every polynomial evaluated by naive powers.
+Tests compare the fast implementations against them, and the simulated
+limit law against the empirical law of the corrected statistic.  The
+literal loader builds the package's checked :class:`SeriesFile` and
+raises its errors, so that a differential test can compare both.
 """
 
+import csv
+import datetime
 import math
 
 import numpy as np
+
+from varbreak.dataio import MISSING_MARKERS, SeriesFile
+from varbreak.errors import CsvParseError, DateOrderError
 
 
 def cumsums_bruteforce(values, offset, length):
@@ -129,3 +137,87 @@ def generalized_bridge_quantile(
         walk = np.cumsum(z, axis=1)
         sups.append(np.max(np.abs(walk), axis=1) / (math.sqrt(m) * z.std(axis=1)))
     return float(np.quantile(np.concatenate(sups), level))
+
+
+def _infer_frequency_literal(dates):
+    """Classify the median day gap: ~30 days monthly, ~91 quarterly."""
+    if len(dates) < 3:
+        return "unknown"
+    ordinals = [datetime.date.fromisoformat(d).toordinal() for d in dates]
+    gap = float(np.median(np.diff(ordinals)))
+    if 28 <= gap <= 31:
+        return "monthly"
+    if 84 <= gap <= 96:
+        return "quarterly"
+    return "unknown"
+
+
+def load_csv_literal(path, *, date_column="DATE", value_column=None):
+    """The loader that ``load_csv`` replaced, row by row.
+
+    It tests each row for blankness with a generator, stores
+    ``isoformat()`` of every parsed date, parses every date a second time
+    for the frequency, and builds the public :class:`SeriesFile`, which
+    checks the date order again.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise CsvParseError("file is empty", line=1) from None
+        if date_column not in header:
+            raise CsvParseError(f"no {date_column!r} column in header {header}", line=1)
+        date_idx = header.index(date_column)
+        if value_column is None:
+            candidates = [name for name in header if name != date_column]
+            if not candidates:
+                raise CsvParseError("no value column besides the date column", line=1)
+            value_column = candidates[0]
+        if value_column not in header:
+            raise CsvParseError(f"no {value_column!r} column in header {header}", line=1)
+        value_idx = header.index(value_column)
+
+        dates: list[str] = []
+        values: list[float] = []
+        dropped = 0
+        previous: datetime.date | None = None
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise CsvParseError(
+                    f"expected {len(header)} fields, got {len(row)}", line=lineno
+                )
+            raw_date = row[date_idx].strip()
+            try:
+                parsed = datetime.date.fromisoformat(raw_date)
+            except ValueError:
+                raise CsvParseError(f"unparseable date {raw_date!r}", line=lineno) from None
+            if previous is not None and parsed <= previous:
+                raise DateOrderError(
+                    f"line {lineno}: date {raw_date} does not increase past {previous.isoformat()}"
+                )
+            raw_value = row[value_idx].strip()
+            if raw_value in MISSING_MARKERS:
+                dropped += 1
+                previous = parsed
+                continue
+            try:
+                value = float(raw_value)
+            except ValueError:
+                raise CsvParseError(f"unparseable value {raw_value!r}", line=lineno) from None
+            if not math.isfinite(value):
+                raise CsvParseError(f"non-finite value {raw_value!r}", line=lineno)
+            dates.append(parsed.isoformat())
+            values.append(value)
+            previous = parsed
+
+    return SeriesFile(
+        dates=tuple(dates),
+        values=np.array(values, dtype=np.float64),
+        frequency=_infer_frequency_literal(tuple(dates)),
+        source_id=value_column,
+        dropped_missing=dropped,
+    )
+

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import json
 
@@ -140,6 +141,25 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage: varbreak")
         assert "test: --level applies to --rule asymptotic" in captured.err
+
+    def test_negative_difference_order_is_an_error(self, capsys, macro_csv):
+        assert main(["test", str(macro_csv), "--diff", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "varbreak: error: difference order must be at least 0, got -1\n"
+
+    def test_difference_order_zero_tests_the_levels(self, capsys, macro_csv):
+        assert main(["test", str(macro_csv), "--diff", "0", "--clamp", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["diff_order"] == 0 and report["n_input"] == 240
+
+    def test_malformed_csv_record_is_a_line_numbered_error(self, capsys, tmp_path):
+        # csv.reader raises csv.Error on a field past its size limit; that is an error line, not a traceback
+        path = tmp_path / "HUGE.csv"
+        path.write_text('DATE,X\n2001-01-01,"' + "1" * (csv.field_size_limit() + 1) + '"\n')
+        assert main(["test", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("varbreak: error: line 2: field larger than field limit") and err.count("\n") == 1
 
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:

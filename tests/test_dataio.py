@@ -1,8 +1,10 @@
+import csv
 import datetime
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varbreak import (
@@ -15,6 +17,7 @@ from varbreak import (
 )
 
 from conftest import month_starts, write_fred_csv
+from oracles import load_csv_literal
 
 
 class TestLoadCsv:
@@ -90,12 +93,96 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="line 2"):
             load_csv(path)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD before 3.11")
+    def test_other_iso_date_forms_are_stored_as_yyyy_mm_dd(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text("DATE,X\n20000101,1.0\n2000-W01-1,2.0\n")
+        assert load_csv(path).dates == ("2000-01-01", "2000-01-03")
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_malformed_record_is_a_parse_error_with_its_line(self, tmp_path, line):
+        # a field past the csv module's size limit makes csv.reader raise csv.Error
+        huge = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+        rows = [f"DATE,{huge}", "2001-01-01,1.0"] if line == 1 else ["DATE,X", f"2001-01-01,{huge}"]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(CsvParseError, match=f"^line {line}: field larger than field limit"):
+            load_csv(path)
+
     def test_value_column_selects_by_name(self, tmp_path):
         path = tmp_path / "multi.csv"
         path.write_text("DATE,A,B\n2001-01-01,1.0,10.0\n2001-02-01,2.0,20.0\n")
         series = load_csv(path, value_column="B")
         np.testing.assert_array_equal(series.values, [10.0, 20.0])
         assert series.source_id == "B"
+
+
+_BLANK_ROWS = ("", "   ", ",", ",,", " , ")
+_BAD_DATES = ("", "2001-99-01", "2001-02-30", "01/02/2001", "x")
+_LOADABLE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from([".", "", " . ", " 1.5 "])
+)
+_VALUES = st.one_of(_LOADABLE_VALUES, st.sampled_from(["inf", "-inf", "nan", "1e400", "oops"]))
+
+
+def _date_cell(ordinal: int, form: str) -> str:
+    day = datetime.date.fromordinal(ordinal)
+    if form == "basic":
+        return day.strftime("%Y%m%d")
+    if form == "week":
+        year, week, weekday = day.isocalendar()
+        return f"{year}-W{week:02d}-{weekday}"
+    return f" {day.isoformat()} " if form == "padded" else day.isoformat()
+
+
+@st.composite
+def fred_csv_texts(draw) -> str:
+    """CSV text around a FRED export: blank, ragged and quoted rows, missing
+    and non-finite values, non-canonical, equal and decreasing dates, a BOM."""
+    columns = draw(st.permutations(["DATE", "X", "Y"][: draw(st.integers(2, 3))]))
+    lines = [",".join(columns)]
+    ordinal = datetime.date(2000, 1, 1).toordinal()
+    faulty = draw(st.booleans())  # the other half of the texts hold no row that fails to load
+    kinds = ["row"] * 8 + ["blank"] + (["ragged", "bad-date"] if faulty else [])
+    steps = [draw(st.sampled_from([30, 31, 91, 92]))] * 6 + ([1, 0, -1, -40] if faulty else [1])
+    values = _VALUES if faulty else _LOADABLE_VALUES
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(_BLANK_ROWS)))
+            continue
+        ordinal += draw(st.sampled_from(steps))
+        date = _date_cell(ordinal, draw(st.sampled_from(["iso"] * 4 + ["basic", "week", "padded"])))
+        cells = {"DATE": draw(st.sampled_from(_BAD_DATES)) if kind == "bad-date" else date}
+        cells.update((name, draw(values)) for name in columns if name != "DATE")
+        row = [cells[name] for name in columns]
+        if kind == "ragged":
+            row = row[: draw(st.integers(1, len(row) - 1))] if draw(st.booleans()) else row + ["9"]
+        lines.append(",".join('"' + cell + '"' if draw(st.booleans()) else cell for cell in row))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(loader, path):
+    try:
+        series = loader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series.dates, series.values.tobytes(), series.frequency, series.source_id, series.dropped_missing
+
+
+class TestLoadCsvMatchesTheLiteralLoader:
+    @settings(deadline=None)
+    @given(text=fred_csv_texts())
+    @example(text="DATE,X\n2000-01-01,1\n2000-03-01,.\n2000-02-01,2\n")  # decrease after a dropped row
+    @example(text="DATE,X\n2000-01-01,1\n2000-02-01,.\n2000-02-01,2\n")  # equal after a dropped row
+    @example(text="\ufeffDATE,X\n\n , \n,,\n20000101,1\n2000-W01-1,2\n2000-02-01,3\n")
+    @example(text="X,DATE\n1,2000-01-01\n2,2000-02-01\n3,2000-03-01\n")
+    def test_same_series_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("differential") / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_csv, path) == _outcome(load_csv_literal, path)
 
 
 class TestInferFrequency:
@@ -138,6 +225,15 @@ class TestDifference:
         np.testing.assert_array_equal(once_twice.values, direct.values)
         assert once_twice.dates == direct.dates
 
+    def test_values_read_only(self):
+        diffed = difference(self.make([1.0, 3.0, 6.0]), 1)
+        with pytest.raises(ValueError):
+            diffed.values[0] = 9.0
+
+    def test_differences_past_the_float_range_are_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinite"):
+            difference(self.make([1e308, -1e308, 0.0]), 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             difference(self.make([1.0, 2.0, 3.0]), 0)
@@ -167,6 +263,11 @@ class TestSeriesFile:
         path.write_text("DATE,X\n2001-01-01,1.0\n2001-01-01,2.0\n")
         with pytest.raises(DateOrderError, match="^line 3: date 2001-01-01 does not increase past 2001-01-01$"):
             load_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_values(self, bad):
+        with pytest.raises(ValueError, match="^series values contain NaN or infinite entries$"):
+            SeriesFile(dates=("2000-01-01", "2000-02-01"), values=np.array([1.0, bad]))
 
     def test_values_read_only(self):
         series = SeriesFile(dates=("2000-01-01", "2000-02-01"), values=np.array([1.0, 2.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import json
 
@@ -15,6 +16,7 @@ from varbreak import (
     run_test_pipeline,
 )
 from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
+from varbreak.pipeline import REPORT_SCHEMA_VERSION
 
 from conftest import growing_variance_levels, month_starts
 
@@ -73,6 +75,12 @@ class TestRunTestPipeline:
     def test_short_series_is_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):
             run_test_pipeline(series_from_values(np.arange(9.0)), PipelineConfig())
+
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_negative_difference_order_is_rejected(self, order):
+        # a negative order used to run on the undifferenced series and report it as the order
+        with pytest.raises(ValueError, match=f"^difference order must be at least 0, got {order}$"):
+            run_test_pipeline(white_noise_series(100, seed=7), PipelineConfig(diff_order=order))
 
     def test_positivity_failure_is_an_error_unless_clamped(self):
         # an extreme variance ramp: low-order fits go negative at the start
@@ -139,6 +147,18 @@ class TestEmitTestReports:
                 parsed["poly_aic_scores"] or [], original.poly_aic_scores or []
             ):
                 assert tuple(score_pair) == original_pair
+
+    def test_json_rows_are_the_report_fields(self, reports):
+        # Q_std leaves every poly_* field None; Q_mod has AIC scores; the copies carry warnings
+        assert reports[0].poly_order is None and reports[1].poly_aic_scores
+        warned = [dataclasses.replace(r, warnings=("first", "second")) for r in reports]
+        for items in (reports, warned):
+            payload = {
+                "schema_version": REPORT_SCHEMA_VERSION,
+                "kind": "test_reports",
+                "reports": [dataclasses.asdict(r) for r in items],
+            }
+            assert emit_report(items, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_json_is_deterministic(self, reports):
         assert emit_report(reports, "json") == emit_report(reports, "json")
