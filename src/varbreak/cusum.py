@@ -25,7 +25,10 @@ fourth is set out after the list:
 All four share one bridge kernel, ``sup_k |C_k - (k/q) C_q|`` over q
 (possibly rescaled) squares, with their mean and dispersion
 ``eta - (C_q/q)**2``.  Inclan-Tiao divides the sup by C_n = q * mean;
-the other three divide it by ``sqrt(q * dispersion)``.
+the other three divide it by ``sqrt(q * dispersion)``.  Those three run
+row-wise over a stack of series, the public functions being one-row
+calls: each failure rule is tested in one place, which records the
+row's :class:`VarbreakError` once, for a one-row call to raise.
 
 When the profile of :func:`statistic_corrected` is fitted on the same
 sample, its null limit is not ``sup|W|``.  If the true profile g lies in
@@ -66,7 +69,7 @@ import numpy as np
 
 from varbreak.errors import DegenerateSeriesError, NonpositiveVarianceError, ZeroDispersionError
 from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import VariancePolyFit, check_positivity
+from varbreak.variance_poly import VariancePolyFit, _profiles, _select, check_positivity
 
 POSITIVITY_MODES = ("error", "clamp", "none")
 
@@ -92,43 +95,66 @@ def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.abs(bridge, out=bridge).max(axis=-1), mean[..., 0], dispersion
 
 
-def _sanso(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's ``sup / sqrt(q * dispersion)``, its dispersion, and whether its squares are constant.
+def _sanso(squares: np.ndarray, failures: np.ndarray) -> np.ndarray:
+    """Each row's ``sup / sqrt(q * dispersion)``; a row with constant squares fails with ZeroDispersionError.
 
     The squares count as constant when the dispersion is within the
-    rounding of their mean, ``(q * eps * mean)**2``; the statistic is then
-    undefined and the value given for it means nothing.
+    rounding of their mean, ``(q * eps * mean)**2``.  ``failures`` holds
+    each row's first failure, the :class:`VarbreakError` a one-row call
+    raises, or None.
     """
     sup, mean, dispersion = _bridge(squares)
     q = squares.shape[-1]
     constant = dispersion <= (q * _EPS * mean) ** 2
+    for row in constant.nonzero()[0]:
+        if failures[row] is None:
+            failures[row] = ZeroDispersionError(
+                f"squared residuals are empirically constant (dispersion {dispersion[row]:.3g}); "
+                "the statistic is undefined"
+            )
     # adding the mask keeps a constant row from 0/0 and adds an exact 0 to every other row
-    return sup / np.sqrt(dispersion + constant) / math.sqrt(q), dispersion, constant
+    return sup / np.sqrt(dispersion + constant) / math.sqrt(q)
 
 
-def _corrected(values: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_sanso` of each row of ``values**2 / profile``, and whether that row's rescaled squares are finite.
+def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, failures: np.ndarray) -> np.ndarray:
+    """:func:`_sanso` of each row of ``values**2 / profile``, the profile floored at ``floor`` unless that is None.
 
-    A rescaled square that is not finite comes from a profile exactly
-    zero, or one so small that the square overflows; such a row is
-    scored as constant squares.
+    A row whose rescaled squares are not finite (a profile exactly zero,
+    or so small that a square overflows) fails with NonpositiveVarianceError.
+    Every other row is brought to unit scale by an exact power of two, so
+    that the scale of the profile cannot overflow or underflow the dispersion.
     """
+    if floor is not None:
+        profile = np.maximum(profile, floor)
     rescaled = values * values
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rescaled /= profile
-    finite = np.isfinite(rescaled).all(axis=-1)
-    rescaled[~finite] = 1.0  # a 0-d mask selects the whole of one series
-    return *_sanso(rescaled), finite
+    peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the failures and the scale
+    for row in np.nonzero(~np.isfinite(peak))[0]:
+        failures[row] = NonpositiveVarianceError("fitted variance is exactly zero inside the window")
+        rescaled[row], peak[row] = 1.0, 1.0
+    return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
-def _one(statistic, dispersion, constant) -> float:
-    """The statistic of one series, or ZeroDispersionError where :func:`_sanso` found its squares constant."""
-    if constant:
-        raise ZeroDispersionError(
-            f"squared residuals are empirically constant (dispersion {dispersion:.3g}); "
-            "the statistic is undefined"
-        )
-    return float(statistic)
+def _statistics(units: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
+    """Q_std and Q_mod of each row of (R, q) unit-scale window values, and their (2, R) failures.
+
+    Q_mod uses the profile of the row's AIC order in 1..p_max as is, with
+    no positivity floor.  A failed row's statistic means nothing.
+    """
+    failures = np.full((2, len(units)), None)
+    q_std = _sanso(units * units, failures[0])
+    coefficients = _select(units, window, p_max)[2]
+    return q_std, _corrected(units, _profiles(coefficients, window), None, failures[1]), failures
+
+
+def _one(statistic, *args) -> float:
+    """``statistic(*args, failures)`` on one row, :func:`_sanso` or :func:`_corrected`, or the row's failure raised."""
+    failures = np.full(1, None)
+    value = statistic(*args, failures)
+    if failures[0] is not None:
+        raise failures[0]
+    return float(value[0])
 
 
 def statistic_it(series: ResidualSeries) -> float:
@@ -178,7 +204,7 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     ZeroDispersionError
         If the windowed squared residuals are empirically constant.
     """
-    return _one(*_sanso(np.square(window.slice_values(series))))
+    return _one(_sanso, np.square(window.slice_values(series))[None])
 
 
 def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
@@ -217,7 +243,6 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     v = fit.window.slice_values(series)
-    profile = fit.unit_profile()
     if positivity != "none":
         report = check_positivity(fit)
         if positivity == "error" and not report.passed:
@@ -226,8 +251,5 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
                 f"(positivity floor {report.floor:.6g}); "
                 "clamp explicitly or refit with a lower order"
             )
-        profile = np.maximum(profile, fit.unit_floor)  # a no-op once "error" has passed
-    *statistic, finite = _corrected(v, profile)
-    if not finite:
-        raise NonpositiveVarianceError("fitted variance is exactly zero inside the window")
-    return _one(*statistic)
+    floor = None if positivity == "none" else fit.unit_floor  # a no-op once "error" has passed
+    return _one(_corrected, v[None], fit.unit_profile(), floor)

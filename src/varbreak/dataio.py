@@ -101,7 +101,8 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
     ------
     CsvParseError
         For a missing or malformed header, or a malformed or unparseable
-        row; the message carries the 1-based line number.
+        row; the message carries the 1-based number of the physical
+        line the row ends on.
     DateOrderError
         If dates are not strictly increasing.
     """
@@ -127,20 +128,20 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
             ordinals: list[int] = []  # of the kept rows, for the frequency
             dropped = 0
             previous = 0  # ordinal of the last dated row; a real date's is at least 1
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 raw_date = row[date_idx].strip() if len(row) == width else ""
                 if not raw_date:  # only then can the row be blank
                     if not "".join(row).strip():
                         continue
                     if len(row) != width:
-                        raise CsvParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+                        raise CsvParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
                 try:
                     parsed = fromisoformat(raw_date)
                 except ValueError:
-                    raise CsvParseError(f"unparseable date {raw_date!r}", line=lineno) from None
+                    raise CsvParseError(f"unparseable date {raw_date!r}", line=reader.line_num) from None
                 ordinal = parsed.toordinal()
                 if ordinal <= previous:
-                    raise DateOrderError(f"line {lineno}: date {raw_date} does not increase past "
+                    raise DateOrderError(f"line {reader.line_num}: date {raw_date} does not increase past "
                                          f"{datetime.date.fromordinal(previous).isoformat()}")
                 previous = ordinal
                 raw_value = row[value_idx].strip()
@@ -150,9 +151,9 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
                 try:
                     value = float(raw_value)
                 except ValueError:
-                    raise CsvParseError(f"unparseable value {raw_value!r}", line=lineno) from None
+                    raise CsvParseError(f"unparseable value {raw_value!r}", line=reader.line_num) from None
                 if not isfinite(value):
-                    raise CsvParseError(f"non-finite value {raw_value!r}", line=lineno)
+                    raise CsvParseError(f"non-finite value {raw_value!r}", line=reader.line_num)
                 canonical = len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-"  # YYYY-MM-DD
                 dates.append(raw_date if canonical else parsed.isoformat())
                 values.append(value)

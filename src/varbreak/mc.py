@@ -21,12 +21,12 @@ replication draws from its own counter-based Philox stream keyed by
 Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)`` through
 one batched kernel: the draws of a block form an (R, n) array, the
 AR(1) fits are one stacked QR, the polynomial design is factorised once
-for the whole block, and every statistic reduces along rows.  Each row
-goes through the same arithmetic, and the same BLAS and LAPACK calls, as
-a lone replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the
-scalar statistics are the one-row case of the same code), so results are
-byte-identical across runs, worker counts, block sizes and execution
-orders.
+for the whole block, and both statistics come from ``cusum._statistics``,
+which reduces along rows.  Each row goes through the same arithmetic, and
+the same BLAS and LAPACK calls, as a lone replication
+(:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public statistics
+are one-row calls of the same code), so results are byte-identical
+across runs, worker counts, block sizes and execution orders.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from typing import ClassVar
 import numpy as np
 
 from varbreak.armodel import _fit_rows
-from varbreak.cusum import _corrected, _sanso
-from varbreak.errors import ExperimentIntegrityError, NonpositiveVarianceError, SingularDesignError, ZeroDispersionError
+from varbreak.cusum import _statistics
+from varbreak.errors import ExperimentIntegrityError, SingularDesignError
 from varbreak.nulldist import DecisionRule
 from varbreak.series import ResidualSeries, SubsampleWindow, _unit_scale
-from varbreak.variance_poly import _aic_orders, _chosen_profiles, _fit_order
 
 _MASK64 = (1 << 64) - 1
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -227,11 +226,6 @@ def simulate_dgp2(spec: McExperimentSpec, replication: int, innovations=None) ->
     return _ar1(_simulate_u(spec, range(replication, replication + 1), innovations))[0]
 
 
-def _name(errors: np.ndarray, rows: np.ndarray, error: type) -> None:
-    """Record ``error`` for the given rows that have no error yet."""
-    errors[rows & (errors == "")] = error.__name__
-
-
 def _residual_units(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-scale residuals of replications ``start..stop-1``, and the rows whose AR(1) design is singular."""
     values = _simulate_u(spec, range(start, stop))
@@ -247,35 +241,23 @@ def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, .
     """Q_std, Q_mod and their failure names ('' for none) of replications ``start..stop-1``.
 
     A failure is a :class:`VarbreakError`, named by its class, or a value
-    that is not finite; a statistic is NaN where it failed.  Each row is
-    computed exactly as the one-row calls of :func:`simulate_dgp1`,
-    :func:`simulate_dgp2`, ``fit_ar_ols``, ``statistic_subsample``,
-    ``select_poly_order_aic`` and ``statistic_corrected(positivity="none")``
-    would compute it.  The profile is used as is, with no positivity floor:
-    the rejection frequencies of :func:`run_table` were calibrated that way.
+    that is not finite; a statistic is NaN where it failed.  Both statistics
+    and their failures come from ``cusum._statistics``, whose one-row case
+    ``statistic_subsample`` and ``statistic_corrected(positivity="none")``
+    run.  The profile is used as is, with no positivity floor: the
+    rejection frequencies of :func:`run_table` were calibrated that way.
     """
     units, singular = _residual_units(spec, start, stop)
-    errors_std = np.full(len(units), "", dtype=object)
-    _name(errors_std, singular, SingularDesignError)
-    errors_mod = errors_std.copy()
-    q_std, _, constant = _sanso(np.square(units))
-    _name(errors_std, constant, ZeroDispersionError)
-    window = SubsampleWindow.full(units.shape[1])
-    try:
-        squares, ols = _fit_order(units, window, spec.poly_p_max)
-    except SingularDesignError:  # the design depends on the window alone, so every row fails
-        q_mod = np.full(len(units), math.nan)
-        _name(errors_mod, True, SingularDesignError)
-    else:
-        chosen = _aic_orders(squares, ols)[1]
-        del squares  # one block-sized array fewer alive while the profiles are rescaled
-        q_mod, _, constant, finite = _corrected(units, _chosen_profiles(ols, chosen, window))
-        _name(errors_mod, ~finite, NonpositiveVarianceError)
-        _name(errors_mod, constant, ZeroDispersionError)
-    for q, errors in ((q_std, errors_std), (q_mod, errors_mod)):
+    q_std, q_mod, failures = _statistics(units, SubsampleWindow.full(units.shape[1]), spec.poly_p_max)
+    names = np.full(failures.shape, "", dtype=object)
+    failed = failures.astype(bool)  # None is false, an exception true
+    if failed.any():
+        names[failed] = [type(failure).__name__ for failure in failures[failed]]
+    names[:, singular] = SingularDesignError.__name__  # the AR(1) fit failed before either statistic
+    for q, errors in zip((q_std, q_mod), names):
         errors[(errors == "") & ~np.isfinite(q)] = NONFINITE_FAILURE
         q[errors != ""] = math.nan
-    return q_std, q_mod, errors_std, errors_mod
+    return q_std, q_mod, *names
 
 
 def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, int]:

@@ -160,33 +160,22 @@ def _fit_order(units: np.ndarray, window: SubsampleWindow, p: int) -> tuple[np.n
     return squares, nested_ols(np.vander(_centred_time(window), p + 1, increasing=True), squares, f"order {p} design")
 
 
-def _aic_orders(squares: np.ndarray, ols: NestedOls) -> tuple[np.ndarray, np.ndarray]:
-    """Floored RSS of orders 1..p_max for each row of squares, and each row's AIC order (p + 1 columns)."""
+def _select(values: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
+    """The AIC order search of each row of (R, q) unit-scale window values, from one QR.
+
+    Per row: the floored RSS of orders 1..p_max, the chosen order, its
+    coefficients zero-padded to p_max + 1, its RSS, and the mean square.
+    """
+    squares, ols = _fit_order(values, window, p_max)
     q = squares.shape[-1]
     floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum(axis=-1, keepdims=True) / q)
     rss, columns = ols.aic_choice(q, 2, floor)
-    return rss, columns - 1
-
-
-def _chosen_profiles(ols: NestedOls, chosen: np.ndarray, window: SubsampleWindow) -> np.ndarray:
-    """Unit-scale profile of each row's fit at its ``chosen`` order: one solve per order."""
     coefficients = np.zeros_like(ols.z)
-    for p in range(1, coefficients.shape[-1]):
-        rows = chosen == p
-        if rows.any():
-            coefficients[rows, : p + 1] = ols.coefficients(p + 1, rows)
-    return _profiles(coefficients, window)
-
-
-def _poly_fit(ols: NestedOls, squares: np.ndarray, window: SubsampleWindow, p: int, exponent: int):
-    return VariancePolyFit(
-        order=p,
-        unit_coefficients=tuple(ols.coefficients(p + 1).tolist()),
-        unit_rss=float(ols.rss[p + 1]),
-        window=window,
-        unit_mean_sq=float(np.mean(squares)),
-        exponent=exponent,
-    )
+    for k in set(columns.tolist()):  # one solve per column count chosen
+        rows = columns == k
+        coefficients[rows, :k] = ols.coefficients(k, rows)
+    chosen_rss = ols.rss[np.arange(columns.size), columns]
+    return rss, columns - 1, coefficients, chosen_rss, squares.sum(axis=-1) / q
 
 
 def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -> VariancePolyFit:
@@ -208,7 +197,8 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
         If ``length <= p + 1`` (no more rows than columns) or the design is rank deficient.
     """
     squares, ols = _fit_order(window.slice_values(series), window, p)
-    return _poly_fit(ols, squares, window, p, series.exponent)
+    coefficients = tuple(ols.coefficients(p + 1).tolist())
+    return VariancePolyFit(p, coefficients, float(ols.rss[p + 1]), window, float(np.mean(squares)), series.exponent)
 
 
 def select_poly_order_aic(
@@ -231,9 +221,10 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    squares, ols = _fit_order(window.slice_values(series), window, p_max)
-    rss, chosen = _aic_orders(squares, ols)
-    return OrderSelection(tuple(rss.tolist()), _poly_fit(ols, squares, window, int(chosen), series.exponent))
+    rss, p, coefficients, unit_rss, mean_sq = (a[0] for a in _select(window.slice_values(series)[None], window, p_max))
+    coefficients = tuple(coefficients[: p + 1].tolist())
+    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(mean_sq), series.exponent)
+    return OrderSelection(tuple(rss.tolist()), fit)
 
 
 def check_positivity(fit: VariancePolyFit) -> PositivityReport:

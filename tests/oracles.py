@@ -182,7 +182,8 @@ def load_csv_literal(path, *, date_column="DATE", value_column=None):
         values: list[float] = []
         dropped = 0
         previous: datetime.date | None = None
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the record's last physical line
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):

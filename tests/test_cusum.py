@@ -291,6 +291,13 @@ class TestScaleInvariance:
         assert statistic_it(scaled) == pytest.approx(statistic_it(s), rel=1e-12)
         assert statistic_sanso(scaled) == pytest.approx(statistic_sanso(s), rel=1e-12)
 
+    @pytest.mark.parametrize("value,rel", [(2.0**-1000, 0.0), (2.0**1000, 0.0), (1e-300, 4e-16)])
+    def test_extreme_constant_profiles_only_rescale(self, value, rel):
+        # a constant profile only rescales the squares, but here their dispersion leaves the float range
+        s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
+        fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
+        assert statistic_corrected(s, fit, positivity="none") == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)
+
 
 # Scales of the golden residuals, as functions of r in [-1, 1]: one growing
 # linearly, and one dipping to zero at the midpoint.

@@ -61,6 +61,21 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "tail,error,line",
+        [
+            ("2000-02-01,oops\n", CsvParseError, 4),
+            ("2000-02-01,2\n2000-01-15,3\n", DateOrderError, 5),
+            ("2000-02-01,2,9\n", CsvParseError, 4),
+        ],
+        ids=["value", "date-order", "width"],
+    )
+    def test_line_numbers_count_physical_lines_after_a_multiline_field(self, tmp_path, tail, error, line):
+        path = tmp_path / "multiline.csv"
+        path.write_text('DATE,X\n2000-01-01,"1\n"\n' + tail)  # the first record spans lines 2 and 3
+        with pytest.raises(error, match=f"^line {line}: "):
+            load_csv(path)
+
     def test_bad_date_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("DATE,X\n2001-99-01,1.0\n")

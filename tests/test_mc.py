@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import varbreak.cusum
 import varbreak.mc
 from varbreak import (
     DecisionRule,
     ExperimentIntegrityError,
     McExperimentSpec,
     SubsampleWindow,
+    VarbreakError,
     VariancePathSpec,
     ZeroDispersionError,
     experiment_for_cell,
@@ -54,6 +56,29 @@ def replication_statistics(spec, innovations):
     return (
         statistic_subsample(residuals, window),
         statistic_corrected(residuals, fit, positivity="none"),
+    )
+
+
+def replication_outcomes(spec, innovations):
+    """:func:`replication_statistics`, each statistic computed alone; one that fails is the name of its error."""
+
+    def outcome(statistic):
+        try:
+            if spec.dgp == "dgp2":
+                residuals = fit_ar_ols(simulate_dgp2(spec, 0, innovations), 1).residuals
+            else:
+                residuals = simulate_dgp1(spec, 0, innovations)
+            return statistic(residuals, SubsampleWindow.full(residuals.n))
+        except VarbreakError as exc:
+            return type(exc).__name__
+
+    return (
+        outcome(statistic_subsample),
+        outcome(
+            lambda residuals, window: statistic_corrected(
+                residuals, select_poly_order_aic(residuals, window, spec.poly_p_max).fit, positivity="none"
+            )
+        ),
     )
 
 
@@ -205,19 +230,18 @@ class TestRunExperiment:
 
     def test_hard_positivity_failures_abort_the_experiment(self, monkeypatch):
         # a fitted profile of exactly zero makes every rescaled square infinite
-        def zero_profiles(ols, chosen, window):
-            return np.zeros((len(chosen), window.length))
+        def zero_profiles(coefficients, window):
+            return np.zeros((len(coefficients), window.length))
 
-        monkeypatch.setattr(varbreak.mc, "_chosen_profiles", zero_profiles)
+        monkeypatch.setattr(varbreak.cusum, "_profiles", zero_profiles)
         with pytest.raises(ExperimentIntegrityError, match="NonpositiveVarianceError"):
             run_experiment(make_spec(replications=20))
 
     def test_nonfinite_statistics_count_as_failures(self, monkeypatch):
-        def nan_statistics(squares):
-            rows = len(squares)
-            return np.full(rows, math.nan), np.ones(rows), np.zeros(rows, dtype=bool)
+        def nan_statistics(squares, failures):
+            return np.full(len(squares), math.nan)
 
-        monkeypatch.setattr(varbreak.mc, "_sanso", nan_statistics)
+        monkeypatch.setattr(varbreak.cusum, "_sanso", nan_statistics)
         with pytest.raises(ExperimentIntegrityError, match="NonFiniteStatistic"):
             run_experiment(make_spec(replications=20))
 
@@ -286,6 +310,28 @@ class TestBlockKernel:
             result = run_experiment(spec)
             assert result.statistics_std.tobytes() == expected[:, 0].tobytes()
             assert result.statistics_mod.tobytes() == expected[:, 1].tobytes()
+
+    @pytest.mark.parametrize("dgp", ["dgp1", "dgp2"])
+    def test_failed_rows_name_what_the_scalar_path_raises(self, monkeypatch, dgp):
+        # zero innovations leave constant (zero) squares and a zero profile; dgp2's AR(1) design is then singular
+        spec = make_spec(dgp=dgp, replications=12)
+        planted = (3, 4, 10)
+        uniforms = varbreak.mc._uniforms
+
+        def zero_innovations_at_planted(seed, replications, n):
+            draws = uniforms(seed, replications, n)
+            for row, rep in enumerate(replications):
+                if rep in planted:
+                    draws[row] = 0.5
+            return draws
+
+        monkeypatch.setattr(varbreak.mc, "_uniforms", zero_innovations_at_planted)
+        q_std, q_mod, *names = varbreak.mc._block(spec, 0, spec.replications)
+        for rep in range(spec.replications):
+            innovations = np.zeros(spec.n) if rep in planted else sample_innovations(spec.n, stream(spec.seed, rep))
+            expected = replication_outcomes(spec, innovations)
+            assert (names[0][rep] or q_std[rep], names[1][rep] or q_mod[rep]) == expected
+            assert all(isinstance(outcome, str) for outcome in expected) == (rep in planted)
 
 
 class TestTables:

@@ -21,8 +21,8 @@ QUARTERLY = (270, datetime.date(1946, 10, 1), 3)
 
 def surrogate(tmp_path, shape, seed):
     count, start, step_months = shape
-    path = tmp_path / f"S{count}_{seed}.csv"
-    return load_csv(write_fred_csv(path, "X", month_starts(start, count, step_months), growing_variance_levels(count, seed)))
+    dates = month_starts(start, count, step_months)
+    return load_csv(write_fred_csv(tmp_path / f"S{count}_{seed}.csv", "X", dates, growing_variance_levels(count, seed)))
 
 
 @pytest.mark.parametrize(
