@@ -1,6 +1,7 @@
-"""Literal, loop-based re-implementations of the statistics and of the
-AIC order choice, a simulation of the corrected statistic's limit law,
-and the row-by-row CSV loader the one-pass ``load_csv`` replaced.
+"""Literal, loop-based re-implementations of the statistics, of the
+AIC order choice and of the AR(1) recursion, a simulation of the
+corrected statistic's limit law, and the row-by-row CSV loader the
+one-pass ``load_csv`` replaced.
 
 The statistics are independent of the package code.  The
 re-implementations are deliberately unoptimized: every partial sum is
@@ -83,6 +84,19 @@ def corrected_statistic_literal(values, offset, q, n, coefficients, center):
     for k in range(1, q + 1):
         best = max(best, abs(cumsums[k - 1] - (k / q) * cumsums[q - 1]) / denominator)
     return best / math.sqrt(q)
+
+
+def ar1_literal(u):
+    """Rows x_t = 0.4*x_{t-1} + u_t with x_0 = 0, one Python float at a time."""
+    rows = []
+    for row in np.atleast_2d(u).tolist():
+        x = 0.0
+        path = []
+        for v in row:
+            x = 0.4 * x + v
+            path.append(x)
+        rows.append(path)
+    return np.array(rows, dtype=np.float64).reshape(np.shape(u))
 
 
 def aic_choice_literal(rss, n, first, floor):

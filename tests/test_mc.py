@@ -27,6 +27,8 @@ from varbreak import (
     variance_path,
 )
 
+from oracles import ar1_literal
+
 
 def make_spec(**overrides) -> McExperimentSpec:
     defaults = dict(
@@ -192,6 +194,46 @@ class TestSimulateDgp2:
         )
         assert 0.35 < estimates.mean() < 0.42
         assert abs(estimates.mean() - 0.4) < 0.05
+
+
+class TestAr1Recursion:
+    """``mc._ar1`` against the literal float loop, byte for byte."""
+
+    @staticmethod
+    def draws(rows, n, seed=0):
+        return np.random.default_rng(seed).standard_normal((rows, n))
+
+    @staticmethod
+    def assert_literal(u):
+        assert varbreak.mc._ar1(u).tobytes() == ar1_literal(u).tobytes()
+
+    @pytest.mark.parametrize("n", [6, 50, 255, 256, 2000, 5000])
+    @pytest.mark.parametrize("rows", [1, 16, 300])
+    def test_equals_the_literal_loop(self, rows, n):
+        self.assert_literal(self.draws(rows, n, seed=rows * n))
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**1000])
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_extreme_scales(self, rows, scale):
+        self.assert_literal(self.draws(rows, 2000) * scale)
+
+    @pytest.mark.parametrize("rows", [1, 16, 300])
+    def test_zero_nan_and_inf_rows(self, rows):
+        u = self.draws(rows, 2000)
+        u[0] = 0.0
+        u[-1, 1500] = math.nan  # in the last time chunk
+        if rows > 1:
+            u[1, 140] = math.inf  # near the start of the second chunk
+            u[1, 900] = -math.inf
+            u[2, 700:] = -math.inf
+            u[3, 10] = -0.0
+        with np.errstate(invalid="ignore"):  # inf and -inf meet in row 1: NaN from there on
+            self.assert_literal(u)
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_warm_up_too_short_to_verify(self, monkeypatch, rows):
+        monkeypatch.setattr(varbreak.mc, "_WARM", 1, raising=False)
+        self.assert_literal(self.draws(rows, 2000, seed=7))
 
 
 class TestRunExperiment:
