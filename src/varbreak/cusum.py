@@ -119,20 +119,32 @@ def _sanso(squares: np.ndarray, failures: np.ndarray) -> np.ndarray:
 def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, failures: np.ndarray) -> np.ndarray:
     """:func:`_sanso` of each row of ``values**2 / profile``, the profile floored at ``floor`` unless that is None.
 
-    A row whose rescaled squares are not finite (a profile exactly zero,
-    or so small that a square overflows) fails with NonpositiveVarianceError.
-    Every other row is brought to unit scale by an exact power of two, so
-    that the scale of the profile cannot overflow or underflow the dispersion.
+    A row whose rescaled squares are not finite (a profile so small that a
+    square overflows) is redone with its profile scaled by the power of two
+    of its peak.  If they are still not finite (a profile exactly zero, or
+    spanning more than the float range), the row fails with
+    NonpositiveVarianceError.  Every other row is brought to unit scale by
+    an exact power of two, so that the scale of the profile cannot overflow
+    or underflow the dispersion.
     """
     if floor is not None:
         profile = np.maximum(profile, floor)
     rescaled = values * values
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rescaled /= profile
-    peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the failures and the scale
-    for row in np.nonzero(~np.isfinite(peak))[0]:
-        failures[row] = NonpositiveVarianceError("fitted variance is exactly zero inside the window")
-        rescaled[row], peak[row] = 1.0, 1.0
+        peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
+        for row in np.nonzero(~np.isfinite(peak))[0]:
+            row_profile = np.broadcast_to(profile, rescaled.shape)[row]
+            row_profile = np.ldexp(row_profile, -np.frexp(np.abs(row_profile).max())[1])
+            rescaled[row] = values[row] * values[row] / row_profile
+            peak[row] = np.abs(rescaled[row]).max()
+            if not np.isfinite(peak[row]):
+                failures[row] = NonpositiveVarianceError(
+                    "fitted variance is exactly zero inside the window"
+                    if (row_profile == 0.0).any()
+                    else "fitted variance spans more than the floating-point range inside the window"
+                )
+                rescaled[row], peak[row] = 1.0, 1.0
     return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
@@ -243,9 +255,9 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     v = fit.window.slice_values(series)
-    if positivity != "none":
+    if positivity == "error":
         report = check_positivity(fit)
-        if positivity == "error" and not report.passed:
+        if not report.passed:
             raise NonpositiveVarianceError(
                 f"fitted variance dips to {report.min_value:.6g} at t={report.t_min} "
                 f"(positivity floor {report.floor:.6g}); "

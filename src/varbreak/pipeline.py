@@ -177,12 +177,13 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     with _stage("variance-fit"):
         selection = select_poly_order_aic(residuals, window, p_max)
     poly_fit = selection.fit
-    positivity = check_positivity(poly_fit)
-    if not positivity.passed and config.clamp:
-        warnings.append(
-            f"variance profile floored at {positivity.floor:.6g} "
-            f"(minimum {positivity.min_value:.6g} at t={positivity.t_min})"
-        )
+    if config.clamp:  # a strict run is checked, and fails, inside statistic_corrected
+        positivity = check_positivity(poly_fit)
+        if not positivity.passed:
+            warnings.append(
+                f"variance profile floored at {positivity.floor:.6g} "
+                f"(minimum {positivity.min_value:.6g} at t={positivity.t_min})"
+            )
     with _stage("statistic-mod"):
         q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ class TestScaleInvariance:
         s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
         fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
         assert statistic_corrected(s, fit, positivity="none") == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("value", [2.0**-1040, 5e-324])
+    def test_subnormal_constant_profiles_only_rescale(self, value):
+        # every square overflows when divided by the profile as it is
+        s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
+        fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert statistic_corrected(s, fit, positivity="none") == statistic_sanso(s)
+
+    @pytest.mark.parametrize(
+        "a0,message",
+        [(0.0, "exactly zero"), (5e-324, "spans more than the floating-point range")],
+    )
+    def test_profile_through_zero_fails_by_name(self, a0, message):
+        # the linear profile a0 + (t/n - 1/2) is a0 at t = n/2 and about 0.5 at the ends
+        s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
+        fit = VariancePolyFit(
+            order=1, unit_coefficients=(a0, 1.0), unit_rss=0.0, window=SubsampleWindow.full(s.n), unit_mean_sq=1.0
+        )
+        with pytest.raises(NonpositiveVarianceError, match=message):
+            statistic_corrected(s, fit, positivity="none")
 
 
 # Scales of the golden residuals, as functions of r in [-1, 1]: one growing

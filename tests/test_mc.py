@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,13 @@ class TestSimulateDgp1:
         assert draws.var() == pytest.approx(expected, rel=0.05)
 
 
+@pytest.mark.parametrize("simulate", [simulate_dgp1, simulate_dgp2])
+@pytest.mark.parametrize("shape", [(2, 30), (29,), (31,), (30, 1), ()])
+def test_innovations_of_the_wrong_shape_are_named(simulate, shape):
+    with pytest.raises(ValueError, match=rf"^innovations must have shape \(30,\), got {re.escape(str(shape))}$"):
+        simulate(make_spec(n=30), 0, innovations=np.ones(shape))
+
+
 class TestSimulateDgp2:
     def test_zero_innovations_give_zero_path(self):
         spec = make_spec(n=30)
@@ -232,8 +240,13 @@ class TestAr1Recursion:
 
     @pytest.mark.parametrize("rows", [1, 16])
     def test_warm_up_too_short_to_verify(self, monkeypatch, rows):
-        monkeypatch.setattr(varbreak.mc, "_WARM", 1, raising=False)
+        # one warm-up step cannot absorb the zero a chunk starts from, so every row is redone
+        monkeypatch.setattr(varbreak.mc, "_WARM", 1)
+        widths = []
+        recursion = varbreak.mc._recursion
+        monkeypatch.setattr(varbreak.mc, "_recursion", lambda x: widths.append(x.shape[1]) or recursion(x))
         self.assert_literal(self.draws(rows, 2000, seed=7))
+        assert widths[1:] == [rows]
 
 
 class TestRunExperiment:

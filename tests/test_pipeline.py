@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import varbreak.cusum
+import varbreak.pipeline
 from varbreak import (
     DecisionRule,
     NonpositiveVarianceError,
@@ -94,6 +96,20 @@ class TestRunTestPipeline:
         clamped = PipelineConfig(diff_order=0, ar_order=0, p_max=1, clamp=True)
         _, report_mod = run_test_pipeline(series, clamped)
         assert any("floored" in warning for warning in report_mod.warnings)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_positivity_is_checked_once_per_run(self, monkeypatch, clamp):
+        calls = []
+        check = varbreak.pipeline.check_positivity
+
+        def counted(fit):
+            calls.append(fit)
+            return check(fit)
+
+        for module in (varbreak.pipeline, varbreak.cusum):
+            monkeypatch.setattr(module, "check_positivity", counted)
+        run_test_pipeline(series_from_values(growing_variance_levels(200, seed=42)), PipelineConfig(clamp=clamp))
+        assert len(calls) == 1
 
     def test_window_too_short_for_order_one_is_a_labelled_error(self):
         series = series_from_values(growing_variance_levels(661, seed=42))
