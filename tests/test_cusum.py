@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -292,21 +291,15 @@ class TestScaleInvariance:
         assert statistic_it(scaled) == pytest.approx(statistic_it(s), rel=1e-12)
         assert statistic_sanso(scaled) == pytest.approx(statistic_sanso(s), rel=1e-12)
 
-    @pytest.mark.parametrize("value,rel", [(2.0**-1000, 0.0), (2.0**1000, 0.0), (1e-300, 4e-16)])
+    @pytest.mark.parametrize(
+        "value,rel", [(2.0**-1000, 0.0), (2.0**1000, 0.0), (1e-300, 4e-16), (2.0**-1040, 0.0), (5e-324, 0.0)]
+    )
     def test_extreme_constant_profiles_only_rescale(self, value, rel):
-        # a constant profile only rescales the squares, but here their dispersion leaves the float range
+        # a constant profile only rescales the squares, but here their dispersion leaves the float
+        # range, and below 2**-1022 the squares divided by the profile overflow; a RuntimeWarning fails
         s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
         fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
         assert statistic_corrected(s, fit, positivity="none") == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)
-
-    @pytest.mark.parametrize("value", [2.0**-1040, 5e-324])
-    def test_subnormal_constant_profiles_only_rescale(self, value):
-        # every square overflows when divided by the profile as it is
-        s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
-        fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert statistic_corrected(s, fit, positivity="none") == statistic_sanso(s)
 
     @pytest.mark.parametrize(
         "a0,message",
