@@ -5,103 +5,74 @@ the error variance drifts smoothly with time.  This package provides
 the classical statistics, a corrected statistic that first removes a
 fitted polynomial variance profile, a deterministic Monte Carlo engine
 for size/power studies, and a CSV-to-report pipeline with a CLI.
+
+Public names load with their module on first use, so ``varbreak test``
+loads neither the Monte Carlo engine nor a process pool.
 """
 
-from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
-from varbreak.cusum import (
-    statistic_corrected,
-    statistic_it,
-    statistic_sanso,
-    statistic_subsample,
-)
-from varbreak.dataio import SeriesFile, difference, infer_frequency, load_csv
-from varbreak.errors import (
-    CsvParseError,
-    DateOrderError,
-    DegenerateSeriesError,
-    ExperimentIntegrityError,
-    NonpositiveVarianceError,
-    SingularDesignError,
-    VarbreakError,
-    WindowBoundsError,
-    ZeroDispersionError,
-)
-from varbreak.mc import (
-    McExperimentSpec,
-    McResult,
-    SimulationTable,
-    VariancePathSpec,
-    experiment_for_cell,
-    run_experiment,
-    run_table,
-    sample_innovations,
-    simulate_dgp1,
-    simulate_dgp2,
-    stream,
-    variance_path,
-)
-from varbreak.nulldist import DecisionRule, kolmogorov_cdf, kolmogorov_quantile, pvalue
-from varbreak.pipeline import PipelineConfig, TestReport, emit_report, run_test_pipeline
-from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import (
-    OrderSelection,
-    PositivityReport,
-    VariancePolyFit,
-    check_positivity,
-    fit_variance_poly,
-    select_poly_order_aic,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArFit",
-    "CsvParseError",
-    "DateOrderError",
-    "DecisionRule",
-    "DegenerateSeriesError",
-    "ExperimentIntegrityError",
-    "McExperimentSpec",
-    "McResult",
-    "NonpositiveVarianceError",
-    "OrderSelection",
-    "PipelineConfig",
-    "PositivityReport",
-    "ResidualSeries",
-    "SeriesFile",
-    "SimulationTable",
-    "SingularDesignError",
-    "SubsampleWindow",
-    "TestReport",
-    "VarbreakError",
-    "VariancePathSpec",
-    "VariancePolyFit",
-    "WindowBoundsError",
-    "ZeroDispersionError",
-    "check_positivity",
-    "default_max_order",
-    "difference",
-    "emit_report",
-    "experiment_for_cell",
-    "fit_ar_ols",
-    "fit_variance_poly",
-    "infer_frequency",
-    "kolmogorov_cdf",
-    "kolmogorov_quantile",
-    "load_csv",
-    "pvalue",
-    "run_experiment",
-    "run_table",
-    "run_test_pipeline",
-    "sample_innovations",
-    "select_ar_order",
-    "select_poly_order_aic",
-    "simulate_dgp1",
-    "simulate_dgp2",
-    "statistic_corrected",
-    "statistic_it",
-    "statistic_sanso",
-    "statistic_subsample",
-    "stream",
-    "variance_path",
-]
+#: The public names of each submodule; ``__all__`` is derived from it.
+_EXPORTS = {
+    "armodel": ("ArFit", "default_max_order", "fit_ar_ols", "select_ar_order"),
+    "cusum": ("statistic_corrected", "statistic_it", "statistic_sanso", "statistic_subsample"),
+    "dataio": ("SeriesFile", "difference", "infer_frequency", "load_csv"),
+    "errors": (
+        "CsvParseError",
+        "DateOrderError",
+        "DegenerateSeriesError",
+        "ExperimentIntegrityError",
+        "NonpositiveVarianceError",
+        "SingularDesignError",
+        "VarbreakError",
+        "WindowBoundsError",
+        "ZeroDispersionError",
+    ),
+    "mc": (
+        "McExperimentSpec",
+        "McResult",
+        "SimulationTable",
+        "VariancePathSpec",
+        "experiment_for_cell",
+        "run_experiment",
+        "run_table",
+        "sample_innovations",
+        "simulate_dgp1",
+        "simulate_dgp2",
+        "stream",
+        "variance_path",
+    ),
+    "nulldist": ("DecisionRule", "kolmogorov_cdf", "kolmogorov_quantile", "pvalue"),
+    "pipeline": ("PipelineConfig", "TestReport", "emit_report", "run_test_pipeline"),
+    "series": ("ResidualSeries", "SubsampleWindow"),
+    "variance_poly": (
+        "OrderSelection",
+        "PositivityReport",
+        "VariancePolyFit",
+        "check_positivity",
+        "fit_variance_poly",
+        "select_poly_order_aic",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "_ols", "cli"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the module that owns ``name``, or the submodule ``name``, on first access (PEP 562)."""
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

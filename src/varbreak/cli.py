@@ -17,7 +17,6 @@ import sys
 
 from varbreak.dataio import load_csv
 from varbreak.errors import VarbreakError
-from varbreak.mc import run_table
 from varbreak.nulldist import DecisionRule, kolmogorov_quantile
 from varbreak.pipeline import PipelineConfig, emit_report, run_test_pipeline
 
@@ -105,6 +104,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from varbreak.mc import run_table  # here, not at the top: only this command runs the engine
+
     table = run_table(
         args.table,
         seed=args.seed,

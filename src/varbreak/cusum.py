@@ -74,6 +74,8 @@ from varbreak.variance_poly import VariancePolyFit, _profiles, _select, check_po
 POSITIVITY_MODES = ("error", "clamp", "none")
 
 _EPS = float(np.finfo(np.float64).eps)
+# 2**(53 - 1022): with a peak at least this large, every square within 2**53 of it is normal
+_SMALLEST_PEAK = 2.0**-969
 
 
 def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,12 +122,13 @@ def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, fai
     """:func:`_sanso` of each row of ``values**2 / profile``, the profile floored at ``floor`` unless that is None.
 
     A row whose rescaled squares are not finite (a profile so small that a
-    square overflows) is redone with its profile scaled by the power of two
-    of its peak.  If they are still not finite (a profile exactly zero, or
-    spanning more than the float range), the row fails with
-    NonpositiveVarianceError.  Every other row is brought to unit scale by
-    an exact power of two, so that the scale of the profile cannot overflow
-    or underflow the dispersion.
+    square overflows), or peak below ``_SMALLEST_PEAK`` (a profile so large
+    that squares within 2**53 of the peak may be subnormal), is redone with
+    its profile scaled by the power of two of its peak.  If they are still
+    not finite (a profile exactly zero, or spanning more than the float
+    range), the row fails with NonpositiveVarianceError.  Every other row is
+    brought to unit scale by an exact power of two, so that the scale of the
+    profile cannot overflow or underflow the dispersion.
     """
     if floor is not None:
         profile = np.maximum(profile, floor)
@@ -133,7 +136,7 @@ def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, fai
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rescaled /= profile
         peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
-        for row in np.nonzero(~np.isfinite(peak))[0]:
+        for row in np.nonzero(~np.isfinite(peak) | (peak < _SMALLEST_PEAK))[0]:
             row_profile = np.broadcast_to(profile, rescaled.shape)[row]
             row_profile = np.ldexp(row_profile, -np.frexp(np.abs(row_profile).max())[1])
             rescaled[row] = values[row] * values[row] / row_profile

@@ -42,7 +42,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -314,7 +313,13 @@ def _run_cells(specs: list[McExperimentSpec], workers: int) -> list[McResult]:
     """The result of each spec; with ``workers > 1`` all blocks of all cells share one process pool."""
     starts = [range(0, spec.replications, max(1, BLOCK_ELEMENTS // spec.n)) for spec in specs]  # block starts
     jobs = [(spec, start, min(start + r.step, spec.replications)) for spec, r in zip(specs, starts) for start in r]
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, not at the top: a serial run never pays its import
+
+        context = ProcessPoolExecutor(max_workers=workers)
+    else:
+        context = contextlib.nullcontext()
+    with context as pool:
         done = pool.map(_block, *zip(*jobs)) if pool else itertools.starmap(_block, jobs)  # lazy, in job order
         return [_aggregate(spec, list(itertools.islice(done, len(r)))) for spec, r in zip(specs, starts)]
 

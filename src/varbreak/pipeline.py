@@ -14,16 +14,20 @@ from __future__ import annotations
 import contextlib
 import json
 import operator
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
 from varbreak.cusum import statistic_corrected, statistic_subsample
 from varbreak.dataio import SeriesFile, difference
 from varbreak.errors import VarbreakError
-from varbreak.mc import McResult, SimulationTable
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow
 from varbreak.variance_poly import DEFAULT_P_MAX, check_positivity, select_poly_order_aic
+
+if TYPE_CHECKING:  # the Monte Carlo engine loads only for the commands that run it
+    from varbreak.mc import McResult, SimulationTable
 
 REPORT_SCHEMA_VERSION = 1
 MIN_PIPELINE_LENGTH = 10
@@ -322,7 +326,8 @@ def emit_report(reports, fmt: str = "human") -> str:
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    if isinstance(reports, SimulationTable):
+    # a table exists only once varbreak.mc is imported; isinstance of the empty tuple is False
+    if isinstance(reports, getattr(sys.modules.get("varbreak.mc"), "SimulationTable", ())):
         if fmt == "csv":
             return _table_csv(reports)
         if fmt == "json":

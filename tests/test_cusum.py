@@ -292,11 +292,22 @@ class TestScaleInvariance:
         assert statistic_sanso(scaled) == pytest.approx(statistic_sanso(s), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "value,rel", [(2.0**-1000, 0.0), (2.0**1000, 0.0), (1e-300, 4e-16), (2.0**-1040, 0.0), (5e-324, 0.0)]
+        "value,rel",
+        [
+            (2.0**-1000, 0.0),
+            (2.0**1000, 0.0),
+            (1e-300, 4e-16),
+            (2.0**-1040, 0.0),
+            (5e-324, 0.0),
+            (2.0**1020, 0.0),
+            (2.0**1023, 0.0),
+            (1.7e308, 4e-16),
+        ],
     )
     def test_extreme_constant_profiles_only_rescale(self, value, rel):
         # a constant profile only rescales the squares, but here their dispersion leaves the float
-        # range, and below 2**-1022 the squares divided by the profile overflow; a RuntimeWarning fails
+        # range, below 2**-1022 the squares divided by the profile overflow, and above 2**969 the
+        # small ones are subnormal; a RuntimeWarning fails
         s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
         fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
         assert statistic_corrected(s, fit, positivity="none") == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 
@@ -418,12 +419,12 @@ class TestTables:
         # 15 cells of 2, 3 and 5 blocks at n = 50, 100 and 200: one pool, not one per cell
         pools = []
 
-        class CountingPool(varbreak.mc.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 pools.append(self)
 
-        monkeypatch.setattr(varbreak.mc, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         parallel = run_table(3, seed=13, replications=700, workers=2)
         assert len(pools) == 1
         serial = run_table(3, seed=13, replications=700)
