@@ -1,6 +1,6 @@
 """Nested least squares: every leading-column fit of one design from one QR, for a stack of responses.
 
-Its rules: :func:`nested_ols` alone rejects a design with no more rows than columns,
+Its rules: :func:`factorise` alone rejects a design with no more rows than columns,
 however short the input, as a ``SingularDesignError`` naming both, and an AIC order
 search takes the least AIC of a floored RSS, ties going to the smaller order.
 """
@@ -56,24 +56,20 @@ class NestedOls:
         return rss, first + aic(rss, n, first).argmin(axis=-1)
 
 
-def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
-    """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs.
+def factorise(design: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin QR ``(q, r, singular)`` of one m x K design or of a stack (R, m, K) of designs, one per row.
 
-    ``design`` is one m x K matrix shared by every row of the (..., m)
-    responses ``y``, or a stack (R, m, K) of designs for (R, m) responses,
-    one per row.  Every row goes through the same BLAS and LAPACK calls as
-    a lone series, so its fit does not depend on the rows stacked with it.
     A column depends numerically on those before it when
     ``|R_kk| <= eps * max(m, K) * max_j |R_jj|``, the default rank
-    threshold of numpy's least-squares solver.
+    threshold of numpy's least-squares solver.  ``singular`` flags the
+    designs of a stack that are rank deficient; their ``r`` is the identity.
 
     Raises
     ------
     SingularDesignError
         If the design has no more rows than columns (no residual degree
         of freedom), with the message "``what`` has m rows for K columns";
-        or if a shared design is rank deficient.  A row of a stack whose
-        design is rank deficient is flagged instead, and its fit is zero.
+        or if a shared design is rank deficient.
     """
     m, width = design.shape[-2:]
     if m <= width:
@@ -87,13 +83,37 @@ def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
             f"{what} is rank deficient: column {int(np.argmax(dependent))} of {width} "
             "depends numerically on the columns before it"
         )
+    if singular.any():
+        r[singular] = np.eye(width)
+    return q, r, singular
+
+
+def fit_factorised(factors: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) -> NestedOls:
+    """Fit the (..., m) responses ``y`` on each leading sub-design of a :func:`factorise` result.
+
+    A row of a stack whose design is rank deficient gets a zero fit.
+    """
+    q, r, singular = factors
     z = np.matmul(np.swapaxes(q, -1, -2), y[..., None])
     if singular.any():
-        r[singular], z[singular] = np.eye(width), 0.0
+        z[singular] = 0.0
     resid = np.matmul(q, z)[..., 0]
     np.subtract(y, resid, out=resid)
     z = z[..., 0]
-    rss = np.zeros((*z.shape[:-1], width + 1))
-    rss[..., :width] = np.cumsum((z * z)[..., ::-1], axis=-1)[..., ::-1]
+    rss = np.zeros((*z.shape[:-1], r.shape[-1] + 1))
+    rss[..., :-1] = np.cumsum((z * z)[..., ::-1], axis=-1)[..., ::-1]
     rss += np.matmul(resid[..., None, :], resid[..., None])[..., 0]
     return NestedOls(r=r, z=z, rss=rss, singular=singular)
+
+
+def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
+    """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs.
+
+    ``design`` is one m x K matrix shared by every row of the (..., m)
+    responses ``y``, or a stack (R, m, K) of designs for (R, m) responses,
+    one per row.  Every row goes through the same BLAS and LAPACK calls as
+    a lone series, so its fit does not depend on the rows stacked with it.
+    The errors are those of :func:`factorise`; a row of a stack whose
+    design is rank deficient is flagged instead, and its fit is zero.
+    """
+    return fit_factorised(factorise(design, what), y)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from varbreak.dataio import load_csv
 from varbreak.errors import VarbreakError
 from varbreak.nulldist import DecisionRule, kolmogorov_quantile
-from varbreak.pipeline import PipelineConfig, emit_report, run_test_pipeline
 
 DEFAULT_SEED = 12345
+#: ``PipelineConfig.p_max``, written out so that building the parser imports no pipeline
+DEFAULT_PMAX = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("file", help="CSV file with a DATE column and one value column")
     test.add_argument("--diff", type=int, default=1, metavar="K", help="difference order (default 1, 0 to skip)")
     test.add_argument("--ar", default="auto", metavar="auto|M", help="AR order, or 'auto' for AIC selection")
-    test.add_argument("--pmax", type=int, default=PipelineConfig.p_max, metavar="P",
+    test.add_argument("--pmax", type=int, default=DEFAULT_PMAX, metavar="P",
                       help="largest polynomial order tried (default %(default)s)")
     test.add_argument("--gamma", type=float, default=1.0, metavar="G", help="window exponent, length floor(n**G)")
     test.add_argument("--offset", type=float, default=0.0, metavar="F", help="window start as a fraction of n")
@@ -81,6 +81,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_test(args) -> int:
+    from varbreak.dataio import load_csv  # here and below, not at the top: critval runs neither
+    from varbreak.pipeline import PipelineConfig, emit_report, run_test_pipeline
+
     series = load_csv(args.file, date_column=args.date_column, value_column=args.value_column)
     if args.ar == "auto":
         ar_order = None
@@ -105,6 +108,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from varbreak.mc import run_table  # here, not at the top: only this command runs the engine
+    from varbreak.pipeline import emit_report
 
     table = run_table(
         args.table,

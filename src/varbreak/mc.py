@@ -21,18 +21,20 @@ replication draws from its own counter-based Philox stream keyed by
 Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)`` through
 one batched kernel: the draws of a block form an (R, n) array, the
 AR(1) fits are one stacked QR, the polynomial design is factorised once
-for the whole block, and both statistics come from ``cusum._statistics``,
-which reduces along rows.  Each row goes through the same arithmetic, and
-the same BLAS and LAPACK calls, as a lone replication
+per sample size and shared by every block (``variance_poly`` keeps it),
+and both statistics come from ``cusum._statistics``, which reduces along
+rows.  Each row goes through the same arithmetic, and the same BLAS and
+LAPACK calls, as a lone replication
 (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public statistics
 are one-row calls of the same code), so results are byte-identical
 across runs, worker counts, block sizes and execution orders.
 
 The AR(1) recursion of dgp2 runs the time chunks of a block's rows side
 by side, up to 256 in all, each started from zero a fixed number of steps
-early.  A row is kept only where each chunk's warm-up ends on the exact
-bits of the chunk before it, which makes every later value exact; any
-other row is redone in one plain pass.
+early, whenever that takes fewer steps than the series is long: a short
+block of a few rows as well as a long series.  A row is kept only where
+each chunk's warm-up ends on the exact bits of the chunk before it, which
+makes every later value exact; any other row is redone in one plain pass.
 """
 
 from __future__ import annotations
@@ -107,15 +109,24 @@ def _uniforms(seed: int, replications: range, n: int) -> np.ndarray:
     """``stream(seed, rep).random(n)`` of each replication, as rows.
 
     One Philox is reset for every row to the state a new stream starts
-    from, key ``(seed, rep)`` with counter 0 and an empty buffer, which
-    skips the entropy a new generator draws only for the key to override.
+    from: key ``(seed, rep)``, counter 0 and an empty buffer.  The state is
+    one dict of Python ints and lists, built once, in which only the key
+    changes; that skips both the entropy a new generator draws only for
+    the key to override and the conversion of numpy arrays on every reset.
     """
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    state = bit_generator.state  # counter 0, empty buffer
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # empty: the next draw computes a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     draws = np.empty((len(replications), n))
     for row, rep in zip(draws, replications):
-        state["state"]["key"] = np.array([seed & _MASK64, rep & _MASK64], dtype=np.uint64)
+        state["state"]["key"] = [seed & _MASK64, rep & _MASK64]
         bit_generator.state = state
         rng.random(out=row)
     return draws
@@ -225,18 +236,22 @@ def _recursion(x: np.ndarray) -> np.ndarray:
 def _ar1(u: np.ndarray) -> np.ndarray:
     """Rows x_t = 0.4*x_{t-1} + u_t with x_0 = 0, in k verified time chunks per row.
 
-    Each row is cut into k chunks of length L, run side by side as lanes of
-    one time-major recursion; lane j starts from zero _WARM steps before
-    its chunk.  A row is kept only if every lane's state at the end of its
-    warm-up has the bits of the previous lane's state at that time: lane 0
-    is exact, and the same bits give the same later values, so every lane
-    is.  Other rows rerun in one pass, as does everything when k is 1.
+    Each row is cut into k chunks of length L = ceil(n / max(1, _LANES // rows)),
+    k = ceil(n / L), so every chunk starts inside the row.  The chunks run
+    side by side as lanes of one time-major recursion of _WARM + L steps;
+    lane j starts from zero _WARM steps before its chunk.  A row is kept
+    only if every lane's state at the end of its warm-up has the bits of
+    the previous lane's state at that time: lane 0 is exact, and the same
+    bits give the same later values, so every lane is.  Other rows rerun
+    in one plain pass of n steps, as does the whole block when that is no
+    longer than _WARM + L: lanes serve a short block of a few rows as well
+    as a long series.
     """
     rows, n = u.shape
-    k = max(1, min(_LANES // rows, n // (2 * _WARM)))
-    if k == 1:
+    length = -(-n // max(1, _LANES // rows))
+    k = -(-n // length)  # every lane starts inside the row
+    if _WARM + length >= n:
         return np.ascontiguousarray(_recursion(u.T.copy()).T)
-    length = -(-n // k)
     padded = np.zeros((rows, _WARM + k * length))  # lane 0 warms up on zeros
     padded[:, _WARM : _WARM + n] = u
     # (rows, k, _WARM + length): lane j reads times j*length - _WARM .. (j+1)*length - 1

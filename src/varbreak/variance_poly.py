@@ -10,7 +10,8 @@ columns are strongly collinear for larger p, so normal equations are
 avoided).  The fitted profile feeds the corrected statistic in
 :mod:`varbreak.cusum`; order selection uses the Gaussian AIC
 ``q * log(RSS/q) + 2(p+1)``.  The designs of successive orders are
-nested, so one QR of the largest design gives every order's fit.  This
+nested, so one QR of the largest design gives every order's fit; it is
+computed once per window and order and shared by every later fit.  This
 search and the AR one in :mod:`varbreak.armodel` share :mod:`varbreak._ols`,
 which owns that routine, the AIC rule and the rows-exceed-columns bound.
 Fits, order choices and positivity checks run on unit-scale squares; what
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from varbreak._ols import NestedOls, aic, nested_ols
+from varbreak._ols import NestedOls, aic, factorise, fit_factorised
 from varbreak.series import ResidualSeries, SubsampleWindow
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
@@ -98,9 +99,7 @@ class VariancePolyFit:
     @functools.cached_property
     def _unit_profile(self) -> np.ndarray:
         # evaluated once: the positivity check and the corrected statistic both read it
-        profile = _profiles(np.array(self.unit_coefficients), self.window)
-        profile.flags.writeable = False
-        return profile
+        return _read_only(_profiles(np.array(self.unit_coefficients), self.window))
 
     def profile(self) -> np.ndarray:
         return _true_units(self.unit_profile(), 2 * self.exponent)
@@ -134,9 +133,25 @@ class PositivityReport:
     t_min: int
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=8)
 def _centred_time(window: SubsampleWindow) -> np.ndarray:
-    """The regressor ``t/n - r0`` at every t of the window."""
-    return window.times() / window.n - window.center
+    """The regressor ``t/n - r0`` at every t of the window; read-only, computed once per window."""
+    return _read_only(window.times() / window.n - window.center)
+
+
+@functools.lru_cache(maxsize=8)
+def _design_factors(window: SubsampleWindow, p: int) -> tuple[np.ndarray, np.ndarray, np.bool_]:
+    """:func:`factorise` of the window's order-``p`` design, with read-only arrays, once per window and order.
+
+    A design that cannot be fitted raises on every call: an exception is not cached.
+    """
+    q, r, singular = factorise(np.vander(_centred_time(window), p + 1, increasing=True), f"order {p} design")
+    return _read_only(q), _read_only(r), singular  # a shared design is never singular: factorise raised
 
 
 def _profiles(coefficients: np.ndarray, window: SubsampleWindow) -> np.ndarray:
@@ -157,7 +172,7 @@ def _fit_order(units: np.ndarray, window: SubsampleWindow, p: int) -> tuple[np.n
     if p < 1:
         raise ValueError(f"polynomial order must be at least 1, got {p}")
     squares = units * units
-    return squares, nested_ols(np.vander(_centred_time(window), p + 1, increasing=True), squares, f"order {p} design")
+    return squares, fit_factorised(_design_factors(window, p), squares)
 
 
 def _select(values: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:

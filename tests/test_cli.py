@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from varbreak.armodel import fit_ar_ols
-from varbreak.cli import main
+from varbreak.cli import _build_parser, main
 from varbreak.errors import SingularDesignError
+from varbreak.pipeline import PipelineConfig
 
 from conftest import growing_variance_levels, month_starts, write_fred_csv
 
@@ -17,6 +18,10 @@ def macro_csv(tmp_path):
     dates = month_starts(datetime.date(1980, 1, 1), 240, 1)
     values = growing_variance_levels(240, seed=101)
     return write_fred_csv(tmp_path / "MACRO.csv", "MACRO", dates, values)
+
+
+def test_pmax_default_is_the_pipeline_default():
+    assert _build_parser().parse_args(["test", "series.csv"]).pmax == PipelineConfig.p_max
 
 
 class TestCritval:

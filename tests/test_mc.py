@@ -239,6 +239,30 @@ class TestAr1Recursion:
         with np.errstate(invalid="ignore"):  # inf and -inf meet in row 1: NaN from there on
             self.assert_literal(u)
 
+    # (rows, n) -> (steps, width) of the one recursion: the kernel's block rows max(1, 2**15 // n) at the
+    # table sizes and n = 2000, a 25-replication cell, and the one-row simulate_dgp2; lanes serve every
+    # shape where _WARM + L steps are fewer than n, and each lane starts inside the row
+    KERNEL_SHAPES = {
+        (655, 50): (50, 655),
+        (327, 100): (100, 327),
+        (163, 200): (200, 163),
+        (16, 2000): (64 + 125, 16 * 16),
+        (25, 50): (50, 25),  # 10 lanes of 5 would take 69 steps
+        (25, 100): (64 + 10, 25 * 10),
+        (25, 200): (64 + 20, 25 * 10),
+        (1, 100): (64 + 1, 100),
+        (1, 2000): (64 + 8, 250),
+    }
+
+    @pytest.mark.parametrize("rows, n", KERNEL_SHAPES)
+    def test_kernel_block_shapes_need_no_rerun(self, monkeypatch, rows, n):
+        u = varbreak.mc._simulate_u(make_spec(dgp="dgp2", n=n, replications=rows), range(rows))
+        shapes = []
+        recursion = varbreak.mc._recursion
+        monkeypatch.setattr(varbreak.mc, "_recursion", lambda x: shapes.append(x.shape) or recursion(x))
+        self.assert_literal(u)
+        assert shapes == [self.KERNEL_SHAPES[rows, n]]  # one pass: no row fell back
+
     @pytest.mark.parametrize("rows", [1, 16])
     def test_warm_up_too_short_to_verify(self, monkeypatch, rows):
         # one warm-up step cannot absorb the zero a chunk starts from, so every row is redone

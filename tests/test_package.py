@@ -45,6 +45,11 @@ class TestImportSets:
         assert "varbreak.pipeline" in loaded
         assert {"varbreak.mc", "concurrent.futures", "multiprocessing"} & loaded == set()
 
+    def test_critval_loads_neither_the_pipeline_nor_the_csv_reader(self):
+        loaded = _modules_after("from varbreak import cli\nassert cli.main(['critval']) == 0")
+        assert "varbreak.nulldist" in loaded
+        assert {"varbreak.pipeline", "varbreak.dataio", "numpy"} & loaded == set()
+
     def test_serial_simulate_loads_no_pool(self, tmp_path):
         loaded = _modules_after(
             "from varbreak import cli\n"

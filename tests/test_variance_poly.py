@@ -20,7 +20,7 @@ from varbreak import (
 from varbreak._ols import nested_ols
 from varbreak.mc import McExperimentSpec
 from varbreak.nulldist import DecisionRule
-from varbreak.variance_poly import AIC_RSS_FLOOR_FRAC
+from varbreak.variance_poly import AIC_RSS_FLOOR_FRAC, _centred_time, _design_factors
 
 from oracles import aic_choice_literal, poly_aic_scores_literal, polyval_naive
 
@@ -201,6 +201,69 @@ class TestOrderSelection:
         w = SubsampleWindow(n=n, offset=0, length=9)
         with pytest.raises(SingularDesignError, match="order"):
             select_poly_order_aic(s, w, 6)
+
+
+class TestDesignCache:
+    """The factorisation of each window's polynomial design, computed once and shared."""
+
+    @staticmethod
+    def uncached(series, window, p):
+        """Squares of the window values and their fits on a freshly built and factorised design."""
+        squares = window.slice_values(series) ** 2
+        design = np.vander(window.times() / window.n - window.center, p + 1, increasing=True)
+        return squares, nested_ols(design, squares, "design")
+
+    def test_cached_arrays_are_read_only(self):
+        window = SubsampleWindow(n=80, offset=7, length=60)
+        q, r, _ = _design_factors(window, 3)
+        for array in (q, r, _centred_time(window)):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            q[0, 0] = 1.0
+        assert _design_factors(window, 3)[0] is q
+
+    def test_a_warm_cache_gives_the_bits_of_an_uncached_fit(self):
+        rng = np.random.default_rng(17)
+        series = ResidualSeries(rng.standard_normal(90) * np.linspace(1.0, 3.0, 90))
+        window = SubsampleWindow(n=90, offset=5, length=70)
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            selection = select_poly_order_aic(series, window, 4)
+            fits = [fit_variance_poly(series, window, p) for p in (1, 2, 3, 4)]
+        squares, ols = self.uncached(series, window, 4)
+        floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum() / window.length)
+        assert np.array(selection.unit_rss).tobytes() == np.maximum(ols.rss[2:], floor).tobytes()
+        chosen = selection.chosen_p
+        assert np.array(selection.fit.unit_coefficients).tobytes() == ols.coefficients(chosen + 1).tobytes()
+        assert selection.fit.unit_rss == ols.rss[chosen + 1]
+        for p, fit in enumerate(fits, 1):
+            _, ols = self.uncached(series, window, p)
+            assert np.array(fit.unit_coefficients).tobytes() == ols.coefficients(p + 1).tobytes()
+            assert fit.unit_rss == ols.rss[p + 1]
+
+    def test_windows_of_one_length_keep_their_own_design(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(120) * np.linspace(1.0, 2.0, 120)
+        windows = [
+            SubsampleWindow(n=100, offset=0, length=50),
+            SubsampleWindow(n=120, offset=0, length=50),  # another n
+            SubsampleWindow(n=100, offset=10, length=50),  # another offset
+        ]
+        for window in windows + windows:
+            series = ResidualSeries(values[: window.n])
+            fit = fit_variance_poly(series, window, 2)
+            _, ols = self.uncached(series, window, 2)
+            assert np.array(fit.unit_coefficients).tobytes() == ols.coefficients(3).tobytes()
+            np.testing.assert_array_equal(_centred_time(window), window.times() / window.n - window.center)
+        assert len({id(_design_factors(window, 2)[0]) for window in windows}) == 3
+
+    def test_a_window_too_short_for_the_order_raises_on_every_call(self):
+        series = ResidualSeries(np.random.default_rng(8).standard_normal(30))
+        window = SubsampleWindow(n=30, offset=3, length=5)
+        for _ in range(2):
+            with pytest.raises(SingularDesignError, match="^order 4 design has 5 rows for 5 columns$"):
+                select_poly_order_aic(series, window, 4)
+            with pytest.raises(SingularDesignError, match="^order 5 design has 5 rows for 6 columns$"):
+                fit_variance_poly(series, window, 5)
 
 
 class TestEvaluation:
