@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "armodel": ("ArFit", "default_max_order", "fit_ar_ols", "select_ar_order"),
     "cusum": ("statistic_corrected", "statistic_it", "statistic_sanso", "statistic_subsample"),
-    "dataio": ("SeriesFile", "difference", "infer_frequency", "load_csv"),
+    "dataio": ("SeriesFile", "difference", "load_csv"),
     "errors": (
         "CsvParseError",
         "DateOrderError",

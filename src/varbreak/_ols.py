@@ -2,7 +2,9 @@
 
 Its rules: :func:`factorise` alone rejects a design with no more rows than columns,
 however short the input, as a ``SingularDesignError`` naming both, and an AIC order
-search takes the least AIC of a floored RSS, ties going to the smaller order.
+search takes the least AIC of a floored RSS, ties going to the smaller order.  A fit
+forms each of its arrays once, and the RSS ladder only where it is read: by the two
+AIC searches and ``fit_variance_poly``; an AR fit reads its coefficients alone.
 """
 
 from __future__ import annotations
@@ -32,15 +34,16 @@ class NestedOls:
     and residual sum of squares ``rss[k] = |y - Q z|**2 + sum_{i>=k} z_i**2``,
     a sum of nonnegative terms that, unlike ``|y|**2 - sum_{i<k} z_i**2``,
     does not cancel.  ``z`` is (..., K) and ``rss`` (..., K + 1) over the
-    rows of y.  ``r`` is (K, K) for a design shared by every row, or
-    (R, K, K) for a stack of designs, one per row; ``singular`` flags the
-    rows of a stack whose design is rank deficient.
+    rows of y, or None where the fit was not asked for that ladder.
+    ``r`` is (K, K) for a design shared by every row, or (R, K, K) for a
+    stack of designs, one per row; ``singular`` flags the rows of a stack
+    whose design is rank deficient.
     """
 
     r: np.ndarray
     z: np.ndarray
-    rss: np.ndarray
     singular: np.ndarray
+    rss: np.ndarray | None
 
     def coefficients(self, k: int, rows=...) -> np.ndarray:
         """Coefficients (..., k) of the selected rows' fits on the first ``k`` columns; zero for a singular row."""
@@ -88,26 +91,28 @@ def factorise(design: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np
     return q, r, singular
 
 
-def fit_factorised(factors: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) -> NestedOls:
+def fit_factorised(factors: tuple[np.ndarray, ...], y: np.ndarray, ladder: bool = False) -> NestedOls:
     """Fit the (..., m) responses ``y`` on each leading sub-design of a :func:`factorise` result.
 
+    The RSS ladder is formed only with ``ladder``: an AIC search reads it, a plain fit does not.
     A row of a stack whose design is rank deficient gets a zero fit.
     """
     q, r, singular = factors
     z = np.matmul(np.swapaxes(q, -1, -2), y[..., None])
     if singular.any():
         z[singular] = 0.0
-    resid = np.matmul(q, z)[..., 0]
-    np.subtract(y, resid, out=resid)
-    z = z[..., 0]
-    rss = np.zeros((*z.shape[:-1], r.shape[-1] + 1))
-    rss[..., :-1] = np.cumsum((z * z)[..., ::-1], axis=-1)[..., ::-1]
-    rss += np.matmul(resid[..., None, :], resid[..., None])[..., 0]
-    return NestedOls(r=r, z=z, rss=rss, singular=singular)
+    rss = None
+    if ladder:
+        resid = np.matmul(q, z)[..., 0]
+        np.subtract(y, resid, out=resid)
+        rss = np.zeros((*z.shape[:-2], r.shape[-1] + 1))
+        rss[..., :-1] = np.cumsum((z * z)[..., ::-1, 0], axis=-1)[..., ::-1]
+        rss += np.matmul(resid[..., None, :], resid[..., None])[..., 0]
+    return NestedOls(r=r, z=z[..., 0], singular=singular, rss=rss)
 
 
-def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
-    """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs.
+def nested_ols(design: np.ndarray, y: np.ndarray, what: str, ladder: bool = False) -> NestedOls:
+    """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs; see :func:`fit_factorised`.
 
     ``design`` is one m x K matrix shared by every row of the (..., m)
     responses ``y``, or a stack (R, m, K) of designs for (R, m) responses,
@@ -116,4 +121,4 @@ def nested_ols(design: np.ndarray, y: np.ndarray, what: str) -> NestedOls:
     The errors are those of :func:`factorise`; a row of a stack whose
     design is rank deficient is flagged instead, and its fit is zero.
     """
-    return fit_factorised(factorise(design, what), y)
+    return fit_factorised(factorise(design, what), y, ladder)

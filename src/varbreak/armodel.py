@@ -122,7 +122,7 @@ def select_ar_order(values, max_order: int) -> int:
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     design = _ar_design(x, max_order, intercept=True)
-    ols = nested_ols(design, x[max_order:], f"AR({max_order}) design")
+    ols = nested_ols(design, x[max_order:], f"AR({max_order}) design", ladder=True)
     return int(ols.aic_choice(design.shape[0], 1, _RSS_FLOOR)[1]) - 1
 
 

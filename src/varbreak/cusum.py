@@ -1,49 +1,35 @@
 """Cumulative-sums-of-squares statistics for abrupt variance breaks.
 
-Four statistics are provided, all of the sup-of-bridge form.  The first
-three converge under their null hypotheses to ``sup_s |W(s)|`` with
-``W`` a Brownian bridge (see :mod:`varbreak.nulldist`); the limit of the
-fourth is set out after the list:
+Over q residuals, with ``C_k = sum_{t<=k} u_t**2`` and ``eta = q**-1 sum u_t**4``:
 
-* :func:`statistic_it` -- the classic statistic of Inclan and Tiao
-  (1994), ``sup_k |sqrt(n/2) * (C_k/C_n - k/n)|`` with
-  ``C_k = sum_{t<=k} u_t**2``.  Sized for i.i.d. Gaussian errors.
-* :func:`statistic_sanso` -- the fourth-moment corrected statistic of
+* :func:`statistic_it` -- Inclan and Tiao (1994),
+  ``sup_k |sqrt(q/2) * (C_k/C_q - k/q)|``, sized for i.i.d. Gaussian errors;
+* :func:`statistic_sanso`, and :func:`statistic_subsample` over a window --
   Sansó, Aragó and Carrion (2004),
-  ``sup_k |n**-0.5 * (C_k - (k/n) C_n) / sqrt(eta - (C_n/n)**2)|``
-  with ``eta = n**-1 sum u_t**4``, valid for non-Gaussian errors.
-* :func:`statistic_subsample` -- the same statistic restricted to a
-  contiguous window of length q, every n replaced by q.
-* :func:`statistic_corrected` -- the subsample statistic computed on
-  squared residuals rescaled by a fitted polynomial variance profile,
-  so that a smooth drift in the unconditional variance is removed
-  before testing for an abrupt break, over the window the profile was
-  fitted on.  The partial sums become
-  ``sum g_hat**-2(t/n) u_t**2`` and the fourth-moment average
-  ``q**-1 sum g_hat**-4(t/n) u_t**4``.
+  ``sup_k |q**-0.5 * (C_k - (k/q) C_q) / sqrt(eta - (C_q/q)**2)|``, valid
+  for non-Gaussian errors;
+* :func:`statistic_corrected` -- the same over a fit's window, on the squares
+  divided by its polynomial variance profile ``g_hat**2(t/n)``, which removes
+  a smooth drift in the variance before testing for an abrupt break.
 
-All four share one bridge kernel, ``sup_k |C_k - (k/q) C_q|`` over q
-(possibly rescaled) squares, with their mean and dispersion
-``eta - (C_q/q)**2``.  Inclan-Tiao divides the sup by C_n = q * mean;
-the other three divide it by ``sqrt(q * dispersion)``.  Those three run
-row-wise over a stack of series, the public functions being one-row
-calls: each failure rule is tested in one place, which records the
-row's :class:`VarbreakError` once, for a one-row call to raise.
+The first three converge under their null to ``sup_s |W(s)|``, W a Brownian
+bridge (:mod:`varbreak.nulldist`).  When the profile is fitted on the same
+sample and the true g lies in the fitted class of order p, the corrected
+partial sums converge instead to the bridge of the partial sums of
+``e - P(g e)/g``, e white noise and P the projection onto the powers of
+rescaled time up to p: a profile-weighted generalized Brownian bridge, the
+order-p bridge of MacNeill (1978) for constant g.  Its quantiles lie well
+below the Kolmogorov ones (95% point near 0.71 for order 3 and
+g = 1 + 2 r**2, against 1.358), so there the Kolmogorov rule is conservative.
 
-When the profile of :func:`statistic_corrected` is fitted on the same
-sample, its null limit is not ``sup|W|``.  If the true profile g lies in
-the fitted polynomial class of order p, the partial sums converge to the
-bridge of the partial sums of ``e - P(g e)/g``, with ``e`` white noise
-and ``P`` the projection onto the powers of rescaled time up to p: a
-profile-weighted generalized Brownian bridge, which for constant g is
-the order-p bridge of MacNeill (1978).  Its quantiles lie well below the
-Kolmogorov ones (95% point near 0.71 for order 3 and g = 1 + 2 r**2,
-against 1.358), so the Kolmogorov boundary and p-value are conservative
-for the corrected statistic in that case.
-
-All functions are pure; inputs are immutable value types from
-:mod:`varbreak.series` and :mod:`varbreak.variance_poly`.  Each reads the
-residuals at unit scale, so no power-of-two scale of them can change it.
+All four share one bridge kernel, :func:`_bridge`.  The last three run
+row-wise over a block of series through :func:`_statistics`, the public
+functions being one-row calls: each failure rule is tested in one place,
+which records a row's :class:`VarbreakError` once, in a ``{row: error}``
+map, for a one-row call to raise.  A block's squares are formed once and
+read by Q_std, the AIC search and Q_mod; only the AIC search forms the RSS
+ladder of its fits.  Every statistic reads the residuals at unit scale, so
+no power-of-two scale of them can change it.
 
 References
 ----------
@@ -97,19 +83,19 @@ def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.abs(bridge, out=bridge).max(axis=-1), mean[..., 0], dispersion
 
 
-def _sanso(squares: np.ndarray, failures: np.ndarray) -> np.ndarray:
+def _sanso(squares: np.ndarray, failures: dict) -> np.ndarray:
     """Each row's ``sup / sqrt(q * dispersion)``; a row with constant squares fails with ZeroDispersionError.
 
     The squares count as constant when the dispersion is within the
-    rounding of their mean, ``(q * eps * mean)**2``.  ``failures`` holds
-    each row's first failure, the :class:`VarbreakError` a one-row call
-    raises, or None.
+    rounding of their mean, ``(q * eps * mean)**2``.  ``failures`` maps a
+    failed row to its first failure, the :class:`VarbreakError` a one-row
+    call raises.
     """
     sup, mean, dispersion = _bridge(squares)
     q = squares.shape[-1]
     constant = dispersion <= (q * _EPS * mean) ** 2
-    for row in constant.nonzero()[0]:
-        if failures[row] is None:
+    for row in constant.nonzero()[0].tolist():
+        if row not in failures:
             failures[row] = ZeroDispersionError(
                 f"squared residuals are empirically constant (dispersion {dispersion[row]:.3g}); "
                 "the statistic is undefined"
@@ -118,8 +104,8 @@ def _sanso(squares: np.ndarray, failures: np.ndarray) -> np.ndarray:
     return sup / np.sqrt(dispersion + constant) / math.sqrt(q)
 
 
-def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, failures: np.ndarray) -> np.ndarray:
-    """:func:`_sanso` of each row of ``values**2 / profile``, the profile floored at ``floor`` unless that is None.
+def _corrected(squares: np.ndarray, profile: np.ndarray, floor: float | None, failures: dict) -> np.ndarray:
+    """:func:`_sanso` of each row of ``squares / profile``, the profile floored at ``floor`` unless that is None.
 
     A row whose rescaled squares are not finite (a profile so small that a
     square overflows), or peak below ``_SMALLEST_PEAK`` (a profile so large
@@ -132,14 +118,13 @@ def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, fai
     """
     if floor is not None:
         profile = np.maximum(profile, floor)
-    rescaled = values * values
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rescaled /= profile
+        rescaled = squares / profile
         peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
-        for row in np.nonzero(~np.isfinite(peak) | (peak < _SMALLEST_PEAK))[0]:
+        for row in np.nonzero(~np.isfinite(peak) | (peak < _SMALLEST_PEAK))[0].tolist():
             row_profile = np.broadcast_to(profile, rescaled.shape)[row]
             row_profile = np.ldexp(row_profile, -np.frexp(np.abs(row_profile).max())[1])
-            rescaled[row] = values[row] * values[row] / row_profile
+            rescaled[row] = squares[row] / row_profile
             peak[row] = np.abs(rescaled[row]).max()
             if not np.isfinite(peak[row]):
                 failures[row] = NonpositiveVarianceError(
@@ -151,32 +136,29 @@ def _corrected(values: np.ndarray, profile: np.ndarray, floor: float | None, fai
     return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
-def _statistics(units: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
-    """Q_std and Q_mod of each row of (R, q) unit-scale window values, and their (2, R) failures.
+def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
+    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their ``{row: error}`` failures.
 
     Q_mod uses the profile of the row's AIC order in 1..p_max as is, with
     no positivity floor.  A failed row's statistic means nothing.
     """
-    failures = np.full((2, len(units)), None)
-    q_std = _sanso(units * units, failures[0])
-    coefficients = _select(units, window, p_max)[2]
-    return q_std, _corrected(units, _profiles(coefficients, window), None, failures[1]), failures
+    failures_std, failures_mod = {}, {}
+    q_std = _sanso(squares, failures_std)
+    profiles = _profiles(_select(squares, window, p_max)[2], window)
+    return q_std, _corrected(squares, profiles, None, failures_mod), failures_std, failures_mod
 
 
 def _one(statistic, *args) -> float:
     """``statistic(*args, failures)`` on one row, :func:`_sanso` or :func:`_corrected`, or the row's failure raised."""
-    failures = np.full(1, None)
+    failures = {}
     value = statistic(*args, failures)
-    if failures[0] is not None:
+    if failures:
         raise failures[0]
     return float(value[0])
 
 
 def statistic_it(series: ResidualSeries) -> float:
-    """The Inclan-Tiao statistic ``sup_k |sqrt(n/2) * (C_k/C_n - k/n)|``.
-
-    Computed as ``sqrt(n/2) * sup / (n * mean)`` from :func:`_bridge`,
-    since ``C_k/C_n - k/n = (D_k - k D_n / n) / (n * mean)`` in exact arithmetic.
+    """The Inclan-Tiao statistic, ``sqrt(n/2) * sup / (n * mean)`` from :func:`_bridge`.
 
     Raises
     ------
@@ -191,26 +173,18 @@ def statistic_it(series: ResidualSeries) -> float:
 
 
 def statistic_sanso(series: ResidualSeries) -> float:
-    """Fourth-moment corrected statistic on the full sample.
-
-    ``sup_k |n**-0.5 * B_k|`` with
-    ``B_k = (C_k - (k/n) C_n) / sqrt(eta - (C_n/n)**2)`` and
-    ``eta = n**-1 sum u_t**4``: :func:`statistic_subsample` on the full window.
+    """The Sansó-Aragó-Carrion statistic: :func:`statistic_subsample` on the full sample.
 
     Raises
     ------
     ZeroDispersionError
-        If the squared residuals are empirically constant, so the
-        denominator is not positive.
+        If the squared residuals are empirically constant.
     """
     return statistic_subsample(series, SubsampleWindow.full(series.n))
 
 
 def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> float:
-    """Fourth-moment corrected statistic restricted to a window.
-
-    All sums run over t = offset+1, ..., offset+q and every n in the
-    full-sample formula is replaced by q.
+    """The Sansó-Aragó-Carrion statistic over a window: every sum runs over the window, every n is q.
 
     Raises
     ------
@@ -223,21 +197,10 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
 
 
 def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
-    """Variance-profile-corrected statistic on the window of ``fit``.
-
-    ``sup_k |q**-0.5 * B_k|`` computed from
-    ``C_k = sum g_hat**-2(t/n) u_t**2`` and
-    ``eta = q**-1 sum g_hat**-4(t/n) u_t**4``: the squared residuals are
-    divided by the fitted variance profile ``g_hat**2(t/n)`` before the
-    bridge is formed.  When the profile is a positive constant this
-    reduces exactly to :func:`statistic_subsample`.
+    """The corrected statistic over the window of ``fit``; a positive constant profile gives the uncorrected one.
 
     Parameters
     ----------
-    series : ResidualSeries
-        Residuals.
-    fit : VariancePolyFit
-        Polynomial variance profile; the statistic runs over its window.
     positivity : {"error", "clamp", "none"}
         What to do when the profile dips to or below the positivity
         floor of :func:`varbreak.variance_poly.check_positivity` inside
@@ -257,7 +220,7 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     """
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
-    v = fit.window.slice_values(series)
+    v = fit.window.slice_values(series)[None]
     if positivity == "error":
         report = check_positivity(fit)
         if not report.passed:
@@ -267,4 +230,4 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
                 "clamp explicitly or refit with a lower order"
             )
     floor = None if positivity == "none" else fit.unit_floor  # a no-op once "error" has passed
-    return _one(_corrected, v[None], fit.unit_profile(), floor)
+    return _one(_corrected, v * v, fit.unit_profile(), floor)

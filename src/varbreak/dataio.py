@@ -66,12 +66,8 @@ class SeriesFile:
         return int(self.values.size)
 
 
-def infer_frequency(dates: tuple[str, ...]) -> str:
-    """Classify the median day gap: ~30 days monthly, ~91 quarterly."""
-    return _frequency([datetime.date.fromisoformat(d).toordinal() for d in dates])
-
-
 def _frequency(ordinals) -> str:
+    """Classify the median gap of day ordinals: ~30 days monthly, ~91 quarterly."""
     if len(ordinals) < 3:
         return "unknown"
     gap = float(np.median(np.diff(ordinals)))

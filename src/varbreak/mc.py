@@ -19,12 +19,15 @@ replication draws from its own counter-based Philox stream keyed by
 ``(seed, replication)``.
 
 Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)`` through
-one batched kernel: the draws of a block form an (R, n) array, the
-AR(1) fits are one stacked QR, the polynomial design is factorised once
-per sample size and shared by every block (``variance_poly`` keeps it),
-and both statistics come from ``cusum._statistics``, which reduces along
-rows.  Each row goes through the same arithmetic, and the same BLAS and
-LAPACK calls, as a lone replication
+one batched kernel.  Each block array is formed once: the draws of a
+block form an (R, n) array that becomes the innovations and the errors
+in place, the AR(1) fits are one stacked QR that forms no RSS ladder
+(only the AIC searches read one), the residuals are squared once for
+both statistics, which ``cusum._statistics`` reduces along rows, and
+failures travel as sparse ``{replication: name}`` maps.  The polynomial
+design is factorised once per sample size and shared by every block
+(``variance_poly`` keeps it).  Each row goes through the same arithmetic,
+and the same BLAS and LAPACK calls, as a lone replication
 (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public statistics
 are one-row calls of the same code), so results are byte-identical
 across runs, worker counts, block sizes and execution orders.
@@ -88,9 +91,16 @@ def stream(seed: int, replication: int) -> np.random.Generator:
 
 
 def _logistic(u: np.ndarray) -> np.ndarray:
-    """Unit-variance logistic draws from uniforms ``u`` by the inverse CDF."""
-    u = np.where(u == 0.0, np.finfo(np.float64).tiny, u)
-    return np.log(u / (1.0 - u)) * _SQRT3_OVER_PI
+    """Unit-variance logistic draws from uniforms ``u`` by the inverse CDF, written over ``u``.
+
+    A uniform is 0 or at least 2**-53, so flooring it at the smallest normal float changes only a 0.
+    """
+    np.maximum(u, np.finfo(np.float64).tiny, out=u)
+    odds = np.subtract(1.0, u)
+    np.divide(u, odds, out=u)
+    np.log(u, out=u)
+    u *= _SQRT3_OVER_PI
+    return u
 
 
 def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,6 +174,14 @@ def variance_path(spec: VariancePathSpec) -> np.ndarray:
     return path
 
 
+@functools.lru_cache(maxsize=64)
+def _scale(spec: VariancePathSpec) -> np.ndarray:
+    """Read-only h(t) = sqrt(h2(t)), t = 1..n, cached per spec."""
+    scale = np.sqrt(variance_path(spec))
+    scale.flags.writeable = False
+    return scale
+
+
 @dataclass(frozen=True)
 class McExperimentSpec:
     """Configuration of one Monte Carlo experiment.
@@ -213,23 +231,24 @@ class McResult:
 
 
 def _simulate_u(spec: McExperimentSpec, replications: range, innovations=None) -> np.ndarray:
-    """Rows u_t = h(t) * eps_t of the given replications; ``innovations`` replaces the draws of one."""
+    """Rows u_t = h(t) * eps_t of the given replications; ``innovations``, copied, replaces the draws of one."""
     if innovations is None:
-        eps = _logistic(_uniforms(spec.seed, replications, spec.n))
+        u = _logistic(_uniforms(spec.seed, replications, spec.n))
     else:
-        eps = np.asarray(innovations, dtype=np.float64)[None]
-        if eps.shape != (1, spec.n):
+        u = np.array(innovations, dtype=np.float64)[None]
+        if u.shape != (1, spec.n):
             raise ValueError(f"innovations must have shape ({spec.n},), got {np.shape(innovations)}")
-    return np.sqrt(variance_path(spec.path)) * eps
+    u *= _scale(spec.path)
+    return u
 
 
 def _recursion(x: np.ndarray) -> np.ndarray:
     """Columns of time-major ``x`` replaced in place by x_t = 0.4*x_{t-1} + x_t from a zero state."""
     prev = np.zeros(x.shape[1])
+    carry = np.empty_like(prev)
     for x_t in x:  # every step is one contiguous vector
-        prev *= AR1_COEFF
-        prev += x_t
-        x_t[...] = prev
+        x_t += np.multiply(prev, AR1_COEFF, out=carry)
+        prev = x_t
     return x
 
 
@@ -278,19 +297,20 @@ def simulate_dgp2(spec: McExperimentSpec, replication: int, innovations=None) ->
     return _ar1(_simulate_u(spec, range(replication, replication + 1), innovations))[0]
 
 
-def _residual_units(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale residuals of replications ``start..stop-1``, and the rows whose AR(1) design is singular."""
+def _residual_squares(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, list[int]]:
+    """Squared unit-scale residuals of replications ``start..stop-1``, and the rows whose AR(1) fit is singular."""
     values = _simulate_u(spec, range(start, stop))
-    singular = np.zeros(len(values), dtype=bool)
+    singular = []
     if spec.dgp == "dgp2":
         units, exponent = _unit_scale(_ar1(values))
         ar, _, values = _fit_rows(units, exponent[:, None], 1, intercept=False)
-        singular = ar.singular
-    return _unit_scale(values)[0], singular
+        singular = np.flatnonzero(ar.singular).tolist()
+    units = _unit_scale(values)[0]
+    return np.multiply(units, units, out=units), singular
 
 
-def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Q_std, Q_mod and their failure names ('' for none) of replications ``start..stop-1``.
+def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple:
+    """Q_std, Q_mod and their ``{replication: failure name}`` maps of replications ``start..stop-1``.
 
     A failure is a :class:`VarbreakError`, named by its class, or a value
     that is not finite; a statistic is NaN where it failed.  Both statistics
@@ -299,16 +319,16 @@ def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, .
     run.  The profile is used as is, with no positivity floor: the
     rejection frequencies of :func:`run_table` were calibrated that way.
     """
-    units, singular = _residual_units(spec, start, stop)
-    q_std, q_mod, failures = _statistics(units, SubsampleWindow.full(units.shape[1]), spec.poly_p_max)
-    names = np.full(failures.shape, "", dtype=object)
-    failed = failures.astype(bool)  # None is false, an exception true
-    if failed.any():
-        names[failed] = [type(failure).__name__ for failure in failures[failed]]
-    names[:, singular] = SingularDesignError.__name__  # the AR(1) fit failed before either statistic
-    for q, errors in zip((q_std, q_mod), names):
-        errors[(errors == "") & ~np.isfinite(q)] = NONFINITE_FAILURE
-        q[errors != ""] = math.nan
+    squares, singular = _residual_squares(spec, start, stop)
+    q_std, q_mod, *failures = _statistics(squares, SubsampleWindow.full(squares.shape[1]), spec.poly_p_max)
+    names = []
+    for q, errors in zip((q_std, q_mod), failures):
+        named = {row: type(error).__name__ for row, error in errors.items()}
+        named.update(dict.fromkeys(singular, SingularDesignError.__name__))  # the AR(1) fit failed first
+        for row in np.flatnonzero(~np.isfinite(q)).tolist():
+            named.setdefault(row, NONFINITE_FAILURE)
+        q[list(named)] = math.nan
+        names.append({start + row: name for row, name in named.items()})
     return q_std, q_mod, *names
 
 
@@ -339,17 +359,18 @@ def _run_cells(specs: list[McExperimentSpec], workers: int) -> list[McResult]:
         return [_aggregate(spec, list(itertools.islice(done, len(r)))) for spec, r in zip(specs, starts)]
 
 
-def _aggregate(spec: McExperimentSpec, blocks: list[tuple[np.ndarray, ...]]) -> McResult:
+def _aggregate(spec: McExperimentSpec, blocks: list[tuple]) -> McResult:
     """One cell's result from its blocks, in replication order; see :func:`run_experiment`."""
     n_rep = spec.replications
-    stats_std, stats_mod, errors_std, errors_mod = (np.concatenate(parts) for parts in zip(*blocks))
-    failed = (errors_std != "") | (errors_mod != "")
-    failure_counts = Counter(name for name in [*errors_std, *errors_mod] if name)
-    n_failed_reps = int(np.count_nonzero(failed))
-    if n_failed_reps > 0.01 * n_rep:
+    parts_std, parts_mod, *maps = zip(*blocks)
+    stats_std, stats_mod = np.concatenate(parts_std), np.concatenate(parts_mod)
+    named = [item for side in maps for errors in side for item in errors.items()]  # (replication, name)
+    failure_counts = Counter(name for _, name in named)
+    failed = {rep for rep, _ in named}
+    if len(failed) > 0.01 * n_rep:
         raise ExperimentIntegrityError(
-            f"{n_failed_reps} of {n_rep} replications failed ({sorted(failure_counts.items())}), "
-            f"the first at replication {int(np.argmax(failed))} of seed {spec.seed}; "
+            f"{len(failed)} of {n_rep} replications failed ({sorted(failure_counts.items())}), "
+            f"the first at replication {min(failed)} of seed {spec.seed}; "
             "the experiment is not trustworthy"
         )
     rate_std, se_std, n_valid_std = _rate_and_se(stats_std, spec.decision)

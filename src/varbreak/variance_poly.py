@@ -157,31 +157,31 @@ def _design_factors(window: SubsampleWindow, p: int) -> tuple[np.ndarray, np.nda
 def _profiles(coefficients: np.ndarray, window: SubsampleWindow) -> np.ndarray:
     """Unit-scale profiles of the rows of ``coefficients`` (..., p + 1) at every t of ``window``.
 
-    Horner's rule; a row of lower order padded with zero high-order
+    Horner's rule, in place; a row of lower order padded with zero high-order
     coefficients gets the same values as the unpadded row.
     """
     x = _centred_time(window)
     result = np.zeros((*coefficients.shape[:-1], x.size))
     for c in coefficients.T[::-1, ..., None]:
-        result = result * x + c
+        result *= x
+        result += c
     return result
 
 
-def _fit_order(units: np.ndarray, window: SubsampleWindow, p: int) -> tuple[np.ndarray, NestedOls]:
-    """Squares of the (..., q) unit-scale window values and their nested fits up to order ``p``."""
+def _fit_order(squares: np.ndarray, window: SubsampleWindow, p: int) -> NestedOls:
+    """Nested fits up to order ``p``, RSS ladder included, of the (..., q) squares of unit-scale window values."""
     if p < 1:
         raise ValueError(f"polynomial order must be at least 1, got {p}")
-    squares = units * units
-    return squares, fit_factorised(_design_factors(window, p), squares)
+    return fit_factorised(_design_factors(window, p), squares, ladder=True)
 
 
-def _select(values: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
-    """The AIC order search of each row of (R, q) unit-scale window values, from one QR.
+def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
+    """The AIC order search of each row of (R, q) squares of unit-scale window values, from one QR.
 
     Per row: the floored RSS of orders 1..p_max, the chosen order, its
-    coefficients zero-padded to p_max + 1, its RSS, and the mean square.
+    coefficients zero-padded to p_max + 1, and its RSS.
     """
-    squares, ols = _fit_order(values, window, p_max)
+    ols = _fit_order(squares, window, p_max)
     q = squares.shape[-1]
     floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum(axis=-1, keepdims=True) / q)
     rss, columns = ols.aic_choice(q, 2, floor)
@@ -190,7 +190,7 @@ def _select(values: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np
         rows = columns == k
         coefficients[rows, :k] = ols.coefficients(k, rows)
     chosen_rss = ols.rss[np.arange(columns.size), columns]
-    return rss, columns - 1, coefficients, chosen_rss, squares.sum(axis=-1) / q
+    return rss, columns - 1, coefficients, chosen_rss
 
 
 def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -> VariancePolyFit:
@@ -211,7 +211,9 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
     SingularDesignError
         If ``length <= p + 1`` (no more rows than columns) or the design is rank deficient.
     """
-    squares, ols = _fit_order(window.slice_values(series), window, p)
+    values = window.slice_values(series)
+    squares = values * values
+    ols = _fit_order(squares, window, p)
     coefficients = tuple(ols.coefficients(p + 1).tolist())
     return VariancePolyFit(p, coefficients, float(ols.rss[p + 1]), window, float(np.mean(squares)), series.exponent)
 
@@ -236,9 +238,11 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    rss, p, coefficients, unit_rss, mean_sq = (a[0] for a in _select(window.slice_values(series)[None], window, p_max))
+    values = window.slice_values(series)
+    squares = values * values
+    rss, p, coefficients, unit_rss = (a[0] for a in _select(squares[None], window, p_max))
     coefficients = tuple(coefficients[: p + 1].tolist())
-    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(mean_sq), series.exponent)
+    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), series.exponent)
     return OrderSelection(tuple(rss.tolist()), fit)
 
 

@@ -111,7 +111,7 @@ class TestSelectArOrder:
             values = np.ldexp(noise, int(rng.choice([0, 1, -1, 43, -43, 300, -300, 1000, -1000])))
             x = ResidualSeries(values).unit_values
             design = _ar_design(x, max_order, intercept=True)
-            rss = nested_ols(design, x[max_order:], "AR design").rss[1:]
+            rss = nested_ols(design, x[max_order:], "AR design", ladder=True).rss[1:]
             expected = aic_choice_literal(rss, design.shape[0], 1, np.finfo(np.float64).tiny)
             assert select_ar_order(values, max_order) == expected
 

@@ -12,7 +12,6 @@ from varbreak import (
     DateOrderError,
     SeriesFile,
     difference,
-    infer_frequency,
     load_csv,
 )
 
@@ -201,17 +200,20 @@ class TestLoadCsvMatchesTheLiteralLoader:
 
 
 class TestInferFrequency:
-    def test_monthly(self):
-        assert infer_frequency(tuple(month_starts(datetime.date(2000, 1, 1), 24, 1))) == "monthly"
+    @staticmethod
+    def frequency(tmp_path, dates):
+        path = write_fred_csv(tmp_path / "dates.csv", "X", dates, np.arange(len(dates), dtype=float))
+        return load_csv(path).frequency
 
-    def test_quarterly(self):
-        assert (
-            infer_frequency(tuple(month_starts(datetime.date(2000, 1, 1), 24, 3))) == "quarterly"
-        )
+    def test_monthly(self, tmp_path):
+        assert self.frequency(tmp_path, month_starts(datetime.date(2000, 1, 1), 24, 1)) == "monthly"
 
-    def test_unknown(self):
-        assert infer_frequency(("2000-01-01", "2001-01-01", "2002-01-01")) == "unknown"
-        assert infer_frequency(("2000-01-01", "2000-02-01")) == "unknown"
+    def test_quarterly(self, tmp_path):
+        assert self.frequency(tmp_path, month_starts(datetime.date(2000, 1, 1), 24, 3)) == "quarterly"
+
+    def test_unknown(self, tmp_path):
+        assert self.frequency(tmp_path, ["2000-01-01", "2001-01-01", "2002-01-01"]) == "unknown"
+        assert self.frequency(tmp_path, ["2000-01-01", "2000-02-01"]) == "unknown"
 
 
 class TestDifference:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import re
 
@@ -180,6 +181,17 @@ class TestSimulateDgp1:
 def test_innovations_of_the_wrong_shape_are_named(simulate, shape):
     with pytest.raises(ValueError, match=rf"^innovations must have shape \(30,\), got {re.escape(str(shape))}$"):
         simulate(make_spec(n=30), 0, innovations=np.ones(shape))
+
+
+@pytest.mark.parametrize("simulate", [simulate_dgp1, simulate_dgp2])
+@pytest.mark.parametrize("writeable", [True, False])
+def test_innovations_are_scaled_in_a_copy(simulate, writeable):
+    innovations = sample_innovations(30, stream(4, 0))
+    kept = innovations.tobytes()
+    innovations.flags.writeable = writeable
+    runs = [np.asarray(getattr(x, "values", x)) for x in (simulate(make_spec(n=30), 0, innovations) for _ in range(2))]
+    assert innovations.tobytes() == kept
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 class TestSimulateDgp2:
@@ -391,11 +403,9 @@ class TestBlockKernel:
             assert result.statistics_std.tobytes() == expected[:, 0].tobytes()
             assert result.statistics_mod.tobytes() == expected[:, 1].tobytes()
 
-    @pytest.mark.parametrize("dgp", ["dgp1", "dgp2"])
-    def test_failed_rows_name_what_the_scalar_path_raises(self, monkeypatch, dgp):
-        # zero innovations leave constant (zero) squares and a zero profile; dgp2's AR(1) design is then singular
-        spec = make_spec(dgp=dgp, replications=12)
-        planted = (3, 4, 10)
+    @staticmethod
+    def plant_zero_innovations(monkeypatch, planted):
+        """Uniforms of 1/2, so zero innovations, at the ``planted`` replications."""
         uniforms = varbreak.mc._uniforms
 
         def zero_innovations_at_planted(seed, replications, n):
@@ -406,12 +416,70 @@ class TestBlockKernel:
             return draws
 
         monkeypatch.setattr(varbreak.mc, "_uniforms", zero_innovations_at_planted)
+
+    @pytest.mark.parametrize("dgp", ["dgp1", "dgp2"])
+    def test_failed_rows_name_what_the_scalar_path_raises(self, monkeypatch, dgp):
+        # zero innovations leave constant (zero) squares and a zero profile; dgp2's AR(1) design is then singular
+        spec = make_spec(dgp=dgp, replications=12)
+        planted = (3, 4, 10)
+        self.plant_zero_innovations(monkeypatch, planted)
         q_std, q_mod, *names = varbreak.mc._block(spec, 0, spec.replications)
         for rep in range(spec.replications):
             innovations = np.zeros(spec.n) if rep in planted else sample_innovations(spec.n, stream(spec.seed, rep))
             expected = replication_outcomes(spec, innovations)
-            assert (names[0][rep] or q_std[rep], names[1][rep] or q_mod[rep]) == expected
+            assert (names[0].get(rep, q_std[rep]), names[1].get(rep, q_mod[rep])) == expected
             assert all(isinstance(outcome, str) for outcome in expected) == (rep in planted)
+
+    @pytest.mark.parametrize("dgp", ["dgp1", "dgp2"])
+    def test_failures_add_up_across_blocks(self, monkeypatch, dgp):
+        # blocks of 7 rows put the planted replications in different blocks, the last one in a short block
+        self.plant_zero_innovations(monkeypatch, (3, 10, 11, 130, 499))
+        passing = make_spec(dgp=dgp, replications=500, keep_statistics=True)  # 5 of 500 failed: within 1%
+        failing = make_spec(dgp=dgp, replications=120)  # 3 of 120 failed
+        outcomes = []
+        for rows in (500, 7):
+            monkeypatch.setattr(varbreak.mc, "BLOCK_ELEMENTS", rows * passing.n)
+            result = run_experiment(passing)
+            with pytest.raises(ExperimentIntegrityError) as raised:
+                run_experiment(failing)
+            statistics = result.statistics_std.tobytes(), result.statistics_mod.tobytes()
+            outcomes.append((result.failures, result.n_valid_std, result.n_valid_mod, statistics, str(raised.value)))
+        assert outcomes[0] == outcomes[1]
+        failures, n_valid_std, n_valid_mod, _, message = outcomes[0]
+        assert sum(count for _, count in failures) == 10 and n_valid_std == n_valid_mod == 495
+        assert re.match(r"3 of 120 replications failed \(\[.+\]\), the first at replication 3 of seed", message)
+
+
+class TestKernelBits:
+    """SHA-256 of the ``keep_statistics`` bytes of four cells: a drift in any bit fails here, not within 1e-10."""
+
+    DIGESTS = {
+        (1, 50): (
+            "159e4953f579ccb21bea94c2f0b344be5d1dfb9692ddded2a62ed3dc84204338",
+            "fdcb602c43a9e3509c24ad967399a23c9e9f961682e3abd3efa45bd015144e36",
+        ),
+        (1, 2000): (
+            "7e8c04c68da96c8c5025a85f41974f4eba741d8d91383814407e31e2b30237a8",
+            "d83e19160a93f6b5f7090b690235c463374ab26acba9e5739f43cef53bc5eb37",
+        ),
+        (2, 50): (
+            "fbf6bdbfc020ffcce12906187019b151128cf83289f76e3820d6fa329afa6816",
+            "018484e24d39b3507038b4c46243a6b7d2a0aed63172f692b9b7dcd6c48ab35c",
+        ),
+        (2, 2000): (
+            "36942a14246bb44b47018a628019f6c6881dd5898fe19439c8f2a3e4304cfd5e",
+            "c16635b11d82c1c1b54fabebd4618ed3690062e48a223259bb6098b54d2c12da",
+        ),
+    }
+
+    @pytest.mark.parametrize("table,n", sorted(DIGESTS))
+    def test_statistics_bytes_are_pinned(self, table, n):
+        # n = 2000 runs three blocks of 16, 16 and 8 rows; n = 50 one block
+        reps = 200 if n == 50 else 40
+        spec = experiment_for_cell(table, n, 0.0, seed=20170721, replications=reps, keep_statistics=True)
+        result = run_experiment(spec)
+        digests = tuple(hashlib.sha256(s.tobytes()).hexdigest() for s in (result.statistics_std, result.statistics_mod))
+        assert digests == self.DIGESTS[table, n]
 
 
 class TestTables:

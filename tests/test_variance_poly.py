@@ -171,7 +171,7 @@ class TestOrderSelection:
             selection = select_poly_order_aic(series, window, p_max)
             squares = window.slice_values(series) ** 2
             design = np.vander(window.times() / n - window.center, p_max + 1, increasing=True)
-            rss = nested_ols(design, squares, "design").rss[2:]
+            rss = nested_ols(design, squares, "design", ladder=True).rss[2:]
             floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum() / length)
             assert selection.chosen_p == 1 + aic_choice_literal(rss, length, 2, floor)
             floored = np.maximum(rss, floor)
@@ -211,7 +211,7 @@ class TestDesignCache:
         """Squares of the window values and their fits on a freshly built and factorised design."""
         squares = window.slice_values(series) ** 2
         design = np.vander(window.times() / window.n - window.center, p + 1, increasing=True)
-        return squares, nested_ols(design, squares, "design")
+        return squares, nested_ols(design, squares, "design", ladder=True)
 
     def test_cached_arrays_are_read_only(self):
         window = SubsampleWindow(n=80, offset=7, length=60)
