@@ -1,10 +1,20 @@
 """Nested least squares: every leading-column fit of one design from one QR, for a stack of responses.
 
-Its rules: :func:`factorise` alone rejects a design with no more rows than columns,
-however short the input, as a ``SingularDesignError`` naming both, and an AIC order
-search takes the least AIC of a floored RSS, ties going to the smaller order.  A fit
-forms each of its arrays once, and the RSS ladder only where it is read: by the two
-AIC searches and ``fit_variance_poly``; an AR fit reads its coefficients alone.
+This module owns the rules both AIC searches (the AR order in
+:mod:`varbreak.armodel`, the profile order in :mod:`varbreak.variance_poly`)
+and every fit share:
+
+* one QR of the largest design serves the fits on all its leading columns;
+* :func:`factorise` alone rejects a design with no more rows than columns,
+  however short the input, as a ``SingularDesignError`` naming both;
+* an order search takes the least AIC of a floored RSS, ties going to the
+  smaller order (:meth:`NestedOls.aic_choice`);
+* a fit forms each of its arrays once, and the RSS ladder only where an AIC
+  search or ``fit_variance_poly`` reads it;
+* the design is one m x K matrix shared by every row of (..., m) responses,
+  or a stack (R, m, K) of designs, one per row; every row goes through the
+  same BLAS and LAPACK calls as a lone series, so its fit does not depend on
+  the rows stacked with it.
 """
 
 from __future__ import annotations
@@ -29,15 +39,12 @@ def aic(rss, n: int, first: int) -> np.ndarray:
 class NestedOls:
     """Least-squares fits of y on the leading k columns of a design, k = 0..K, for each row of y.
 
-    With the thin factorisation ``design = Q R`` and ``z = Q.T y``, the
-    fit on the first k columns has coefficients ``R[:k, :k]**-1 z[:k]``
-    and residual sum of squares ``rss[k] = |y - Q z|**2 + sum_{i>=k} z_i**2``,
-    a sum of nonnegative terms that, unlike ``|y|**2 - sum_{i<k} z_i**2``,
-    does not cancel.  ``z`` is (..., K) and ``rss`` (..., K + 1) over the
-    rows of y, or None where the fit was not asked for that ladder.
-    ``r`` is (K, K) for a design shared by every row, or (R, K, K) for a
-    stack of designs, one per row; ``singular`` flags the rows of a stack
-    whose design is rank deficient.
+    With ``design = Q R`` and ``z = Q.T y``, the fit on k columns has
+    coefficients ``R[:k, :k]**-1 z[:k]`` and ``rss[k] = |y - Q z|**2 +
+    sum_{i>=k} z_i**2``, a sum of nonnegative terms that, unlike
+    ``|y|**2 - sum_{i<k} z_i**2``, does not cancel.  ``z`` is (..., K),
+    ``rss`` (..., K + 1) or None, ``r`` (K, K) or (R, K, K) for a stack,
+    and ``singular`` flags the rank-deficient designs of a stack.
     """
 
     r: np.ndarray
@@ -60,19 +67,16 @@ class NestedOls:
 
 
 def factorise(design: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin QR ``(q, r, singular)`` of one m x K design or of a stack (R, m, K) of designs, one per row.
+    """Thin QR ``(q, r, singular)`` of one m x K design or of a stack (R, m, K) of designs.
 
-    A column depends numerically on those before it when
-    ``|R_kk| <= eps * max(m, K) * max_j |R_jj|``, the default rank
-    threshold of numpy's least-squares solver.  ``singular`` flags the
-    designs of a stack that are rank deficient; their ``r`` is the identity.
+    A column is dependent when ``|R_kk| <= eps * max(m, K) * max_j |R_jj|``,
+    numpy's least-squares rank threshold; a rank-deficient design of a
+    stack is flagged in ``singular`` and gets the identity as its ``r``.
 
     Raises
     ------
     SingularDesignError
-        If the design has no more rows than columns (no residual degree
-        of freedom), with the message "``what`` has m rows for K columns";
-        or if a shared design is rank deficient.
+        "``what`` has m rows for K columns" if m <= K, or if a shared design is rank deficient.
     """
     m, width = design.shape[-2:]
     if m <= width:
@@ -94,8 +98,7 @@ def factorise(design: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np
 def fit_factorised(factors: tuple[np.ndarray, ...], y: np.ndarray, ladder: bool = False) -> NestedOls:
     """Fit the (..., m) responses ``y`` on each leading sub-design of a :func:`factorise` result.
 
-    The RSS ladder is formed only with ``ladder``: an AIC search reads it, a plain fit does not.
-    A row of a stack whose design is rank deficient gets a zero fit.
+    ``ladder`` forms the RSS ladder; a row whose design is rank deficient gets a zero fit.
     """
     q, r, singular = factors
     z = np.matmul(np.swapaxes(q, -1, -2), y[..., None])
@@ -110,15 +113,3 @@ def fit_factorised(factors: tuple[np.ndarray, ...], y: np.ndarray, ladder: bool 
         rss += np.matmul(resid[..., None, :], resid[..., None])[..., 0]
     return NestedOls(r=r, z=z[..., 0], singular=singular, rss=rss)
 
-
-def nested_ols(design: np.ndarray, y: np.ndarray, what: str, ladder: bool = False) -> NestedOls:
-    """Factorise ``design`` once and fit ``y`` on each of its leading sub-designs; see :func:`fit_factorised`.
-
-    ``design`` is one m x K matrix shared by every row of the (..., m)
-    responses ``y``, or a stack (R, m, K) of designs for (R, m) responses,
-    one per row.  Every row goes through the same BLAS and LAPACK calls as
-    a lone series, so its fit does not depend on the rows stacked with it.
-    The errors are those of :func:`factorise`; a row of a stack whose
-    design is rank deficient is flagged instead, and its fit is zero.
-    """
-    return fit_factorised(factorise(design, what), y, ladder)

@@ -1,15 +1,9 @@
 """AR(m) prewhitening by OLS and automatic order selection.
 
 The variance tests act on approximately uncorrelated residuals, so
-observed series are first regressed on their own lags.  Fitting is
-plain least squares; order selection minimizes the Gaussian AIC on a
-common effective sample so scores are comparable across orders.  All
-fits, and both AIC searches (this one and the polynomial order search
-in :mod:`varbreak.variance_poly`), go through :mod:`varbreak._ols`, which
-factorises the largest design once with a QR and owns the AIC rule, its
-tie-break and, alone, the bound that a fit needs more rows than columns.
-Both fit at unit scale, as a ``ResidualSeries`` holds the input: scaling it by 2**k
-keeps the order and lag coefficients and scales the intercept and residuals exactly.
+observed series are first regressed on their own lags, by least squares
+through :mod:`varbreak._ols`.  Order selection scores every order on a
+common effective sample, so that the scores are comparable.
 """
 
 from __future__ import annotations
@@ -18,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from varbreak._ols import nested_ols
+from varbreak._ols import factorise, fit_factorised
 from varbreak.series import ResidualSeries
 
 _RSS_FLOOR = np.finfo(np.float64).tiny
@@ -40,7 +34,7 @@ class ArFit:
 
 def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
     # per row of z: responses z_t, t = order..n-1 (0-based); an optional constant, then z_{t-1}..z_{t-order}
-    rows = max(z.shape[-1] - order, 0)  # none for a series no longer than the order, which nested_ols rejects
+    rows = max(z.shape[-1] - order, 0)  # none for a series no longer than the order, which factorise rejects
     design = np.empty((*z.shape[:-1], rows, int(intercept) + order))
     if intercept:
         design[..., 0] = 1.0
@@ -49,36 +43,30 @@ def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
     return design
 
 
-def _fit_rows(units: np.ndarray, exponent, order: int, intercept: bool):
-    """OLS AR fits of unit-scale series ``units`` (..., n), scaled back by ``2**exponent``.
+def _fit_rows(units: np.ndarray, order: int, intercept: bool):
+    """OLS AR fits of the rows of unit-scale series ``units`` (..., n), each row with its own design.
 
-    One series gets one design; the rows of an (R, n) block get a stack of
-    designs, one each.  Returns the fits, the unit-scale coefficients
-    (..., K) and the true-unit residuals (..., n - order); a row of a
-    block whose design is rank deficient is flagged by the fits and has
-    zero coefficients.
+    Returns the fits, the coefficients (..., K) and the residuals (..., n - order), all at the
+    scale of ``units``; a row whose design is rank deficient is flagged by the fits and has zero coefficients.
     """
     y = units[..., order:]
     design = _ar_design(units, order, intercept)
-    ols = nested_ols(design, y, f"AR({order}) design")
+    ols = fit_factorised(factorise(design, f"AR({order}) design"), y)
     beta = ols.coefficients(design.shape[-1])
-    residuals = np.ldexp(y - np.matmul(design, beta[..., None])[..., 0], exponent)
-    return ols, beta, residuals
+    return ols, beta, y - np.matmul(design, beta[..., None])[..., 0]
 
 
 def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
-    """OLS fit of x_t on (x_{t-1}, ..., x_{t-order}).
+    """OLS fit of x_t on (x_{t-1}, ..., x_{t-order}), in the units of ``values``.
 
     Parameters
     ----------
     values : array_like
-        Observed series of n >= 2 values: n - order design rows (none if n <= order).
+        Observed series of n >= 2 values.
     order : int
-        Number of lags m >= 0.  With m = 0 the residuals are the input
-        itself (intercept-adjusted if requested).
+        Number of lags m >= 0; with m = 0 the residuals are the input, less any intercept.
     intercept : bool
-        Include a constant regressor.  Off for zero-mean models,
-        on by default in the real-data pipeline.
+        Include a constant regressor.
 
     Raises
     ------
@@ -87,29 +75,25 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     SingularDesignError
         If ``n <= 2*order + intercept`` (no more rows than columns) or the design is rank deficient.
     """
-    series = ResidualSeries(values)  # validated and held at unit scale
+    series = ResidualSeries(values)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    _, beta, residuals = _fit_rows(series.unit_values, series.exponent, order, intercept)
+    _, beta, residuals = _fit_rows(series.unit_values, order, intercept)
     const = float(np.ldexp(beta[0], series.exponent)) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
     return ArFit(
         order=order,
         coefficients=coeffs,
         intercept=const,
-        residuals=ResidualSeries(residuals),
+        residuals=ResidualSeries(np.ldexp(residuals, series.exponent)),
     )
 
 
 def select_ar_order(values, max_order: int) -> int:
-    """AIC order selection over m = 0..max_order on a common sample.
+    """AIC order selection over m = 0..max_order.
 
-    Every candidate regresses the same responses t = max_order+1..n on
-    an intercept and m lags and is scored with
-    ``n_eff * log(RSS/n_eff) + 2(m+1)``, RSS floored at the smallest
-    normal float; the smallest minimizing order is returned.  The
-    candidates' designs are the leading columns of the max_order
-    design, so one QR factorisation gives every RSS.
+    Every candidate regresses the same responses t = max_order+1..n on an
+    intercept and m lags, its RSS floored at the smallest normal float.
 
     Raises
     ------
@@ -122,7 +106,7 @@ def select_ar_order(values, max_order: int) -> int:
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     design = _ar_design(x, max_order, intercept=True)
-    ols = nested_ols(design, x[max_order:], f"AR({max_order}) design", ladder=True)
+    ols = fit_factorised(factorise(design, f"AR({max_order}) design"), x[max_order:], ladder=True)
     return int(ols.aic_choice(design.shape[0], 1, _RSS_FLOOR)[1]) - 1
 
 

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from varbreak.errors import VarbreakError
-from varbreak.nulldist import DecisionRule, kolmogorov_quantile
+from varbreak.nulldist import DecisionRule
 
 DEFAULT_SEED = 12345
 #: ``PipelineConfig.p_max``, written out so that building the parser imports no pipeline
@@ -124,7 +124,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_critval(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must be in (0, 1), got {args.level}")
-    sys.stdout.write(f"{kolmogorov_quantile(1.0 - args.level)!r}\n")
+    sys.stdout.write(f"{DecisionRule.asymptotic(args.level).critical_value!r}\n")
     return 0
 
 

@@ -22,14 +22,11 @@ order-p bridge of MacNeill (1978) for constant g.  Its quantiles lie well
 below the Kolmogorov ones (95% point near 0.71 for order 3 and
 g = 1 + 2 r**2, against 1.358), so there the Kolmogorov rule is conservative.
 
-All four share one bridge kernel, :func:`_bridge`.  The last three run
-row-wise over a block of series through :func:`_statistics`, the public
-functions being one-row calls: each failure rule is tested in one place,
-which records a row's :class:`VarbreakError` once, in a ``{row: error}``
-map, for a one-row call to raise.  A block's squares are formed once and
-read by Q_std, the AIC search and Q_mod; only the AIC search forms the RSS
-ladder of its fits.  Every statistic reads the residuals at unit scale, so
-no power-of-two scale of them can change it.
+Failure maps: all four share one bridge kernel, :func:`_bridge`, and the
+last three run row-wise over a block of series, the public functions being
+one-row calls.  Each failure rule is tested in one place, which records a
+row's first :class:`VarbreakError` in a ``{row: error}`` map; a one-row call
+raises it.  A failed row's statistic means nothing.
 
 References
 ----------
@@ -65,14 +62,12 @@ _SMALLEST_PEAK = 2.0**-969
 
 
 def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sup, mean, dispersion) of each row of (..., q) squares: the kernel of all four statistics.
+    """(sup, mean, dispersion) of each row of (..., q) squares, every reduction along the row.
 
     ``sup = max_k |D_k - k D_q / q|`` over the partial sums D_k of the
     deviations from the mean, and the dispersion is their mean square.
     Centring first avoids the cancellation of the literal forms when the
     squares nearly agree; ``k D_q / q`` removes the rounding in the mean.
-    Every reduction runs along the last axis, so a row's values do not
-    depend on the rows stacked with it: one series is the one-row case.
     """
     q = squares.shape[-1]
     mean = squares.sum(axis=-1, keepdims=True) / q
@@ -86,10 +81,7 @@ def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sanso(squares: np.ndarray, failures: dict) -> np.ndarray:
     """Each row's ``sup / sqrt(q * dispersion)``; a row with constant squares fails with ZeroDispersionError.
 
-    The squares count as constant when the dispersion is within the
-    rounding of their mean, ``(q * eps * mean)**2``.  ``failures`` maps a
-    failed row to its first failure, the :class:`VarbreakError` a one-row
-    call raises.
+    The squares count as constant when the dispersion is within the rounding of their mean, ``(q * eps * mean)**2``.
     """
     sup, mean, dispersion = _bridge(squares)
     q = squares.shape[-1]
@@ -107,14 +99,12 @@ def _sanso(squares: np.ndarray, failures: dict) -> np.ndarray:
 def _corrected(squares: np.ndarray, profile: np.ndarray, floor: float | None, failures: dict) -> np.ndarray:
     """:func:`_sanso` of each row of ``squares / profile``, the profile floored at ``floor`` unless that is None.
 
-    A row whose rescaled squares are not finite (a profile so small that a
-    square overflows), or peak below ``_SMALLEST_PEAK`` (a profile so large
-    that squares within 2**53 of the peak may be subnormal), is redone with
-    its profile scaled by the power of two of its peak.  If they are still
-    not finite (a profile exactly zero, or spanning more than the float
-    range), the row fails with NonpositiveVarianceError.  Every other row is
-    brought to unit scale by an exact power of two, so that the scale of the
-    profile cannot overflow or underflow the dispersion.
+    A row whose rescaled squares are not finite (a tiny profile), or peak
+    below ``_SMALLEST_PEAK`` (a huge one), is redone with its profile scaled
+    by the power of two of its peak; if they are still not finite, the row
+    fails with NonpositiveVarianceError.  Every row is then brought to unit
+    scale by an exact power of two, so the profile's scale cannot overflow
+    or underflow the dispersion.
     """
     if floor is not None:
         profile = np.maximum(profile, floor)
@@ -137,10 +127,9 @@ def _corrected(squares: np.ndarray, profile: np.ndarray, floor: float | None, fa
 
 
 def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
-    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their ``{row: error}`` failures.
+    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their failure maps.
 
-    Q_mod uses the profile of the row's AIC order in 1..p_max as is, with
-    no positivity floor.  A failed row's statistic means nothing.
+    Q_mod uses the profile of the row's AIC order in 1..p_max as is, with no positivity floor.
     """
     failures_std, failures_mod = {}, {}
     q_std = _sanso(squares, failures_std)
@@ -149,7 +138,7 @@ def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tup
 
 
 def _one(statistic, *args) -> float:
-    """``statistic(*args, failures)`` on one row, :func:`_sanso` or :func:`_corrected`, or the row's failure raised."""
+    """``statistic(*args, failures)`` on one row, or the row's failure raised."""
     failures = {}
     value = statistic(*args, failures)
     if failures:
@@ -184,7 +173,7 @@ def statistic_sanso(series: ResidualSeries) -> float:
 
 
 def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> float:
-    """The Sansó-Aragó-Carrion statistic over a window: every sum runs over the window, every n is q.
+    """The Sansó-Aragó-Carrion statistic over a window: every sum runs over it, every n is q.
 
     Raises
     ------
@@ -202,19 +191,16 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     Parameters
     ----------
     positivity : {"error", "clamp", "none"}
-        What to do when the profile dips to or below the positivity
-        floor of :func:`varbreak.variance_poly.check_positivity` inside
-        the window: raise (default), replace the offending values by the
-        floor, or use the profile as is.
+        When the profile dips to or below the floor of :func:`check_positivity`
+        inside the window: raise (default), floor it, or use it as is.
 
     Raises
     ------
     WindowBoundsError
         If the fit's window was built for a series of another length.
     NonpositiveVarianceError
-        Under ``positivity="error"`` when the profile dips to or below
-        the floor, and under every mode when a rescaled square is not
-        finite (profile exactly zero).
+        Under "error" when the profile dips to or below the floor; under
+        every mode when a rescaled square is not finite (profile exactly zero).
     ZeroDispersionError
         If the rescaled squares are empirically constant.
     """

@@ -14,30 +14,21 @@ optional level shift of size ``alpha`` at fraction ``kappa``:
 
 Each replication runs the uncorrected statistic (Q_std) and the
 variance-profile-corrected statistic with AIC-selected order (Q_mod) on
-the full sample, and counts rejections against a decision rule.  Every
-replication draws from its own counter-based Philox stream keyed by
-``(seed, replication)``.
+the full sample, and counts rejections against a decision rule.
 
-Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)`` through
-one batched kernel.  Each block array is formed once: the draws of a
-block form an (R, n) array that becomes the innovations and the errors
-in place, the AR(1) fits are one stacked QR that forms no RSS ladder
-(only the AIC searches read one), the residuals are squared once for
-both statistics, which ``cusum._statistics`` reduces along rows, and
-failures travel as sparse ``{replication: name}`` maps.  The polynomial
-design is factorised once per sample size and shared by every block
-(``variance_poly`` keeps it).  Each row goes through the same arithmetic,
-and the same BLAS and LAPACK calls, as a lone replication
-(:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public statistics
-are one-row calls of the same code), so results are byte-identical
-across runs, worker counts, block sizes and execution orders.
+Streams: every replication draws from its own counter-based Philox
+stream keyed by ``(seed, replication)``.
 
-The AR(1) recursion of dgp2 runs the time chunks of a block's rows side
-by side, up to 256 in all, each started from zero a fixed number of steps
-early, whenever that takes fewer steps than the series is long: a short
-block of a few rows as well as a long series.  A row is kept only where
-each chunk's warm-up ends on the exact bits of the chunk before it, which
-makes every later value exact; any other row is redone in one plain pass.
+Blocks: replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``
+rows through one batched kernel.  A block's draws form one (R, n) array
+that becomes the innovations and the errors in place; its residuals are
+squared once for both statistics, and its failures travel as sparse
+``{replication: name}`` maps.
+
+Byte identity: each row goes through the same arithmetic as a lone
+replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public
+statistics are one-row calls of the same code), so results are
+byte-identical across runs, worker counts, block sizes and execution orders.
 """
 
 from __future__ import annotations
@@ -104,12 +95,7 @@ def _logistic(u: np.ndarray) -> np.ndarray:
 
 
 def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. logistic draws via the inverse CDF ``log(u / (1 - u))``.
-
-    The standard logistic has variance pi**2/3; draws are multiplied by
-    sqrt(3)/pi so the innovations have unit variance.  The tests are
-    scale invariant, so the scaling cannot change any statistic.
-    """
+    """I.i.d. logistic draws via the inverse CDF ``log(u / (1 - u))``, times sqrt(3)/pi for unit variance."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     return _logistic(rng.random(count))
@@ -118,11 +104,10 @@ def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
 def _uniforms(seed: int, replications: range, n: int) -> np.ndarray:
     """``stream(seed, rep).random(n)`` of each replication, as rows.
 
-    One Philox is reset for every row to the state a new stream starts
-    from: key ``(seed, rep)``, counter 0 and an empty buffer.  The state is
-    one dict of Python ints and lists, built once, in which only the key
-    changes; that skips both the entropy a new generator draws only for
-    the key to override and the conversion of numpy arrays on every reset.
+    One Philox is reset for every row to the state a new stream starts from.
+    The state is one dict of Python ints and lists in which only the key
+    changes; that skips the entropy a new generator draws only for the key
+    to override, and the conversion of numpy arrays on every reset.
     """
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
@@ -174,21 +159,11 @@ def variance_path(spec: VariancePathSpec) -> np.ndarray:
     return path
 
 
-@functools.lru_cache(maxsize=64)
-def _scale(spec: VariancePathSpec) -> np.ndarray:
-    """Read-only h(t) = sqrt(h2(t)), t = 1..n, cached per spec."""
-    scale = np.sqrt(variance_path(spec))
-    scale.flags.writeable = False
-    return scale
-
-
 @dataclass(frozen=True)
 class McExperimentSpec:
     """Configuration of one Monte Carlo experiment.
 
-    Identical spec and seed give bit-identical results.  Both statistics
-    run on the full (residual) sample; the AIC order search of the
-    variance profile is capped at ``poly_p_max``, :data:`TABLE_P_MAX`, and
+    The profile's AIC order search is capped at ``poly_p_max``, and
     ``keep_statistics`` keeps every replication's statistics in the result.
     """
 
@@ -238,7 +213,7 @@ def _simulate_u(spec: McExperimentSpec, replications: range, innovations=None) -
         u = np.array(innovations, dtype=np.float64)[None]
         if u.shape != (1, spec.n):
             raise ValueError(f"innovations must have shape ({spec.n},), got {np.shape(innovations)}")
-    u *= _scale(spec.path)
+    u *= np.sqrt(variance_path(spec.path))
     return u
 
 
@@ -285,10 +260,7 @@ def _ar1(u: np.ndarray) -> np.ndarray:
 
 
 def simulate_dgp1(spec: McExperimentSpec, replication: int, innovations=None) -> ResidualSeries:
-    """Directly observed heteroscedastic errors u_t = h(t) * eps_t.
-
-    ``innovations`` overrides the stream draws (testing hook).
-    """
+    """Directly observed heteroscedastic errors u_t = h(t) * eps_t; ``innovations`` overrides the draws."""
     return ResidualSeries(_simulate_u(spec, range(replication, replication + 1), innovations)[0])
 
 
@@ -302,8 +274,7 @@ def _residual_squares(spec: McExperimentSpec, start: int, stop: int) -> tuple[np
     values = _simulate_u(spec, range(start, stop))
     singular = []
     if spec.dgp == "dgp2":
-        units, exponent = _unit_scale(_ar1(values))
-        ar, _, values = _fit_rows(units, exponent[:, None], 1, intercept=False)
+        ar, _, values = _fit_rows(_unit_scale(_ar1(values))[0], 1, intercept=False)
         singular = np.flatnonzero(ar.singular).tolist()
     units = _unit_scale(values)[0]
     return np.multiply(units, units, out=units), singular
@@ -313,11 +284,8 @@ def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple:
     """Q_std, Q_mod and their ``{replication: failure name}`` maps of replications ``start..stop-1``.
 
     A failure is a :class:`VarbreakError`, named by its class, or a value
-    that is not finite; a statistic is NaN where it failed.  Both statistics
-    and their failures come from ``cusum._statistics``, whose one-row case
-    ``statistic_subsample`` and ``statistic_corrected(positivity="none")``
-    run.  The profile is used as is, with no positivity floor: the
-    rejection frequencies of :func:`run_table` were calibrated that way.
+    that is not finite; a statistic is NaN where it failed.  The profile is
+    used with no positivity floor: :func:`run_table` was calibrated that way.
     """
     squares, singular = _residual_squares(spec, start, stop)
     q_std, q_mod, *failures = _statistics(squares, SubsampleWindow.full(squares.shape[1]), spec.poly_p_max)
@@ -390,21 +358,15 @@ def _aggregate(spec: McExperimentSpec, blocks: list[tuple]) -> McResult:
 
 
 def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
-    """Run all replications and aggregate rejection frequencies.
-
-    Replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``; with
-    ``workers > 1`` the blocks run in a process pool.  Per-replication
-    streams and row-wise arithmetic make the result identical to a
-    serial run.
+    """Run all replications, in a process pool of ``workers`` if more than one, and aggregate rejection frequencies.
 
     Raises
     ------
     ExperimentIntegrityError
         If more than 1 percent of replications fail to produce both
-        statistics, by a :class:`VarbreakError` or a non-finite value;
-        partial failures are never silently dropped.  The message names
-        the first failing replication, which replays from
-        ``(spec.seed, replication)``.
+        statistics, by a :class:`VarbreakError` or a non-finite value.
+        The message names the first failing replication, which replays
+        from ``(spec.seed, replication)``.
     """
     return _run_cells([spec], workers)[0]
 

@@ -14,17 +14,11 @@ for x < 1 the CDF is summed from the dual theta-function series
 
 and each side is the complement of the other, so both tails keep full
 relative precision.  A sum stops once its next term is below the
-rounding of the running total.  This module inverts the CDF by
-bisection and packages the two decision boundaries used by the tests:
-the exact asymptotic quantile at a requested level, and the
-conventional tabulated boundary 1.33 of Sansó, Aragó and Carrion (2004).
-
-The corrected statistic with its variance profile fitted on the same
-sample converges instead to the supremum of a profile-weighted
-generalized Brownian bridge (see :mod:`varbreak.cusum`), whose quantiles
-lie below the Kolmogorov ones.  The boundaries and p-values here are
-therefore conservative for it when the true profile lies in the fitted
-polynomial class.
+rounding of the running total.  This module inverts the law by bisection
+and packages the two decision boundaries used by the tests: the exact
+asymptotic quantile at a requested level, and the conventional tabulated
+boundary 1.33 of Sansó, Aragó and Carrion (2004).  For the corrected
+statistic both are conservative (see :mod:`varbreak.cusum`).
 """
 
 from __future__ import annotations
@@ -61,17 +55,7 @@ def _lower_tail(x: float) -> float:
 
 
 def kolmogorov_cdf(x: float) -> float:
-    """CDF of the Kolmogorov distribution, P(sup|W| <= x).
-
-    Parameters
-    ----------
-    x : float
-        Nonnegative evaluation point.
-
-    Returns
-    -------
-    float
-        Probability in [0, 1], with full relative precision below x = 1.
+    """CDF of the Kolmogorov distribution, P(sup|W| <= x), with full relative precision below x = 1.
 
     Raises
     ------
@@ -87,20 +71,24 @@ def kolmogorov_cdf(x: float) -> float:
     return 1.0 - _upper_tail(x)
 
 
+def _bisect(rising, target: float) -> float:
+    """The x where the increasing ``rising(x)`` crosses ``target``, to 1e-12; [0.2, 4] is widened to hold it."""
+    lo, hi = 0.2, 4.0
+    while rising(lo) > target:
+        lo /= 2.0
+    while rising(hi) < target:
+        hi *= 2.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if rising(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def kolmogorov_quantile(p: float) -> float:
-    """Inverse of :func:`kolmogorov_cdf`, by bisection to a width of 1e-12.
-
-    The bracket [0.2, 4] is widened until it holds ``p``.
-
-    Parameters
-    ----------
-    p : float
-        Probability strictly between 0 and 1.
-
-    Returns
-    -------
-    float
-        The x with ``kolmogorov_cdf(x)`` closest to ``p``, to 1e-12 in x.
+    """Inverse of :func:`kolmogorov_cdf`: the x with ``kolmogorov_cdf(x)`` closest to ``p``, to 1e-12 in x.
 
     Raises
     ------
@@ -109,18 +97,7 @@ def kolmogorov_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    lo, hi = 0.2, 4.0
-    while kolmogorov_cdf(lo) > p:
-        lo /= 2.0
-    while kolmogorov_cdf(hi) < p:
-        hi *= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(kolmogorov_cdf, p)
 
 
 def pvalue(statistic: float) -> float:
@@ -142,11 +119,9 @@ def pvalue(statistic: float) -> float:
 class DecisionRule:
     """A rejection boundary together with how it was obtained.
 
-    ``source`` is one of ``"asymptotic"`` (critical value computed from
-    the level via :func:`kolmogorov_quantile`), ``"boundary"`` (the fixed
-    tabulated value 1.33), or ``"user"``.  Reports always carry both the
-    source and the numeric boundary so that every rejection names the
-    critical value that produced it.
+    ``source`` is one of ``"asymptotic"`` (:meth:`asymptotic`),
+    ``"boundary"`` (:meth:`fixed_boundary`) or ``"user"``.  Reports carry
+    both, so that every rejection names the critical value that produced it.
     """
 
     critical_value: float
@@ -163,7 +138,21 @@ class DecisionRule:
 
     @classmethod
     def asymptotic(cls, level: float = 0.05) -> "DecisionRule":
-        """Asymptotic rule at ``level``: reject beyond the 1 - level quantile."""
+        """Asymptotic rule at ``level``: reject beyond the x whose :func:`pvalue` is ``level``.
+
+        Below level 0.5 that x inverts the p-value itself, which keeps full
+        relative precision where ``1 - level`` would round; from 0.5 up it
+        is the 1 - level quantile, and ``1 - level`` is exact.
+
+        Raises
+        ------
+        ValueError
+            If ``level`` is outside (0, 1).
+        """
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {level}")
+        if level < 0.5:
+            return cls(_bisect(lambda x: -pvalue(x), -level), level, "asymptotic")  # -pvalue rises with x
         return cls(kolmogorov_quantile(1.0 - level), level, "asymptotic")
 
     @classmethod

@@ -3,6 +3,12 @@
 Both types are immutable and validate their invariants at construction,
 so downstream code can treat them as always well formed and share them
 freely across threads or worker processes.
+
+Unit scale: every fit and statistic reads a series as ``values * 2**-e``,
+e from ``frexp(max|values|)``, decided by :func:`_unit_scale` alone.  The
+scaling is exact, so no power-of-two scale of the input changes an order,
+a lag coefficient or a statistic; a value reported in true units is mapped
+back by an exact power of two.
 """
 
 from __future__ import annotations
@@ -16,10 +22,7 @@ from varbreak.errors import WindowBoundsError
 
 
 def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``values`` times ``2**-e`` (exact), and e, from ``frexp(max|row|)``; 0 for a zero row.
-
-    This is the one place a series' scale is decided.  ValueError if any value is NaN or infinite.
-    """
+    """Each row of ``values`` at unit scale, and its e (0 for a zero row); ValueError for a NaN or infinite value."""
     peak = np.abs(values).max(axis=-1, keepdims=True)
     if not math.isfinite(peak.max()):  # max propagates NaN
         raise ValueError("residuals contain NaN or infinite values")
@@ -74,14 +77,9 @@ class SubsampleWindow:
     ``center = (2*offset/n + length/n) / 2``, is the centering point used
     by the polynomial variance regression.
 
-    Parameters
-    ----------
-    n : int
-        Length of the series the window refers to.
-    offset : int
-        Number of observations skipped before the window starts.
-    length : int
-        Window length q; at least 2 and ``offset + length <= n``.
+    ``n`` is the length of the series the window refers to, ``offset`` the
+    observations skipped before it, and ``length`` its length q, at least 2
+    with ``offset + length <= n``.
     """
 
     n: int

@@ -5,17 +5,12 @@ window by a polynomial centered at the window midpoint r0:
 
     u_t**2 = sum_{i=0}^{p} a_i * (t/n - r0)**i + error,   t in window,
 
-fitted by least squares through a QR decomposition (the centered power
+fitted by least squares through :mod:`varbreak._ols` (the centered power
 columns are strongly collinear for larger p, so normal equations are
-avoided).  The fitted profile feeds the corrected statistic in
-:mod:`varbreak.cusum`; order selection uses the Gaussian AIC
-``q * log(RSS/q) + 2(p+1)``.  The designs of successive orders are
-nested, so one QR of the largest design gives every order's fit; it is
-computed once per window and order and shared by every later fit.  This
-search and the AR one in :mod:`varbreak.armodel` share :mod:`varbreak._ols`,
-which owns that routine, the AIC rule and the rows-exceed-columns bound.
-Fits, order choices and positivity checks run on unit-scale squares; what
-they report is mapped to true units by exact powers of two.
+avoided), with the order chosen by the Gaussian AIC ``q * log(RSS/q) + 2(p+1)``.
+The factorised design is computed once per window and order and shared
+by every later fit.  The fitted profile feeds the corrected statistic in
+:mod:`varbreak.cusum`.
 """
 
 from __future__ import annotations
@@ -61,6 +56,8 @@ class VariancePolyFit:
         Window the profile was fitted on.
     unit_mean_sq : float
         Window mean of the squares; scale for positivity floors.
+    exponent : int
+        The series' power-of-two scale e: a unit_ value times 2**(2e), or 2**(4e) for an RSS, is in true units.
     """
 
     order: int
@@ -77,10 +74,6 @@ class VariancePolyFit:
     @property
     def rss(self) -> float:
         return float(_true_units(self.unit_rss, 4 * self.exponent))
-
-    @property
-    def mean_sq(self) -> float:
-        return float(_true_units(self.unit_mean_sq, 2 * self.exponent))
 
     @property
     def unit_floor(self) -> float:
@@ -169,14 +162,14 @@ def _profiles(coefficients: np.ndarray, window: SubsampleWindow) -> np.ndarray:
 
 
 def _fit_order(squares: np.ndarray, window: SubsampleWindow, p: int) -> NestedOls:
-    """Nested fits up to order ``p``, RSS ladder included, of the (..., q) squares of unit-scale window values."""
+    """Nested fits up to order ``p`` of the (..., q) squares of unit-scale window values."""
     if p < 1:
         raise ValueError(f"polynomial order must be at least 1, got {p}")
     return fit_factorised(_design_factors(window, p), squares, ladder=True)
 
 
 def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
-    """The AIC order search of each row of (R, q) squares of unit-scale window values, from one QR.
+    """The AIC order search of each row of (R, q) squares of unit-scale window values.
 
     Per row: the floored RSS of orders 1..p_max, the chosen order, its
     coefficients zero-padded to p_max + 1, and its RSS.
@@ -196,20 +189,14 @@ def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[n
 def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -> VariancePolyFit:
     """Least-squares fit of order ``p`` to the windowed squared residuals.
 
-    Parameters
-    ----------
-    series, window
-        Residuals and the analysis window; the regressors are the
-        centered powers ``(t/n - r0)**i`` for t in the window.
-    p : int
-        Polynomial order, at least 1.
+    The regressors are the centered powers ``(t/n - r0)**i`` for t in the window.
 
     Raises
     ------
     ValueError
         If ``p < 1``.
     SingularDesignError
-        If ``length <= p + 1`` (no more rows than columns) or the design is rank deficient.
+        If ``length <= p + 1`` or the design is rank deficient.
     """
     values = window.slice_values(series)
     squares = values * values
@@ -221,15 +208,9 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
 def select_poly_order_aic(
     series: ResidualSeries, window: SubsampleWindow, p_max: int = DEFAULT_P_MAX
 ) -> OrderSelection:
-    """Pick the order in 1..p_max minimizing ``q*log(RSS/q) + 2(p+1)``.
+    """Pick the order in 1..p_max by AIC, RSS floored at ``AIC_RSS_FLOOR_FRAC * mean(u**4)``.
 
-    Ties break toward the smaller order.  RSS is floored at
-    ``AIC_RSS_FLOOR_FRAC * mean(u**4)`` before the logarithm so exact
-    fits stay comparable.  Order 0 is never considered; a constant
-    profile is the uncorrected test's job.  Every order's RSS, and the
-    chosen fit returned in the selection, come from one QR
-    factorisation of the order-``p_max`` design.  The order is chosen
-    from unit-scale scores; the reported ones use the true-unit RSS.
+    Order 0 is never considered; a constant profile is the uncorrected test's job.
 
     Raises
     ------
@@ -247,13 +228,7 @@ def select_poly_order_aic(
 
 
 def check_positivity(fit: VariancePolyFit) -> PositivityReport:
-    """Check the fitted profile against its positivity floor.
-
-    Evaluates g_hat**2 at every in-window t and compares the minimum to
-    ``floor = POS_FLOOR_FRAC * mean_sq``.  The report is advisory: the
-    corrected statistic raises on violation unless clamping is
-    explicitly enabled.
-    """
+    """The minimum of the fitted profile over its window against the floor ``POS_FLOOR_FRAC`` times the mean square."""
     values = fit.unit_profile()
     idx = int(np.argmin(values))
     min_value, floor = _true_units([values[idx], fit.unit_floor], 2 * fit.exponent)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from varbreak.armodel import fit_ar_ols
-from varbreak.cli import _build_parser, main
+from varbreak.cli import DEFAULT_PMAX, _build_parser, main
 from varbreak.errors import SingularDesignError
+from varbreak.nulldist import DecisionRule
 from varbreak.pipeline import PipelineConfig
 
 from conftest import growing_variance_levels, month_starts, write_fred_csv
@@ -21,7 +22,8 @@ def macro_csv(tmp_path):
 
 
 def test_pmax_default_is_the_pipeline_default():
-    assert _build_parser().parse_args(["test", "series.csv"]).pmax == PipelineConfig.p_max
+    # cli writes the default out so that building the parser imports no pipeline
+    assert _build_parser().parse_args(["test", "series.csv"]).pmax == DEFAULT_PMAX == PipelineConfig().p_max
 
 
 class TestCritval:
@@ -38,6 +40,11 @@ class TestCritval:
     def test_bad_level(self, capsys):
         assert main(["critval", "--level", "2.0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_level_below_the_rounding_of_one(self, capsys):
+        # 1 - 1e-20 rounds to 1.0, which once failed with "p must be in (0, 1), got 1.0"
+        assert main(["critval", "--level", "1e-20"]) == 0
+        assert capsys.readouterr().out == f"{DecisionRule.asymptotic(1e-20).critical_value!r}\n"
 
 
 class TestTestCommand:

@@ -116,6 +116,18 @@ class TestDecisionRule:
         assert rule.critical_value == 1.33
         assert rule.source == "boundary"
 
+    def test_asymptotic_boundary_has_the_level_as_its_tail(self):
+        # inverting the CDF at 1 - level rounds: the tail was 0.5% off at level 1e-14,
+        # and below about 1.1e-16 the search failed on p = 1.0
+        for level in np.logspace(-6, -300, 60):
+            rule = DecisionRule.asymptotic(float(level))
+            assert pvalue(rule.critical_value) == pytest.approx(float(level), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_asymptotic_names_a_bad_level(self, level):
+        with pytest.raises(ValueError, match=f"level must be in \\(0, 1\\), got {level}"):
+            DecisionRule.asymptotic(level)
+
     def test_the_two_rules_differ(self):
         assert DecisionRule.asymptotic(0.05).critical_value != DecisionRule.fixed_boundary().critical_value
 
