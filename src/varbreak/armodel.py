@@ -90,10 +90,11 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
 
 
 def select_ar_order(values, max_order: int) -> int:
-    """AIC order selection over m = 0..max_order.
+    """AIC order selection over m = 0..max_order, by the rule of :mod:`varbreak._ols` (ties to the smaller order).
 
     Every candidate regresses the same responses t = max_order+1..n on an
-    intercept and m lags, its RSS floored at the smallest normal float.
+    intercept and m lags (AIC penalty 2(m + 1)), its RSS floored at the
+    smallest normal float.
 
     Raises
     ------

@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_critval(args) -> int:
-    if not 0.0 < args.level < 1.0:
+    if not 0.0 < args.level < 1.0:  # checked here too, to name the flag the user gave
         raise ValueError(f"--level must be in (0, 1), got {args.level}")
     sys.stdout.write(f"{DecisionRule.asymptotic(args.level).critical_value!r}\n")
     return 0

@@ -140,9 +140,8 @@ class DecisionRule:
     def asymptotic(cls, level: float = 0.05) -> "DecisionRule":
         """Asymptotic rule at ``level``: reject beyond the x whose :func:`pvalue` is ``level``.
 
-        Below level 0.5 that x inverts the p-value itself, which keeps full
-        relative precision where ``1 - level`` would round; from 0.5 up it
-        is the 1 - level quantile, and ``1 - level`` is exact.
+        Inverting the p-value itself keeps full relative precision at small
+        levels, where the quantile at ``1 - level`` would round.
 
         Raises
         ------
@@ -151,9 +150,7 @@ class DecisionRule:
         """
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
-        if level < 0.5:
-            return cls(_bisect(lambda x: -pvalue(x), -level), level, "asymptotic")  # -pvalue rises with x
-        return cls(kolmogorov_quantile(1.0 - level), level, "asymptotic")
+        return cls(_bisect(lambda x: -pvalue(x), -level), level, "asymptotic")  # -pvalue rises with x
 
     @classmethod
     def fixed_boundary(cls) -> "DecisionRule":

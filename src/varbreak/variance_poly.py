@@ -210,6 +210,7 @@ def select_poly_order_aic(
 ) -> OrderSelection:
     """Pick the order in 1..p_max by AIC, RSS floored at ``AIC_RSS_FLOOR_FRAC * mean(u**4)``.
 
+    The AIC rule is that of :mod:`varbreak._ols` (ties to the smaller order).
     Order 0 is never considered; a constant profile is the uncorrected test's job.
 
     Raises

@@ -123,6 +123,12 @@ class TestDecisionRule:
             rule = DecisionRule.asymptotic(float(level))
             assert pvalue(rule.critical_value) == pytest.approx(float(level), rel=1e-10, abs=0.0)
 
+    def test_asymptotic_boundary_at_large_levels_is_the_quantile(self):
+        # 1 - level is exact from 0.5 up, so the CDF inversion is a reference there
+        for level in np.linspace(0.5, 0.999, 100):
+            rule = DecisionRule.asymptotic(float(level))
+            assert rule.critical_value == pytest.approx(kolmogorov_quantile(1.0 - float(level)), rel=0.0, abs=2e-12)
+
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_asymptotic_names_a_bad_level(self, level):
         with pytest.raises(ValueError, match=f"level must be in \\(0, 1\\), got {level}"):
