@@ -182,7 +182,7 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
     ZeroDispersionError
         If the windowed squared residuals are empirically constant.
     """
-    return _one(_sanso, np.square(window.slice_values(series))[None])
+    return _one(_sanso, window.squares(series)[None])
 
 
 def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
@@ -206,7 +206,7 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     """
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
-    v = fit.window.slice_values(series)[None]
+    squares = fit.window.squares(series)[None]
     if positivity == "error":
         report = check_positivity(fit)
         if not report.passed:
@@ -216,4 +216,4 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
                 "clamp explicitly or refit with a lower order"
             )
     floor = None if positivity == "none" else fit.unit_floor  # a no-op once "error" has passed
-    return _one(_corrected, v * v, fit.unit_profile(), floor)
+    return _one(_corrected, squares, fit.unit_profile, floor)

@@ -138,8 +138,8 @@ class VariancePathSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:  # False for NaN
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
 
@@ -313,9 +313,12 @@ def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, 
 
 
 def _run_cells(specs: list[McExperimentSpec], workers: int) -> list[McResult]:
-    """The result of each spec; with ``workers > 1`` all blocks of all cells share one process pool."""
+    """The result of each spec; the blocks of all cells run serially or in a pool of min(workers, blocks) processes."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     starts = [range(0, spec.replications, max(1, BLOCK_ELEMENTS // spec.n)) for spec in specs]  # block starts
     jobs = [(spec, start, min(start + r.step, spec.replications)) for spec, r in zip(specs, starts) for start in r]
+    workers = min(workers, len(jobs))  # a pool forks all of its processes at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not at the top: a serial run never pays its import
 
@@ -358,7 +361,7 @@ def _aggregate(spec: McExperimentSpec, blocks: list[tuple]) -> McResult:
 
 
 def run_experiment(spec: McExperimentSpec, workers: int = 1) -> McResult:
-    """Run all replications, in a process pool of ``workers`` if more than one, and aggregate rejection frequencies.
+    """Run all replications over up to ``workers`` >= 1 processes, and aggregate rejection frequencies.
 
     Raises
     ------
@@ -425,7 +428,7 @@ def run_table(
     workers: int = 1,
     decision: DecisionRule | None = None,
 ) -> SimulationTable:
-    """Run a whole preset grid, in one process pool if ``workers > 1``; see :data:`TABLE_DGP` and :data:`TABLE_KIND`."""
+    """Run a whole preset grid over up to ``workers`` >= 1 processes; see :data:`TABLE_DGP` and :data:`TABLE_KIND`."""
     if table not in TABLE_DGP:
         raise ValueError(f"table must be one of {sorted(TABLE_DGP)}, got {table}")
     alphas = (0.0,) if TABLE_KIND[table] == "size" else TABLE_ALPHAS

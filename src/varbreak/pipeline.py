@@ -191,44 +191,40 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     with _stage("statistic-mod"):
         q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
 
-    common = dict(
-        rule_source=config.rule.source,
-        critical_value=config.rule.critical_value,
-        level=config.rule.level,
-        source_id=series.source_id,
-        n_input=series.n,
-        diff_order=config.diff_order,
-        dropped_missing=series.dropped_missing,
-        ar_order=ar_fit.order,
-        ar_coefficients=ar_fit.coefficients,
-        ar_intercept=ar_fit.intercept,
-        ar_demeaned=False,
-        n_effective=residuals.n,
-        window_offset=window.offset,
-        window_length=window.length,
-        window_gamma=config.gamma,
-        window_center=window.center,
-    )
-    report_std = TestReport(
-        kind="Q_std",
-        statistic=q_std,
-        p_value=pvalue(q_std),
-        reject=config.rule.rejects(q_std),
-        **common,
-    )
-    report_mod = TestReport(
-        kind="Q_mod",
-        statistic=q_mod,
-        p_value=pvalue(q_mod),
-        reject=config.rule.rejects(q_mod),
+    def report(kind: str, statistic: float, **fields) -> TestReport:
+        return TestReport(
+            kind=kind,
+            statistic=statistic,
+            critical_value=config.rule.critical_value,
+            rule_source=config.rule.source,
+            level=config.rule.level,
+            p_value=pvalue(statistic),
+            reject=config.rule.rejects(statistic),
+            source_id=series.source_id,
+            n_input=series.n,
+            diff_order=config.diff_order,
+            dropped_missing=series.dropped_missing,
+            ar_order=ar_fit.order,
+            ar_coefficients=ar_fit.coefficients,
+            ar_intercept=ar_fit.intercept,
+            ar_demeaned=False,
+            n_effective=residuals.n,
+            window_offset=window.offset,
+            window_length=window.length,
+            window_gamma=config.gamma,
+            window_center=window.center,
+            **fields,
+        )
+
+    return report("Q_std", q_std), report(
+        "Q_mod",
+        q_mod,
         poly_order=poly_fit.order,
         poly_coefficients=poly_fit.coefficients,
         poly_rss=poly_fit.rss,
         poly_aic_scores=selection.scores,
         warnings=tuple(warnings),
-        **common,
     )
-    return report_std, report_mod
 
 
 def _experiment_fields(result: McResult) -> dict:

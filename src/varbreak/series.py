@@ -79,7 +79,8 @@ class SubsampleWindow:
 
     ``n`` is the length of the series the window refers to, ``offset`` the
     observations skipped before it, and ``length`` its length q, at least 2
-    with ``offset + length <= n``.
+    with ``offset + length <= n``.  :meth:`squares` reads a series in the
+    window for every windowed fit and statistic.
     """
 
     n: int
@@ -127,10 +128,10 @@ class SubsampleWindow:
         """1-based observation indices t covered by the window."""
         return np.arange(self.offset + 1, self.offset + self.length + 1)
 
-    def slice_values(self, series: ResidualSeries) -> np.ndarray:
-        """``series.unit_values`` in the window; WindowBoundsError if it has another length."""
+    def squares(self, series: ResidualSeries) -> np.ndarray:
+        """The squares of ``series.unit_values`` in the window; WindowBoundsError if it has another length."""
         if self.n != series.n:
             raise WindowBoundsError(
                 f"window was built for a series of length {self.n}, got length {series.n}"
             )
-        return series.unit_values[self.offset : self.stop]
+        return np.square(series.unit_values[self.offset : self.stop])

@@ -58,6 +58,8 @@ class VariancePolyFit:
         Window mean of the squares; scale for positivity floors.
     exponent : int
         The series' power-of-two scale e: a unit_ value times 2**(2e), or 2**(4e) for an RSS, is in true units.
+    unit_profile : ndarray
+        Fitted values g_hat**2(t/n) at every t of the window, evaluated once; read-only.
     """
 
     order: int
@@ -85,17 +87,12 @@ class VariancePolyFit:
         """Centering point r0 in rescaled time: the midpoint of the fit's window."""
         return self.window.center
 
-    def unit_profile(self) -> np.ndarray:
-        """Fitted values g_hat**2(t/n) at every t of the fit's own window; read-only."""
-        return self._unit_profile
-
     @functools.cached_property
-    def _unit_profile(self) -> np.ndarray:
-        # evaluated once: the positivity check and the corrected statistic both read it
+    def unit_profile(self) -> np.ndarray:
         return _read_only(_profiles(np.array(self.unit_coefficients), self.window))
 
     def profile(self) -> np.ndarray:
-        return _true_units(self.unit_profile(), 2 * self.exponent)
+        return _true_units(self.unit_profile, 2 * self.exponent)
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,7 @@ def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -
     SingularDesignError
         If ``length <= p + 1`` or the design is rank deficient.
     """
-    values = window.slice_values(series)
-    squares = values * values
+    squares = window.squares(series)
     ols = _fit_order(squares, window, p)
     coefficients = tuple(ols.coefficients(p + 1).tolist())
     return VariancePolyFit(p, coefficients, float(ols.rss[p + 1]), window, float(np.mean(squares)), series.exponent)
@@ -220,8 +216,7 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    values = window.slice_values(series)
-    squares = values * values
+    squares = window.squares(series)
     rss, p, coefficients, unit_rss = (a[0] for a in _select(squares[None], window, p_max))
     coefficients = tuple(coefficients[: p + 1].tolist())
     fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), series.exponent)
@@ -230,7 +225,7 @@ def select_poly_order_aic(
 
 def check_positivity(fit: VariancePolyFit) -> PositivityReport:
     """The minimum of the fitted profile over its window against the floor ``POS_FLOOR_FRAC`` times the mean square."""
-    values = fit.unit_profile()
+    values = fit.unit_profile
     idx = int(np.argmin(values))
     min_value, floor = _true_units([values[idx], fit.unit_floor], 2 * fit.exponent)
     return PositivityReport(

@@ -212,6 +212,12 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["decision"]["critical_value"] == pytest.approx(1.6276, abs=5e-4)
 
+    def test_zero_workers_is_an_error(self, capsys):
+        assert main(["simulate", "--table", "1", "--reps", "20", "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "varbreak: error: workers must be at least 1, got 0\n"
+
     def test_level_with_the_default_paper_rule_is_a_usage_error(self, capsys):
         # the grid default is the fixed boundary, which has no level to set
         with pytest.raises(SystemExit) as excinfo:

@@ -122,6 +122,11 @@ class TestVariancePath:
         with pytest.raises(ValueError):
             VariancePathSpec(**kwargs)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nonfinite_alpha_is_rejected_at_construction(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and nonnegative, got {alpha}"):
+            VariancePathSpec(n=50, alpha=alpha)
+
 
 class TestInnovations:
     def test_law_of_large_numbers(self):
@@ -301,6 +306,11 @@ class TestRunExperiment:
         np.testing.assert_array_equal(serial.statistics_std, parallel.statistics_std)
         np.testing.assert_array_equal(serial.statistics_mod, parallel.statistics_mod)
         assert serial.rejection_rate_mod == parallel.rejection_rate_mod
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_experiment(make_spec(replications=10), workers=workers)
 
     def test_innovation_scaling_cannot_move_any_statistic(self):
         # the raw standard logistic draws, variance pi**2/3, against the unit-variance ones
@@ -506,6 +516,35 @@ class TestTables:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             run_table(5, seed=1)
+
+    @pytest.mark.parametrize("workers,sizes", [(5000, [3]), (3, [3]), (2, [2]), (1, [])])
+    def test_pool_is_sized_to_the_blocks(self, monkeypatch, workers, sizes):
+        # table 1 at 20 replications is 3 cells of one block each; a stand-in pool records
+        # its size and runs the blocks in this process, so no large pool is ever started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_table(1, seed=5, replications=20, workers=workers)
+        assert started == sizes
+        run_experiment(pooled.results[0].spec, workers=workers)  # one block runs serially
+        assert started == sizes
+        serial = run_table(1, seed=5, replications=20)
+        assert [(r.rejection_rate_std, r.rejection_rate_mod) for r in pooled.results] == [
+            (r.rejection_rate_std, r.rejection_rate_mod) for r in serial.results
+        ]
 
     def test_one_process_pool_serves_every_cell(self, monkeypatch):
         # 15 cells of 2, 3 and 5 blocks at n = 50, 100 and 200: one pool, not one per cell

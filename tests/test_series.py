@@ -64,10 +64,16 @@ class TestSubsampleWindow:
         with pytest.raises(ValueError):
             make(**kwargs)
 
-    def test_slice_values_rejects_mismatched_series(self):
+    def test_squares_rejects_mismatched_series(self):
         w = SubsampleWindow.full(5)
         with pytest.raises(WindowBoundsError):
-            w.slice_values(ResidualSeries([1.0, 2.0, 3.0]))
+            w.squares(ResidualSeries([1.0, 2.0, 3.0]))
+
+    def test_squares_are_the_unit_squares_in_the_window(self):
+        s = ResidualSeries([3.0, -1.5, 0.5, 2.0, -4.0])
+        w = SubsampleWindow(n=5, offset=1, length=3)
+        np.testing.assert_array_equal(w.squares(s), np.square(s.unit_values[1:4]))
+        assert w.squares(s).tolist() == [2.25 / 64, 0.25 / 64, 4.0 / 64]
 
     def test_times_are_one_based(self):
         w = SubsampleWindow(n=8, offset=2, length=4)

@@ -169,7 +169,7 @@ class TestOrderSelection:
                 values[window.offset : window.stop] = 0.0
             series = ResidualSeries(np.ldexp(values, int(rng.choice([0, 1, -1, 43, -266, 266, -600, 600]))))
             selection = select_poly_order_aic(series, window, p_max)
-            squares = window.slice_values(series) ** 2
+            squares = series.unit_values[window.offset : window.stop] ** 2
             design = np.vander(window.times() / n - window.center, p_max + 1, increasing=True)
             rss = fit_factorised(factorise(design, "design"), squares, ladder=True).rss[2:]
             floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum() / length)
@@ -210,7 +210,7 @@ class TestDesignCache:
     @staticmethod
     def uncached(series, window, p):
         """Squares of the window values and their fits on a freshly built and factorised design."""
-        squares = window.slice_values(series) ** 2
+        squares = series.unit_values[window.offset : window.stop] ** 2
         design = np.vander(window.times() / window.n - window.center, p + 1, increasing=True)
         return squares, fit_factorised(factorise(design, "design"), squares, ladder=True)
 
