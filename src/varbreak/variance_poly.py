@@ -59,7 +59,7 @@ class VariancePolyFit:
     exponent : int
         The series' power-of-two scale e: a unit_ value times 2**(2e), or 2**(4e) for an RSS, is in true units.
     unit_profile : ndarray
-        Fitted values g_hat**2(t/n) at every t of the window, evaluated once; read-only.
+        The fitted profile at unit scale, a cached attribute.
     """
 
     order: int
@@ -89,6 +89,7 @@ class VariancePolyFit:
 
     @functools.cached_property
     def unit_profile(self) -> np.ndarray:
+        """Fitted values g_hat**2(t/n) at every t of the fit's own window, evaluated once; read-only."""
         return _read_only(_profiles(np.array(self.unit_coefficients), self.window))
 
     def profile(self) -> np.ndarray:

@@ -300,7 +300,9 @@ class TestRunExperiment:
         np.testing.assert_array_equal(first.statistics_mod, second.statistics_mod)
 
     def test_worker_count_does_not_change_results(self):
-        spec = make_spec(replications=40, keep_statistics=True)
+        # three blocks, so workers=2 starts a real two-process pool and its arrays are compared
+        spec = make_spec(n=2000, replications=40, keep_statistics=True)
+        assert spec.replications > 2 * (varbreak.mc.BLOCK_ELEMENTS // spec.n)
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=2)
         np.testing.assert_array_equal(serial.statistics_std, parallel.statistics_std)
