@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from varbreak._ols import factorise, fit_factorised
-from varbreak.series import ResidualSeries
+from varbreak.series import ResidualSeries, _true_units
 
 _RSS_FLOOR = np.finfo(np.float64).tiny
 
@@ -22,8 +22,8 @@ _RSS_FLOOR = np.finfo(np.float64).tiny
 class ArFit:
     """An autoregression fitted by OLS.
 
-    ``residuals.values[k] = y_k - intercept - sum_i coefficients[i] * y_{k-i}``
-    where y is the input and k runs over the effective sample t = order+1..n.
+    ``residuals.values[k] = y_k - intercept - sum_i coefficients[i] * y_{k-i}``, inf past the float range
+    like the intercept, where y is the input and k runs over the effective sample t = order+1..n.
     """
 
     order: int
@@ -79,13 +79,13 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     _, beta, residuals = _fit_rows(series.unit_values, order, intercept)
-    const = float(np.ldexp(beta[0], series.exponent)) if intercept else 0.0
+    const = float(_true_units(beta[0], series.exponent)) if intercept else 0.0
     coeffs = tuple(float(b) for b in (beta[1:] if intercept else beta))
     return ArFit(
         order=order,
         coefficients=coeffs,
         intercept=const,
-        residuals=ResidualSeries(np.ldexp(residuals, series.exponent)),
+        residuals=ResidualSeries(residuals, series.exponent),
     )
 
 

@@ -155,7 +155,7 @@ def statistic_it(series: ResidualSeries) -> float:
         If every residual is zero, so C_n = 0.
     """
     n = series.n
-    sup, mean, _ = _bridge(np.square(series.unit_values))
+    sup, mean, _ = _bridge(SubsampleWindow.full(n).squares(series))
     if mean <= 0.0:
         raise DegenerateSeriesError("all residuals are zero; the statistic is undefined")
     return math.sqrt(n / 2.0) * float(sup) / (n * float(mean))

@@ -53,9 +53,7 @@ class SeriesFile:
 
     @classmethod
     def _checked(cls, **fields) -> SeriesFile:
-        """A series from all its fields, its dates known to increase; checks only that its float64 values are finite."""
-        if not np.all(np.isfinite(fields["values"])):  # finite values can difference past the float range
-            raise ValueError("series values contain NaN or infinite entries")
+        """A series from all its fields, its dates known to increase and its float64 values finite; checks nothing."""
         fields["values"].flags.writeable = False
         series = object.__new__(cls)
         series.__dict__.update(fields)
@@ -174,9 +172,13 @@ def difference(series: SeriesFile, order: int = 1) -> SeriesFile:
         raise ValueError(f"difference order must be at least 1, got {order}")
     if series.n <= order:
         raise ValueError(f"series of length {series.n} is too short to difference {order} times")
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference past the float range is inf, then NaN
+        values = np.diff(series.values, n=order)
+    if not np.isfinite(values).all():
+        raise ValueError(f"differences of order {order} leave the float range")
     return SeriesFile._checked(
         dates=series.dates[order:],
-        values=np.diff(series.values, n=order),
+        values=values,
         frequency=series.frequency,
         source_id=series.source_id,
         dropped_missing=series.dropped_missing,

@@ -12,6 +12,8 @@ from its output alone.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
 import operator
 import sys
@@ -240,17 +242,11 @@ def _experiment_csv_cells(result: McResult):
     return row.values()
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else repr(value)
-
-
 def _csv(columns, rows) -> str:
-    """A header line of ``columns``, then one line of :func:`_csv_cell` cells per row."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(_csv_cell(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """A header line of ``columns``, then one line per row; a float cell is its repr, None an empty cell."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+    return out.getvalue()
 
 
 def _table_rows(table: SimulationTable) -> tuple[str, list[tuple[str, list[float]]]]:

@@ -5,16 +5,16 @@ so downstream code can treat them as always well formed and share them
 freely across threads or worker processes.
 
 Unit scale: every fit and statistic reads a series as ``values * 2**-e``,
-e from ``frexp(max|values|)``, decided by :func:`_unit_scale` alone.  The
-scaling is exact, so no power-of-two scale of the input changes an order,
-a lag coefficient or a statistic; a value reported in true units is mapped
-back by an exact power of two.
+e from ``frexp(max|values|)``.  :func:`_unit_scale` maps values in, exactly,
+so no power-of-two scale of the input changes an order, a lag coefficient
+or a statistic; :func:`_true_units` maps reported values out.  Nothing else
+does either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -30,14 +30,23 @@ def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(values, -exponent), exponent[..., 0]
 
 
+def _true_units(values, power: int):
+    """``values * 2**power``: exact, and inf where the true value leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, power)
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualSeries:
-    """A finite sequence of (possibly prewhitened) residuals.
+    """A finite sequence of (possibly prewhitened) residuals, ``values * 2**scale``.
 
     Parameters
     ----------
     values : array_like
         Ordered residuals, coerced to a read-only float64 array.
+    scale : int
+        Part of the value, like the exponent of ``np.ldexp``; the ``values`` attribute
+        reads ``values * 2**scale``, inf past the float range and rounded among subnormals.
 
     Raises
     ------
@@ -47,19 +56,21 @@ class ResidualSeries:
     """
 
     values: np.ndarray
-    exponent: int = field(init=False, repr=False)  # max|values| in [2**(e-1), 2**e); 0 if all are 0
-    unit_values: np.ndarray = field(init=False, repr=False)  # values * 2**-e: what fits read
+    scale: InitVar[int] = 0
+    exponent: int = field(init=False, repr=False)  # max|series| in [2**(e-1), 2**e); scale if all are 0
+    unit_values: np.ndarray = field(init=False, repr=False)  # series * 2**-e: what fits read
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scale: int) -> None:
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"residuals must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:
             raise ValueError(f"need at least 2 residuals, got {arr.size}")
         unit, exponent = _unit_scale(arr)
+        arr = _true_units(arr, scale) if scale else arr  # no pass over the values at scale 0
         arr.flags.writeable = unit.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "exponent", int(exponent))
+        object.__setattr__(self, "exponent", int(exponent + scale))
         object.__setattr__(self, "unit_values", unit)
 
     @property

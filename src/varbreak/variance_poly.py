@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from varbreak._ols import NestedOls, aic, factorise, fit_factorised
-from varbreak.series import ResidualSeries, SubsampleWindow
+from varbreak.series import ResidualSeries, SubsampleWindow, _true_units
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
 #: the window mean of u**4.  Keeps perfectly fitted models finite and
@@ -32,12 +32,6 @@ AIC_RSS_FLOOR_FRAC = 1e-12
 POS_FLOOR_FRAC = 0.01
 
 DEFAULT_P_MAX = 5
-
-
-def _true_units(values, power: int):
-    """``values * 2**power``: exact, and inf where the true value leaves the float range."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(values, power)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,12 @@ def write_fred_csv(path: Path, series_id: str, dates: list[str], values) -> Path
     return path
 
 
+def split_levels(count: int = 300) -> np.ndarray:
+    """Levels near 0.49, the last three near -0.49: finite times 2**1025, but three demeaned values are not."""
+    rng = np.random.default_rng(1)
+    return np.concatenate([0.49 + 0.001 * rng.random(count - 3), -0.49 - 0.001 * rng.random(3)])
+
+
 def growing_variance_levels(count: int, seed: int, ar: float = 0.3) -> np.ndarray:
     """Levels whose first differences have a smoothly increasing variance."""
     rng = np.random.default_rng(seed)

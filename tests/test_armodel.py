@@ -14,6 +14,7 @@ from varbreak._ols import factorise, fit_factorised
 from varbreak.armodel import _ar_design
 from varbreak.series import ResidualSeries
 
+from conftest import split_levels
 from oracles import aic_choice_literal
 
 
@@ -68,6 +69,16 @@ class TestFitArOls:
         assert scaled.intercept == np.ldexp(base.intercept, k)
         np.testing.assert_array_equal(scaled.residuals.values, np.ldexp(base.residuals.values, k))
 
+    def test_residuals_past_the_float_max_stay_at_unit_scale(self):
+        base = fit_ar_ols(split_levels(), 0, intercept=True)
+        scaled = fit_ar_ols(np.ldexp(split_levels(), 1025), 0, intercept=True)
+        np.testing.assert_array_equal(scaled.residuals.unit_values, base.residuals.unit_values)
+        assert scaled.residuals.exponent == base.residuals.exponent + 1025
+        past = np.abs(base.residuals.values) >= 0.5  # at least 2**1024 in true units
+        assert past.sum() == 3 and np.isneginf(scaled.residuals.values[past]).all()
+        np.testing.assert_array_equal(scaled.residuals.values[~past], np.ldexp(base.residuals.values[~past], 1025))
+        assert scaled.intercept == np.ldexp(base.intercept, 1025)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_ar_ols([1.0, 2.0, 3.0], -1)
@@ -118,6 +129,10 @@ class TestSelectArOrder:
     def test_constant_series_is_singular(self):
         with pytest.raises(SingularDesignError):
             select_ar_order(np.full(100, 3.0), 4)
+
+    def test_negative_max_order(self):
+        with pytest.raises(ValueError, match="^max_order must be nonnegative, got -1$"):
+            select_ar_order(np.arange(6.0), -1)
 
     def test_too_short_series(self):
         with pytest.raises(SingularDesignError, match="^AR\\(4\\) design has 2 rows for 5 columns$"):

@@ -11,7 +11,7 @@ from varbreak.errors import SingularDesignError
 from varbreak.nulldist import DecisionRule
 from varbreak.pipeline import PipelineConfig
 
-from conftest import growing_variance_levels, month_starts, write_fred_csv
+from conftest import growing_variance_levels, month_starts, split_levels, write_fred_csv
 
 
 @pytest.fixture()
@@ -164,6 +164,18 @@ class TestTestCommand:
         assert main(["test", str(macro_csv), "--diff", "0", "--clamp", "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)["reports"][0]
         assert report["diff_order"] == 0 and report["n_input"] == 240
+
+    def test_residuals_past_the_float_max_are_reported_without_a_warning(self, capsys, tmp_path):
+        dates = month_starts(datetime.date(1990, 1, 1), 300, 1)
+        path = write_fred_csv(tmp_path / "HUGE.csv", "HUGE", dates, np.ldexp(split_levels(), 1025))
+        assert main(["test", str(path), "--diff", "0", "--ar", "0", "--clamp"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_differences_past_the_float_range_are_one_error_line(self, capsys, tmp_path):
+        dates = month_starts(datetime.date(1990, 1, 1), 40, 1)
+        path = write_fred_csv(tmp_path / "WIDE.csv", "WIDE", dates, np.ldexp(np.resize([0.9, -0.9], 40), 1024))
+        assert main(["test", str(path)]) == 1
+        assert capsys.readouterr().err == "varbreak: error: differences of order 1 leave the float range\n"
 
     def test_malformed_csv_record_is_a_line_numbered_error(self, capsys, tmp_path):
         # csv.reader raises csv.Error on a field past its size limit; that is an error line, not a traceback

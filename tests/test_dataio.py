@@ -95,6 +95,12 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="'Y'"):
             load_csv(path, date_column="WHEN", value_column="Y")
 
+    def test_header_with_only_the_date_column(self, tmp_path):
+        path = tmp_path / "dates.csv"
+        path.write_text("DATE\n2001-01-01\n")
+        with pytest.raises(CsvParseError, match="^line 1: no value column besides the date column$"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -248,8 +254,10 @@ class TestDifference:
             diffed.values[0] = 9.0
 
     def test_differences_past_the_float_range_are_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(ValueError, match="^differences of order 1 leave the float range$"):
             difference(self.make([1e308, -1e308, 0.0]), 1)
+        with pytest.raises(ValueError, match="^differences of order 2 leave the float range$"):
+            difference(self.make([1e308, -1e308, 1e308, 0.0]), 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -285,6 +293,10 @@ class TestSeriesFile:
     def test_rejects_nonfinite_values(self, bad):
         with pytest.raises(ValueError, match="^series values contain NaN or infinite entries$"):
             SeriesFile(dates=("2000-01-01", "2000-02-01"), values=np.array([1.0, bad]))
+
+    def test_rejects_an_unknown_frequency(self):
+        with pytest.raises(ValueError, match="^unknown frequency 'weekly'$"):
+            SeriesFile(dates=("2000-01-01", "2000-02-01"), values=np.array([1.0, 2.0]), frequency="weekly")
 
     def test_values_read_only(self):
         series = SeriesFile(dates=("2000-01-01", "2000-02-01"), values=np.array([1.0, 2.0]))

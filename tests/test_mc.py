@@ -503,6 +503,11 @@ class TestTables:
         assert cell.spec.n == 100
         assert 0.0 <= cell.rejection_rate_mod <= 100.0
 
+    def test_missing_cell_is_a_key_error(self):
+        table = run_table(1, seed=13, replications=25)
+        with pytest.raises(KeyError, match="no cell for n=100, alpha=1.0"):
+            table.cell(100, 1.0)
+
     def test_power_table_shape(self):
         table = run_table(4, seed=13, replications=10)
         assert table.kind == "power" and table.dgp == "dgp2"
@@ -516,7 +521,7 @@ class TestTables:
         assert a.seed == c.seed
 
     def test_unknown_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^table must be one of \[1, 2, 3, 4\], got 5$"):
             run_table(5, seed=1)
 
     @pytest.mark.parametrize("workers,sizes", [(5000, [3]), (3, [3]), (2, [2]), (1, [])])

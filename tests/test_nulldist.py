@@ -148,6 +148,11 @@ class TestDecisionRule:
         with pytest.raises(ValueError):
             DecisionRule(1.0, 0.05, "folklore")
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, np.nan])
+    def test_level_outside_the_unit_interval(self, level):
+        with pytest.raises(ValueError, match=r"^level must be in \(0, 1\), got "):
+            DecisionRule(1.36, level, "user")
+
     def test_nan_critical_value(self):
         # a NaN boundary would never reject
         with pytest.raises(ValueError, match="critical value must be positive, got nan"):

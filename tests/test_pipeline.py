@@ -20,12 +20,18 @@ from varbreak import (
 from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
 from varbreak.pipeline import REPORT_SCHEMA_VERSION
 
-from conftest import growing_variance_levels, month_starts
+from conftest import growing_variance_levels, month_starts, split_levels
 
 
 def series_from_values(values, step_months=1, seed_date=datetime.date(1990, 1, 1)):
     dates = month_starts(seed_date, len(values), step_months)
     return SeriesFile(dates=tuple(dates), values=np.asarray(values, dtype=float), source_id="SYN")
+
+
+def outcomes(levels, config):
+    """The orders, AR coefficients, statistics, p-values and decisions of the pipeline on ``levels``."""
+    fields = ("ar_order", "ar_coefficients", "poly_order", "statistic", "p_value", "reject")
+    return [[getattr(r, f) for f in fields] for r in run_test_pipeline(series_from_values(levels), config)]
 
 
 def white_noise_series(n, seed):
@@ -131,11 +137,20 @@ class TestRunTestPipeline:
         # units give the orders, statistics and decisions of the unscaled run
         levels = growing_variance_levels(300, seed=42)
         config = PipelineConfig(clamp=True)
-        base = run_test_pipeline(series_from_values(levels), config)
-        scaled = run_test_pipeline(series_from_values(np.ldexp(levels, k)), config)
-        fields = ("ar_order", "ar_coefficients", "poly_order", "statistic", "p_value", "reject")
-        for got, want in zip(scaled, base):
-            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert outcomes(np.ldexp(levels, k), config) == outcomes(levels, config)
+
+    @pytest.mark.parametrize("k", [-1060, -1050, -1040, 1000])
+    def test_scaling_to_the_edges_of_the_float_range_changes_no_outcome(self, k):
+        # integer levels of at most 11 bits scale exactly, down among the subnormals,
+        # and the residuals are unit-scaled before any of them is formed in true units
+        rng = np.random.default_rng(5)
+        levels = np.round(np.cumsum(rng.standard_normal(300)) * 40 * np.linspace(1, 3, 300))
+        config = PipelineConfig(clamp=True)
+        assert outcomes(np.ldexp(levels, k), config) == outcomes(levels, config)
+
+    def test_residuals_past_the_float_max_give_the_unit_size_statistics(self):
+        config = PipelineConfig(diff_order=0, ar_order=0, clamp=True)
+        assert outcomes(np.ldexp(split_levels(), 1025), config) == outcomes(split_levels(), config)
 
     def test_subsample_window_configuration(self):
         series = white_noise_series(300, seed=6)

@@ -19,6 +19,13 @@ class TestResidualSeries:
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
+    def test_scale_is_part_of_the_value(self):
+        # values * 2**scale: the unit scale is exact, the true values overflow without a warning
+        s = ResidualSeries([0.75, -3.0], 1023)
+        assert s.exponent == 2 + 1023
+        np.testing.assert_array_equal(s.unit_values, [0.1875, -0.75])
+        np.testing.assert_array_equal(s.values, [0.75 * 2.0**1023, -np.inf])
+
     @pytest.mark.parametrize("bad", [[1.0], [], [1.0, np.nan], [1.0, np.inf], [[1.0, 2.0]]])
     def test_rejects_invalid_input(self, bad):
         with pytest.raises(ValueError):
@@ -63,6 +70,11 @@ class TestSubsampleWindow:
         make = SubsampleWindow.from_exponent if "gamma" in kwargs else SubsampleWindow
         with pytest.raises(ValueError):
             make(**kwargs)
+
+    @pytest.mark.parametrize("start_fraction", [1.0, math.nan, -0.1])
+    def test_from_exponent_rejects_a_start_outside_the_sample(self, start_fraction):
+        with pytest.raises(ValueError, match=r"^start_fraction must be in \[0, 1\), got "):
+            SubsampleWindow.from_exponent(10, 0.5, start_fraction)
 
     def test_squares_rejects_mismatched_series(self):
         w = SubsampleWindow.full(5)
