@@ -137,6 +137,17 @@ def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tup
     return q_std, _corrected(squares, profiles, None, failures_mod), failures_std, failures_mod
 
 
+def _require_positive(fit: VariancePolyFit) -> None:
+    """NonpositiveVarianceError if the profile of ``fit`` dips to or below the floor of :func:`check_positivity`."""
+    report = check_positivity(fit)
+    if not report.passed:
+        raise NonpositiveVarianceError(
+            f"fitted variance dips to {report.min_value:.6g} at t={report.t_min} "
+            f"(positivity floor {report.floor:.6g}); "
+            "clamp explicitly or refit with a lower order"
+        )
+
+
 def _one(statistic, *args) -> float:
     """``statistic(*args, failures)`` on one row, or the row's failure raised."""
     failures = {}
@@ -208,12 +219,6 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     squares = fit.window.squares(series)[None]
     if positivity == "error":
-        report = check_positivity(fit)
-        if not report.passed:
-            raise NonpositiveVarianceError(
-                f"fitted variance dips to {report.min_value:.6g} at t={report.t_min} "
-                f"(positivity floor {report.floor:.6g}); "
-                "clamp explicitly or refit with a lower order"
-            )
+        _require_positive(fit)
     floor = None if positivity == "none" else fit.unit_floor  # a no-op once "error" has passed
     return _one(_corrected, squares, fit.unit_profile, floor)

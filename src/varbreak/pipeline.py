@@ -14,19 +14,20 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
-from varbreak.cusum import statistic_corrected, statistic_subsample
+from varbreak.cusum import _corrected, _one, _require_positive, _sanso
 from varbreak.dataio import SeriesFile, difference
 from varbreak.errors import VarbreakError
 from varbreak.nulldist import DecisionRule, pvalue
-from varbreak.series import ResidualSeries, SubsampleWindow
-from varbreak.variance_poly import DEFAULT_P_MAX, check_positivity, select_poly_order_aic
+from varbreak.series import ResidualSeries, SubsampleWindow, _true_units
+from varbreak.variance_poly import DEFAULT_P_MAX, _selection, check_positivity
 
 if TYPE_CHECKING:  # the Monte Carlo engine loads only for the commands that run it
     from varbreak.mc import McResult, SimulationTable
@@ -71,6 +72,8 @@ _REPORT_FIELDS = {
     "poly_order": "poly_order",
 }
 _REPORT_GETTER = operator.attrgetter(*_REPORT_FIELDS.values())
+
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float reprs json writes otherwise
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,15 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+def _true_text(unit_value: float, power: int) -> str:
+    """``unit_value * 2**power`` in ``%.6g``; outside the normal floats, a unit mantissa times a power of two."""
+    value = float(_true_units(unit_value, power))
+    if unit_value == 0 or sys.float_info.min <= abs(value) < math.inf:
+        return f"{value:.6g}"
+    mantissa, exponent = math.frexp(unit_value)
+    return f"{mantissa:.6g} * 2**{exponent + power}"
+
+
 def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestReport, TestReport]:
     """Difference, prewhiten, and test a series; returns (Q_std, Q_mod) reports.
 
@@ -173,25 +185,29 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
 
     window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
 
+    squares = window.squares(residuals)[None]  # the one row every statistic and fit below reads
     with _stage("statistic-std"):
-        q_std = statistic_subsample(residuals, window)
+        q_std = _one(_sanso, squares)
 
     warnings: list[str] = []
     p_max = min(config.p_max, max(1, window.length - 2))  # the largest order the window supports, if any
     if p_max < config.p_max:
         warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
     with _stage("variance-fit"):
-        selection = select_poly_order_aic(residuals, window, p_max)
+        selection = _selection(squares, window, p_max, residuals.exponent)
     poly_fit = selection.fit
-    if config.clamp:  # a strict run is checked, and fails, inside statistic_corrected
+    if config.clamp:
         positivity = check_positivity(poly_fit)
         if not positivity.passed:
+            power = 2 * poly_fit.exponent
             warnings.append(
-                f"variance profile floored at {positivity.floor:.6g} "
-                f"(minimum {positivity.min_value:.6g} at t={positivity.t_min})"
+                f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
+                f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={positivity.t_min})"
             )
     with _stage("statistic-mod"):
-        q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
+        if not config.clamp:
+            _require_positive(poly_fit)
+        q_mod = _one(_corrected, squares, poly_fit.unit_profile, poly_fit.unit_floor)  # a no-op floor if strict
 
     def report(kind: str, statistic: float, **fields) -> TestReport:
         return TestReport(
@@ -302,9 +318,35 @@ def _table_human(table: SimulationTable) -> str:
 
 
 def _json(kind: str, **fields) -> str:
-    """A JSON document of ``kind`` with the schema version; keys sorted, numbers lossless."""
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """A JSON document of ``kind`` with the schema version by :func:`_json_text`; keys sorted, numbers lossless."""
+    return _json_text({"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}) + "\n"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for str-keyed dicts, lists, tuples and scalars.
+
+    A scalar is written by the functions ``json`` writes it with, so a float is its repr or ``NaN``,
+    ``Infinity`` or ``-Infinity``; ``indent=2`` alone would send the whole document through
+    ``json``'s pure-Python encoder.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE_JSON.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
 
 
 def emit_report(reports, fmt: str = "human") -> str:

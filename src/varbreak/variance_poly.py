@@ -211,10 +211,14 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    squares = window.squares(series)
-    rss, p, coefficients, unit_rss = (a[0] for a in _select(squares[None], window, p_max))
+    return _selection(window.squares(series)[None], window, p_max, series.exponent)
+
+
+def _selection(squares: np.ndarray, window: SubsampleWindow, p_max: int, exponent: int) -> OrderSelection:
+    """:func:`select_poly_order_aic` from the (1, q) window squares of a series' unit values and its exponent."""
+    rss, p, coefficients, unit_rss = (a[0] for a in _select(squares, window, p_max))
     coefficients = tuple(coefficients[: p + 1].tolist())
-    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), series.exponent)
+    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), exponent)
     return OrderSelection(tuple(rss.tolist()), fit)
 
 

@@ -185,6 +185,13 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("varbreak: error: line 2: field larger than field limit") and err.count("\n") == 1
 
+    def test_unquoted_field_past_the_limit_is_the_same_error(self, capsys, tmp_path):
+        path = tmp_path / "HUGE.csv"
+        path.write_text("DATE,X\n2001-01-01," + "1" * (csv.field_size_limit() + 1) + "\n")
+        assert main(["test", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("varbreak: error: line 2: field larger than field limit") and err.count("\n") == 1
+
     def test_usage_error_exits_two(self, macro_csv):
         with pytest.raises(SystemExit) as excinfo:
             main(["test", str(macro_csv), "--rule", "folk"])

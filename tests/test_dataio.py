@@ -158,8 +158,10 @@ def _date_cell(ordinal: int, form: str) -> str:
 @st.composite
 def fred_csv_texts(draw) -> str:
     """CSV text around a FRED export: blank, ragged and quoted rows, missing
-    and non-finite values, non-canonical, equal and decreasing dates, a BOM."""
+    and non-finite values, non-canonical, equal and decreasing dates, a BOM,
+    a lone carriage return or a NUL inside a line."""
     columns = draw(st.permutations(["DATE", "X", "Y"][: draw(st.integers(2, 3))]))
+    quoted = draw(st.booleans())  # the other half of the texts hold no quote
     lines = [",".join(columns)]
     ordinal = datetime.date(2000, 1, 1).toordinal()
     faulty = draw(st.booleans())  # the other half of the texts hold no row that fails to load
@@ -178,7 +180,12 @@ def fred_csv_texts(draw) -> str:
         row = [cells[name] for name in columns]
         if kind == "ragged":
             row = row[: draw(st.integers(1, len(row) - 1))] if draw(st.booleans()) else row + ["9"]
-        lines.append(",".join('"' + cell + '"' if draw(st.booleans()) else cell for cell in row))
+        lines.append(",".join('"' + cell + '"' if quoted and draw(st.booleans()) else cell for cell in row))
+    stray = draw(st.sampled_from(["", "", "", "\r", "\0"]))
+    if stray:
+        line = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[line])))
+        lines[line] = lines[line][:at] + stray + lines[line][at:]
     bom = "\ufeff" if draw(st.booleans()) else ""
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return bom + end.join(lines) + draw(st.sampled_from([end, ""]))

@@ -1,9 +1,13 @@
 import dataclasses
 import datetime
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import varbreak.cusum
 import varbreak.pipeline
@@ -18,7 +22,7 @@ from varbreak import (
     run_test_pipeline,
 )
 from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
-from varbreak.pipeline import REPORT_SCHEMA_VERSION
+from varbreak.pipeline import REPORT_SCHEMA_VERSION, _json_text
 
 from conftest import growing_variance_levels, month_starts, split_levels
 
@@ -152,6 +156,25 @@ class TestRunTestPipeline:
         config = PipelineConfig(diff_order=0, ar_order=0, clamp=True)
         assert outcomes(np.ldexp(split_levels(), 1025), config) == outcomes(split_levels(), config)
 
+    @pytest.mark.parametrize("k", [1025, -1000])
+    def test_clamp_warning_outside_the_float_range_reads_as_the_unit_size_warning(self, k):
+        # times 2**1025 a true-unit floor is inf, times 2**-1000 it is 0
+        config = PipelineConfig(diff_order=0, ar_order=0, clamp=True)
+        unit = run_test_pipeline(series_from_values(split_levels()), config)[1].warnings
+        scaled = run_test_pipeline(series_from_values(np.ldexp(split_levels(), k)), config)[1].warnings
+        pattern = r"variance profile floored at (\S+(?: \* 2\*\*-?\d+)?) \(minimum (\S+(?: \* 2\*\*-?\d+)?) at t=(\d+)\)"
+        (floor, minimum, t), = (re.fullmatch(pattern, warning).groups() for warning in unit)
+        (scaled_floor, scaled_minimum, scaled_t), = (re.fullmatch(pattern, warning).groups() for warning in scaled)
+        assert "*" not in floor + minimum and "*" in scaled_floor and "*" in scaled_minimum
+        assert scaled_t == t
+
+        def read_back(text):  # m * 2**p, divided by 2**(2k) exactly
+            mantissa, power = text.split(" * 2**")
+            return math.ldexp(float(mantissa), int(power) - 2 * k)
+
+        assert read_back(scaled_floor) == pytest.approx(float(floor), rel=1e-5)
+        assert read_back(scaled_minimum) == pytest.approx(float(minimum), rel=1e-5)
+
     def test_subsample_window_configuration(self):
         series = white_noise_series(300, seed=6)
         config = PipelineConfig(diff_order=0, gamma=0.8, offset_fraction=0.1, clamp=True)
@@ -205,6 +228,32 @@ class TestEmitTestReports:
     def test_unknown_format(self, reports):
         with pytest.raises(ValueError):
             emit_report(reports, "xml")
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, infinities, signed zeros and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", 'say "hi"\n']),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(payload=_JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    def test_other_types_are_not_serializable(self):
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            _json_text({"a": {1}})
 
 
 class TestEmitExperiments:
