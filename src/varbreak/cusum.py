@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from varbreak.errors import DegenerateSeriesError, NonpositiveVarianceError, ZeroDispersionError
-from varbreak.series import ResidualSeries, SubsampleWindow
+from varbreak.series import ResidualSeries, SubsampleWindow, _true_text
 from varbreak.variance_poly import VariancePolyFit, _profiles, _select, check_positivity
 
 POSITIVITY_MODES = ("error", "clamp", "none")
@@ -137,17 +137,6 @@ def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tup
     return q_std, _corrected(squares, profiles, None, failures_mod), failures_std, failures_mod
 
 
-def _require_positive(fit: VariancePolyFit) -> None:
-    """NonpositiveVarianceError if the profile of ``fit`` dips to or below the floor of :func:`check_positivity`."""
-    report = check_positivity(fit)
-    if not report.passed:
-        raise NonpositiveVarianceError(
-            f"fitted variance dips to {report.min_value:.6g} at t={report.t_min} "
-            f"(positivity floor {report.floor:.6g}); "
-            "clamp explicitly or refit with a lower order"
-        )
-
-
 def _one(statistic, *args) -> float:
     """``statistic(*args, failures)`` on one row, or the row's failure raised."""
     failures = {}
@@ -199,11 +188,15 @@ def statistic_subsample(series: ResidualSeries, window: SubsampleWindow) -> floa
 def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positivity: str = "error") -> float:
     """The corrected statistic over the window of ``fit``; a positive constant profile gives the uncorrected one.
 
+    The positivity rule: Q_mod divides the squares by the profile, so the profile must stay
+    above the floor of :func:`check_positivity`, ``POS_FLOOR_FRAC`` times the window mean
+    square, at every t of the window.  ``varbreak test`` runs "error", or "clamp" under ``--clamp``.
+
     Parameters
     ----------
     positivity : {"error", "clamp", "none"}
-        When the profile dips to or below the floor of :func:`check_positivity`
-        inside the window: raise (default), floor it, or use it as is.
+        When the profile dips to or below the floor inside the window: raise
+        (default), floor the profile at it, or use the profile as is.
 
     Raises
     ------
@@ -218,7 +211,11 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     squares = fit.window.squares(series)[None]
-    if positivity == "error":
-        _require_positive(fit)
+    if positivity == "error" and not (report := check_positivity(fit)).passed:
+        power = 2 * fit.exponent
+        raise NonpositiveVarianceError(
+            f"fitted variance dips to {_true_text(fit.unit_profile.min(), power)} at t={report.t_min} "
+            f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
+        )
     floor = None if positivity == "none" else fit.unit_floor  # a no-op once "error" has passed
     return _one(_corrected, squares, fit.unit_profile, floor)

@@ -102,21 +102,21 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
     Raises
     ------
     CsvParseError
-        For a missing or malformed header, or a malformed or unparseable
-        row; the message carries the 1-based number of the physical
-        line the row ends on.
+        For a missing or malformed header, a malformed or unparseable
+        row, or a byte that is not UTF-8; the message carries the 1-based
+        number of the physical line the row ends on, or the byte is on.
     DateOrderError
         If dates are not strictly increasing.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:  # the row loop raises it where it meets it, after any error of a row before
-            handle.seek(0)
-            fields = _read_rows(handle, date_column, value_column)
-        else:
-            fields = _read_columns(text, date_column, value_column)
-            fields = fields or _read_rows(io.StringIO(text, newline=""), date_column, value_column)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")  # as utf-8-sig reads it, with file offsets in an error
+    except UnicodeDecodeError as exc:  # the rows before the byte are read first: an error of theirs wins
+        fields = _read_rows(_lines_before(data, exc), date_column, value_column)
+    else:
+        fields = _read_columns(text, date_column, value_column)
+        fields = fields or _read_rows(io.StringIO(text, newline=""), date_column, value_column)
     dates, values, ordinals, source_id, dropped = fields
     return SeriesFile._checked(
         dates=tuple(dates),
@@ -161,6 +161,16 @@ def _read_columns(text: str, date_column: str, value_column: str | None) -> tupl
     if not (increasing and all(map(math.isfinite, values))):
         return None
     return dates, values, ordinals, value_column, dropped
+
+
+def _lines_before(data: bytes, exc: UnicodeDecodeError):
+    """The whole lines of ``data`` before the byte ``exc`` failed on, then a CsvParseError naming that byte's line."""
+    lines = io.StringIO(data[: exc.start].decode("utf-8").removeprefix("\ufeff"), newline="").readlines()
+    if lines and not lines[-1].endswith(("\n", "\r")):
+        lines.pop()  # the start of the byte's own line
+    yield from lines
+    bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8 ({exc.reason})"
+    raise CsvParseError(bad, line=len(lines) + 1)
 
 
 def _read_rows(lines, date_column: str, value_column: str | None) -> tuple:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -22,12 +21,12 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
-from varbreak.cusum import _corrected, _one, _require_positive, _sanso
+from varbreak.cusum import statistic_corrected, statistic_subsample
 from varbreak.dataio import SeriesFile, difference
 from varbreak.errors import VarbreakError
 from varbreak.nulldist import DecisionRule, pvalue
-from varbreak.series import ResidualSeries, SubsampleWindow, _true_units
-from varbreak.variance_poly import DEFAULT_P_MAX, _selection, check_positivity
+from varbreak.series import ResidualSeries, SubsampleWindow, _true_text
+from varbreak.variance_poly import DEFAULT_P_MAX, check_positivity, select_poly_order_aic
 
 if TYPE_CHECKING:  # the Monte Carlo engine loads only for the commands that run it
     from varbreak.mc import McResult, SimulationTable
@@ -86,7 +85,7 @@ class PipelineConfig:
     gamma: float = 1.0  # window length floor(n**gamma); 1.0 is the full residual sample
     offset_fraction: float = 0.0
     rule: DecisionRule = field(default_factory=DecisionRule.asymptotic)
-    clamp: bool = False
+    clamp: bool = False  # positivity="clamp" of statistic_corrected, else "error"
 
 
 @dataclass(frozen=True)
@@ -147,15 +146,6 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _true_text(unit_value: float, power: int) -> str:
-    """``unit_value * 2**power`` in ``%.6g``; outside the normal floats, a unit mantissa times a power of two."""
-    value = float(_true_units(unit_value, power))
-    if unit_value == 0 or sys.float_info.min <= abs(value) < math.inf:
-        return f"{value:.6g}"
-    mantissa, exponent = math.frexp(unit_value)
-    return f"{mantissa:.6g} * 2**{exponent + power}"
-
-
 def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestReport, TestReport]:
     """Difference, prewhiten, and test a series; returns (Q_std, Q_mod) reports.
 
@@ -185,29 +175,24 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
 
     window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
 
-    squares = window.squares(residuals)[None]  # the one row every statistic and fit below reads
     with _stage("statistic-std"):
-        q_std = _one(_sanso, squares)
+        q_std = statistic_subsample(residuals, window)
 
     warnings: list[str] = []
     p_max = min(config.p_max, max(1, window.length - 2))  # the largest order the window supports, if any
     if p_max < config.p_max:
         warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
     with _stage("variance-fit"):
-        selection = _selection(squares, window, p_max, residuals.exponent)
+        selection = select_poly_order_aic(residuals, window, p_max)
     poly_fit = selection.fit
-    if config.clamp:
-        positivity = check_positivity(poly_fit)
-        if not positivity.passed:
-            power = 2 * poly_fit.exponent
-            warnings.append(
-                f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
-                f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={positivity.t_min})"
-            )
+    if config.clamp and not (positivity := check_positivity(poly_fit)).passed:
+        power = 2 * poly_fit.exponent
+        warnings.append(
+            f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
+            f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={positivity.t_min})"
+        )
     with _stage("statistic-mod"):
-        if not config.clamp:
-            _require_positive(poly_fit)
-        q_mod = _one(_corrected, squares, poly_fit.unit_profile, poly_fit.unit_floor)  # a no-op floor if strict
+        q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
 
     def report(kind: str, statistic: float, **fields) -> TestReport:
         return TestReport(

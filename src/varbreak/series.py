@@ -7,8 +7,8 @@ freely across threads or worker processes.
 Unit scale: every fit and statistic reads a series as ``values * 2**-e``,
 e from ``frexp(max|values|)``.  :func:`_unit_scale` maps values in, exactly,
 so no power-of-two scale of the input changes an order, a lag coefficient
-or a statistic; :func:`_true_units` maps reported values out.  Nothing else
-does either.
+or a statistic; :func:`_true_units` maps reported values out, and
+:func:`_true_text` words one for a message.  Nothing else does either.
 """
 
 from __future__ import annotations
@@ -34,6 +34,15 @@ def _true_units(values, power: int):
     """``values * 2**power``: exact, and inf where the true value leaves the float range."""
     with np.errstate(over="ignore"):
         return np.ldexp(values, power)
+
+
+def _true_text(unit_value: float, power: int) -> str:
+    """``unit_value * 2**power`` in ``%.6g``; outside the normal floats, a unit mantissa times a power of two."""
+    value = float(_true_units(unit_value, power))
+    if unit_value == 0 or np.finfo(np.float64).smallest_normal <= abs(value) < math.inf:
+        return f"{value:.6g}"
+    mantissa, exponent = math.frexp(unit_value)
+    return f"{mantissa:.6g} * 2**{exponent + power}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -211,14 +211,10 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    return _selection(window.squares(series)[None], window, p_max, series.exponent)
-
-
-def _selection(squares: np.ndarray, window: SubsampleWindow, p_max: int, exponent: int) -> OrderSelection:
-    """:func:`select_poly_order_aic` from the (1, q) window squares of a series' unit values and its exponent."""
+    squares = window.squares(series)[None]
     rss, p, coefficients, unit_rss = (a[0] for a in _select(squares, window, p_max))
     coefficients = tuple(coefficients[: p + 1].tolist())
-    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), exponent)
+    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), series.exponent)
     return OrderSelection(tuple(rss.tolist()), fit)
 
 

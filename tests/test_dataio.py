@@ -129,6 +129,29 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=f"^line {line}: field larger than field limit"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "before,line",
+        [
+            ("DATE,X\n" + "".join(f"{d},1.5\n" for d in month_starts(datetime.date(1900, 1, 1), 1500, 1)), 1502),
+            ("DA", 1),
+            ("\ufeffDATE,X\r\n2000-01-01,1\r\n2000-02-01,", 3),
+        ],
+        ids=["past-8KiB", "header", "bom-crlf"],
+    )
+    def test_byte_that_is_not_utf8_names_its_line_and_file_offset(self, tmp_path, before, line):
+        # the offset counts from the start of the file, BOM included, not from a decoded chunk
+        path = tmp_path / "latin.csv"
+        path.write_bytes(before.encode() + b"\xff\n")
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert str(info.value) == f"line {line}: byte 0xff at offset {len(before.encode())} is not UTF-8 (invalid start byte)"
+
+    def test_an_earlier_row_error_wins_over_a_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"DATE,X\n2000-01-01,1\n2000-02-01,x\n2000-03-01,\xff\n")
+        with pytest.raises(CsvParseError, match="^line 3: unparseable value 'x'$"):
+            load_csv(path)
+
     def test_value_column_selects_by_name(self, tmp_path):
         path = tmp_path / "multi.csv"
         path.write_text("DATE,A,B\n2001-01-01,1.0,10.0\n2001-02-01,2.0,20.0\n")

@@ -17,9 +17,15 @@ from varbreak import (
     PipelineConfig,
     SeriesFile,
     SingularDesignError,
+    SubsampleWindow,
+    difference,
     emit_report,
+    fit_ar_ols,
     run_table,
     run_test_pipeline,
+    select_poly_order_aic,
+    statistic_corrected,
+    statistic_subsample,
 )
 from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
 from varbreak.pipeline import REPORT_SCHEMA_VERSION, _json_text
@@ -121,6 +127,29 @@ class TestRunTestPipeline:
         run_test_pipeline(series_from_values(growing_variance_levels(200, seed=42)), PipelineConfig(clamp=clamp))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("gamma, offset_fraction", [(1.0, 0.0), (0.8, 0.1)])
+    def test_pipeline_is_the_public_chain(self, monkeypatch, clamp, gamma, offset_fraction):
+        # the README Quickstart chain on the AR residuals replays both statistics bit for bit
+        calls = []
+        chain = {f.__name__: f for f in (statistic_subsample, select_poly_order_aic, statistic_corrected)}
+
+        def counted(name):
+            return lambda *args, **kwargs: calls.append(name) or chain[name](*args, **kwargs)
+
+        for name in chain:
+            monkeypatch.setattr(varbreak.pipeline, name, counted(name), raising=False)
+        series = series_from_values(growing_variance_levels(200, seed=42))
+        config = PipelineConfig(gamma=gamma, offset_fraction=offset_fraction, clamp=clamp)
+        report_std, report_mod = run_test_pipeline(series, config)
+        assert calls == list(chain)
+
+        residuals = fit_ar_ols(difference(series).values, report_std.ar_order, intercept=True).residuals
+        window = SubsampleWindow.from_exponent(residuals.n, gamma, offset_fraction)
+        fit = select_poly_order_aic(residuals, window, config.p_max).fit
+        assert report_std.statistic == statistic_subsample(residuals, window)
+        assert report_mod.statistic == statistic_corrected(residuals, fit, positivity="clamp" if clamp else "error")
+
     def test_window_too_short_for_order_one_is_a_labelled_error(self):
         series = series_from_values(growing_variance_levels(661, seed=42))
         config = PipelineConfig(gamma=0.15)  # 658 residuals, floor(658**0.15) = 2
@@ -156,15 +185,30 @@ class TestRunTestPipeline:
         config = PipelineConfig(diff_order=0, ar_order=0, clamp=True)
         assert outcomes(np.ldexp(split_levels(), 1025), config) == outcomes(split_levels(), config)
 
+    @pytest.mark.parametrize("clamp", [True, False])
     @pytest.mark.parametrize("k", [1025, -1000])
-    def test_clamp_warning_outside_the_float_range_reads_as_the_unit_size_warning(self, k):
-        # times 2**1025 a true-unit floor is inf, times 2**-1000 it is 0
-        config = PipelineConfig(diff_order=0, ar_order=0, clamp=True)
-        unit = run_test_pipeline(series_from_values(split_levels()), config)[1].warnings
-        scaled = run_test_pipeline(series_from_values(np.ldexp(split_levels(), k)), config)[1].warnings
-        pattern = r"variance profile floored at (\S+(?: \* 2\*\*-?\d+)?) \(minimum (\S+(?: \* 2\*\*-?\d+)?) at t=(\d+)\)"
-        (floor, minimum, t), = (re.fullmatch(pattern, warning).groups() for warning in unit)
-        (scaled_floor, scaled_minimum, scaled_t), = (re.fullmatch(pattern, warning).groups() for warning in scaled)
+    def test_clamp_warning_outside_the_float_range_reads_as_the_unit_size_warning(self, k, clamp):
+        # times 2**1025 a true-unit floor is inf, times 2**-1000 it is 0; a strict run's error words the same values
+        config = PipelineConfig(diff_order=0, ar_order=0, clamp=clamp)
+        number = r"\S+(?: \* 2\*\*-?\d+)?"
+        pattern = (
+            rf"variance profile floored at (?P<floor>{number}) \(minimum (?P<minimum>{number}) at t=(?P<t>\d+)\)"
+            if clamp
+            else rf"statistic-mod: fitted variance dips to (?P<minimum>{number}) at t=(?P<t>\d+) "
+            rf"\(positivity floor (?P<floor>{number})\); clamp explicitly or refit with a lower order"
+        )
+
+        def message(levels):
+            series = series_from_values(levels)
+            if clamp:
+                (warning,) = run_test_pipeline(series, config)[1].warnings
+                return re.fullmatch(pattern, warning)
+            with pytest.raises(NonpositiveVarianceError) as info:
+                run_test_pipeline(series, config)
+            return re.fullmatch(pattern, str(info.value))
+
+        floor, minimum, t = message(split_levels()).group("floor", "minimum", "t")
+        scaled_floor, scaled_minimum, scaled_t = message(np.ldexp(split_levels(), k)).group("floor", "minimum", "t")
         assert "*" not in floor + minimum and "*" in scaled_floor and "*" in scaled_minimum
         assert scaled_t == t
 
