@@ -3,8 +3,9 @@
 Files are expected comma-separated with a header, a DATE column of
 ISO-8601 dates (stored as YYYY-MM-DD) and one value column; missing
 observations marked "." (or empty) are dropped and counted, never
-interpolated.  :func:`load_csv` converts a well-formed file a column at a
-time and reads any other row by row, the loop that words every load error.
+interpolated.  :func:`load_csv` tokenises a file into flat cells, turns
+them into the series in one column-wise conversion, and reads the file row
+by row only to word its first error.
 """
 
 from __future__ import annotations
@@ -82,10 +83,11 @@ def _frequency(ordinals) -> str:
 def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None) -> SeriesFile:
     """Parse a FRED-style CSV export into a :class:`SeriesFile`.
 
-    The file is read once.  One without quotes, lone carriage returns, NULs
-    or lines past ``csv.field_size_limit()``, whose rows all parse, with
-    canonical YYYY-MM-DD dates, is converted a column at a time; any other
-    goes through ``csv.reader`` row by row, the only code that words an error.
+    The file is read once and tokenised into its header names and body
+    cells: by ``str.split`` where that reads it as ``csv.reader`` would,
+    else by ``csv.reader`` less the blank rows.  One conversion turns the
+    cells into the series a column at a time; only where it declines does
+    a row loop read the text again, to raise the first error in file order.
 
     Parameters
     ----------
@@ -102,51 +104,58 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
     Raises
     ------
     CsvParseError
-        For a missing or malformed header, a malformed or unparseable
-        row, or a byte that is not UTF-8; the message carries the 1-based
-        number of the physical line the row ends on, or the byte is on.
+        For a missing or malformed header, a value column that is the date
+        column, a malformed or unparseable row, or a byte that is not UTF-8;
+        the message carries the 1-based number of the physical line the row
+        ends on, or the byte is on.
     DateOrderError
         If dates are not strictly increasing.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8").removeprefix("\ufeff")  # as utf-8-sig reads it, with file offsets in an error
-    except UnicodeDecodeError as exc:  # the rows before the byte are read first: an error of theirs wins
-        fields = _read_rows(_lines_before(data, exc), date_column, value_column)
-    else:
-        fields = _read_columns(text, date_column, value_column)
-        fields = fields or _read_rows(io.StringIO(text, newline=""), date_column, value_column)
-    dates, values, ordinals, source_id, dropped = fields
-    return SeriesFile._checked(
-        dates=tuple(dates),
-        values=np.array(values, dtype=np.float64),
-        frequency=_frequency(ordinals),
-        source_id=source_id,
-        dropped_missing=dropped,
-    )
+        text, stop = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # the whole lines before the byte are read first: an error of theirs wins
+        text = data[: exc.start].decode("utf-8")
+        text = text[: max(text.rfind("\n"), text.rfind("\r")) + 1]  # less the start of the byte's own line
+        stop = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8 ({exc.reason})"
+    text = text.removeprefix("\ufeff")  # as utf-8-sig reads it, with file offsets in an error
+    for header, cells in () if stop else _tokenise(text):  # a blank row that str.split keeps fails its date
+        series = _convert(header, cells, date_column, value_column)
+        if series is not None:
+            return series
+    _raise_first_error(text, date_column, value_column, stop)
 
 
-def _read_columns(text: str, date_column: str, value_column: str | None) -> tuple | None:
-    """:func:`_read_rows` of ``text`` a column at a time in C-level calls, or None where that loop must read it."""
-    text = text.replace("\r\n", "\n")
-    lines = text.removesuffix("\n").split("\n")  # csv.reader's rows, but [''] for its [] of an empty line
-    limit = csv.field_size_limit()
-    if '"' in text or "\r" in text or "\0" in text or len(text) > limit and max(map(len, lines)) > limit:
-        return None
-    header = [cell.strip() for cell in lines[0].split(",")]
+def _tokenise(text: str):
+    """Readings of ``text`` as header names and body cells, row after row: by ``str.split`` where csv.reader reads
+    the text alike, then by csv.reader less the blank rows, unless a row is ragged or the reader fails."""
+    plain, limit = text.replace("\r\n", "\n"), csv.field_size_limit()
+    if not ('"' in plain or "\r" in plain or "\0" in plain):
+        lines = plain.removesuffix("\n").split("\n")  # csv.reader's rows, but [''] for its [] of an empty line
+        header = [cell.strip() for cell in lines[0].split(",")]
+        commas = set(map(str.count, lines[1:], itertools.repeat(",")))  # empty if there is no row
+        if commas == {len(header) - 1} and (len(plain) <= limit or max(map(len, lines)) <= limit):
+            yield header, ",".join(lines[1:]).split(",")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [cell.strip() for cell in next(reader)]
+        rows = list(reader)
+    except (StopIteration, csv.Error):
+        return
+    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))  # less the blank rows
+    if set(map(len, rows)) <= {len(header)}:
+        yield header, list(itertools.chain.from_iterable(rows))
+
+
+def _convert(header: list[str], cells: list[str], date_column: str, value_column: str | None) -> SeriesFile | None:
+    """The series of a header and its body cells, converted a column at a time, or None where there is an error."""
     if value_column is None:
         value_column = next((name for name in header if name != date_column), None)
-    width, rows = len(header), lines[1:]
-    if date_column not in header or value_column not in header:
+    if date_column not in header or value_column not in header or value_column == date_column:
         return None
-    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
-        return None  # a ragged or empty row, or no row at all
-    cells = ",".join(rows).split(",")  # width cells a row
+    width = len(header)
     dates = list(map(str.strip, cells[header.index(date_column) :: width]))
-    joined = "".join(dates)  # no date form parses past 10 characters, so none of 10N is shorter
-    if len(joined) != 10 * len(dates) or not joined[4::10] == joined[7::10] == "-" * len(dates):
-        return None  # a blank row, or a date not written YYYY-MM-DD
     raw_values = list(map(str.strip, cells[header.index(value_column) :: width]))
     dropped = sum(map(raw_values.count, MISSING_MARKERS))
     try:
@@ -160,78 +169,66 @@ def _read_columns(text: str, date_column: str, value_column: str | None) -> tupl
         return None
     if not (increasing and all(map(math.isfinite, values))):
         return None
-    return dates, values, ordinals, value_column, dropped
+    joined = "".join(dates)  # every date parsed, so none is past 10 characters: 10N means each is 10
+    if len(joined) != 10 * len(dates) or not joined[4::10] == joined[7::10] == "-" * len(dates):
+        dates = list(map(datetime.date.isoformat, map(datetime.date.fromordinal, ordinals)))  # as YYYY-MM-DD
+    return SeriesFile._checked(
+        dates=tuple(dates),
+        values=np.array(values, dtype=np.float64),
+        frequency=_frequency(ordinals),
+        source_id=value_column,
+        dropped_missing=dropped,
+    )
 
 
-def _lines_before(data: bytes, exc: UnicodeDecodeError):
-    """The whole lines of ``data`` before the byte ``exc`` failed on, then a CsvParseError naming that byte's line."""
-    lines = io.StringIO(data[: exc.start].decode("utf-8").removeprefix("\ufeff"), newline="").readlines()
-    if lines and not lines[-1].endswith(("\n", "\r")):
-        lines.pop()  # the start of the byte's own line
-    yield from lines
-    bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8 ({exc.reason})"
-    raise CsvParseError(bad, line=len(lines) + 1)
+def _raise_first_error(text: str, date_column: str, value_column: str | None, stop: str | None) -> None:
+    """Raise the first error of ``text`` in file order, or ``stop``, why the text was cut short, when the reader
+    asks for the line after its last: a record still open there is not read."""
 
+    def lines():
+        yield from io.StringIO(text, newline="")
+        if stop:
+            raise CsvParseError(stop, line=reader.line_num + 1)
 
-def _read_rows(lines, date_column: str, value_column: str | None) -> tuple:
-    """The kept dates, values and day ordinals, the value column and the dropped count; raises every load error."""
-    reader = csv.reader(lines)
+    reader = csv.reader(lines())
     try:
         header = [cell.strip() for cell in next(reader)]
         if date_column not in header:
             raise CsvParseError(f"no {date_column!r} column in header {header}", line=1)
-        date_idx = header.index(date_column)
         if value_column is None:
             value_column = next((name for name in header if name != date_column), None)
             if value_column is None:
                 raise CsvParseError("no value column besides the date column", line=1)
         if value_column not in header:
             raise CsvParseError(f"no {value_column!r} column in header {header}", line=1)
-        value_idx = header.index(value_column)
-
-        width = len(header)
-        fromisoformat, isfinite = datetime.date.fromisoformat, math.isfinite  # looked up once, not per row
-        dates: list[str] = []
-        values: list[float] = []
-        ordinals: list[int] = []  # of the kept rows, for the frequency
-        dropped = 0
+        if value_column == date_column:
+            raise CsvParseError(f"value column {value_column!r} is the date column", line=1)
+        date_idx, value_idx, width = header.index(date_column), header.index(value_column), len(header)
         previous = 0  # ordinal of the last dated row; a real date's is at least 1
         for row in reader:
-            raw_date = row[date_idx].strip() if len(row) == width else ""
-            if not raw_date:  # only then can the row be blank
-                if not "".join(row).strip():
-                    continue
-                if len(row) != width:
-                    raise CsvParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                raise CsvParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+            raw_date, raw_value = row[date_idx].strip(), row[value_idx].strip()
             try:
-                parsed = fromisoformat(raw_date)
+                ordinal = datetime.date.fromisoformat(raw_date).toordinal()
             except ValueError:
                 raise CsvParseError(f"unparseable date {raw_date!r}", line=reader.line_num) from None
-            ordinal = parsed.toordinal()
             if ordinal <= previous:
                 raise DateOrderError(f"line {reader.line_num}: date {raw_date} does not increase past "
                                      f"{datetime.date.fromordinal(previous).isoformat()}")
             previous = ordinal
-            raw_value = row[value_idx].strip()
-            if raw_value in MISSING_MARKERS:
-                dropped += 1
-                continue
             try:
-                value = float(raw_value)
+                finite = raw_value in MISSING_MARKERS or math.isfinite(float(raw_value))
             except ValueError:
                 raise CsvParseError(f"unparseable value {raw_value!r}", line=reader.line_num) from None
-            if not isfinite(value):
+            if not finite:
                 raise CsvParseError(f"non-finite value {raw_value!r}", line=reader.line_num)
-            canonical = len(raw_date) == 10 and raw_date[4] == raw_date[7] == "-"  # YYYY-MM-DD
-            dates.append(raw_date if canonical else parsed.isoformat())
-            values.append(value)
-            ordinals.append(ordinal)
     except StopIteration:  # from reading the header
         raise CsvParseError("file is empty", line=1) from None
     except csv.Error as exc:
         raise CsvParseError(str(exc), line=reader.line_num) from None
-
-    return dates, values, ordinals, value_column, dropped
 
 
 def difference(series: SeriesFile, order: int = 1) -> SeriesFile:

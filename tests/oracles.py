@@ -1,7 +1,7 @@
 """Literal, loop-based re-implementations of the statistics, of the
 AIC order choice and of the AR(1) recursion, a simulation of the
-corrected statistic's limit law, and the row-by-row CSV loader the
-one-pass ``load_csv`` replaced.
+corrected statistic's limit law, and the row-by-row CSV loader that
+``load_csv``'s one column-wise conversion replaced.
 
 The statistics are independent of the package code.  The
 re-implementations are deliberately unoptimized: every partial sum is

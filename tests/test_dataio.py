@@ -1,6 +1,7 @@
 import csv
 import datetime
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from varbreak import (
     CsvParseError,
     DateOrderError,
     SeriesFile,
+    dataio,
     difference,
     load_csv,
 )
@@ -113,6 +115,12 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="line 2"):
             load_csv(path)
 
+    def test_ragged_rows_whose_cells_line_up_again(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("DATE,X\n2001-01-01\n1.0,2001-02-01,2.0\n")  # 1 + 3 cells read as two rows of 2
+        with pytest.raises(CsvParseError, match="^line 2: expected 2 fields, got 1$"):
+            load_csv(path)
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD before 3.11")
     def test_other_iso_date_forms_are_stored_as_yyyy_mm_dd(self, tmp_path):
         path = tmp_path / "forms.csv"
@@ -127,6 +135,19 @@ class TestLoadCsv:
         path = tmp_path / "huge.csv"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(CsvParseError, match=f"^line {line}: field larger than field limit"):
+            load_csv(path)
+
+    def test_unquoted_field_past_the_limit_in_an_unread_column_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"DATE,X,Y\n2001-01-01,1.0,{'1' * (csv.field_size_limit() + 1)}\n")
+        with pytest.raises(CsvParseError, match="^line 2: field larger than field limit"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_value_reports_line_number(self, tmp_path, value):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"DATE,X\n2001-01-01,1.0\n2001-02-01,{value}\n")
+        with pytest.raises(CsvParseError, match=f"^line 3: non-finite value '{value}'$"):
             load_csv(path)
 
     @pytest.mark.parametrize(
@@ -159,6 +180,13 @@ class TestLoadCsv:
         np.testing.assert_array_equal(series.values, [10.0, 20.0])
         assert series.source_id == "B"
 
+    # dates of the second form also parse as floats
+    @pytest.mark.parametrize("dates", [["2001-01-01", "2001-02-01"], ["20010101", "20010201"]])
+    def test_value_column_that_is_the_date_column_is_a_header_error(self, tmp_path, dates):
+        path = write_fred_csv(tmp_path / "x.csv", "X", dates, [1.0, 2.0])
+        with pytest.raises(CsvParseError, match="^line 1: value column 'DATE' is the date column$"):
+            load_csv(path, value_column="DATE")
+
 
 _BLANK_ROWS = ("", "   ", ",", ",,", " , ")
 _BAD_DATES = ("", "2001-99-01", "2001-02-30", "01/02/2001", "x")
@@ -178,14 +206,20 @@ def _date_cell(ordinal: int, form: str) -> str:
     return f" {day.isoformat()} " if form == "padded" else day.isoformat()
 
 
+def _quoted(draw, cell: str) -> str:
+    at = draw(st.integers(0, len(cell)))
+    return '"' + cell[:at] + draw(st.sampled_from(["", "", ",", '""', "\n", "\r\n"])) + cell[at:] + '"'
+
+
 @st.composite
 def fred_csv_texts(draw) -> str:
-    """CSV text around a FRED export: blank, ragged and quoted rows, missing
-    and non-finite values, non-canonical, equal and decreasing dates, a BOM,
-    a lone carriage return or a NUL inside a line."""
+    """CSV text around a FRED export: blank, ragged and quoted rows, quoted
+    cells holding a comma, a doubled quote or a line break, missing and
+    non-finite values, non-canonical, equal and decreasing dates, a BOM, a
+    lone carriage return or a NUL inside a line."""
     columns = draw(st.permutations(["DATE", "X", "Y"][: draw(st.integers(2, 3))]))
     quoted = draw(st.booleans())  # the other half of the texts hold no quote
-    lines = [",".join(columns)]
+    lines = [",".join(f'"{name}"' if quoted and draw(st.booleans()) else name for name in columns)]
     ordinal = datetime.date(2000, 1, 1).toordinal()
     faulty = draw(st.booleans())  # the other half of the texts hold no row that fails to load
     kinds = ["row"] * 8 + ["blank"] + (["ragged", "bad-date"] if faulty else [])
@@ -203,7 +237,7 @@ def fred_csv_texts(draw) -> str:
         row = [cells[name] for name in columns]
         if kind == "ragged":
             row = row[: draw(st.integers(1, len(row) - 1))] if draw(st.booleans()) else row + ["9"]
-        lines.append(",".join('"' + cell + '"' if quoted and draw(st.booleans()) else cell for cell in row))
+        lines.append(",".join(_quoted(draw, cell) if quoted and draw(st.booleans()) else cell for cell in row))
     stray = draw(st.sampled_from(["", "", "", "\r", "\0"]))
     if stray:
         line = draw(st.integers(0, len(lines) - 1))
@@ -232,7 +266,48 @@ class TestLoadCsvMatchesTheLiteralLoader:
     def test_same_series_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("differential") / "series.csv"
         path.write_text(text, encoding="utf-8")
-        assert _outcome(load_csv, path) == _outcome(load_csv_literal, path)
+        with mock.patch.object(dataio, "_raise_first_error", wraps=dataio._raise_first_error) as error_loop:
+            outcome = _outcome(load_csv, path)
+        assert outcome == _outcome(load_csv_literal, path)
+        assert error_loop.called == (outcome[0] in (CsvParseError, DateOrderError))  # every error, and only errors
+
+
+_ROWS = [("2000-01-01", "1.5"), ("2000-02-01", "2.5"), ("2000-03-01", "-0.25"), ("2000-04-01", "4"),
+         ("2000-05-01", "1e3")]
+
+
+def _plain(rows) -> str:
+    return "DATE,X\n" + "".join(f"{date},{value}\n" for date, value in rows)
+
+
+class TestOneConversion:
+    @pytest.mark.parametrize(
+        "text,gap",
+        [
+            (_plain(_ROWS), None),
+            (_plain(_ROWS).replace("\n", "\r\n"), None),
+            ("\ufeff" + _plain(_ROWS), None),
+            (_plain(_ROWS).replace("DATE,X", 'DATE,"X"'), None),
+            ("DATE,X\n" + "".join(f'{date},"{value}\n"\n' for date, value in _ROWS), None),
+            (_plain(_ROWS[:2]) + " , \n\n" + _plain(_ROWS[2:]).removeprefix("DATE,X\n") + "\n", None),
+            (_plain(_ROWS[:2] + [("2000-03-01", ".")] + _ROWS[3:]), 2),
+            pytest.param(
+                _plain([("20000101", "1.5")] + _ROWS[1:]),
+                None,
+                marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD"),
+            ),
+        ],
+        ids=["plain", "crlf", "bom", "quoted-header", "quoted-multiline-values", "blank-rows", "gappy", "basic-date"],
+    )
+    def test_each_copy_converts_to_the_plain_series_without_the_error_loop(self, tmp_path, text, gap):
+        path, plain = tmp_path / "copy.csv", tmp_path / "plain.csv"
+        path.write_bytes(text.encode())
+        plain.write_text(_plain([row for k, row in enumerate(_ROWS) if k != gap]))
+        with mock.patch.object(dataio, "_raise_first_error") as error_loop:
+            copy, expected = _outcome(load_csv, path), _outcome(load_csv, plain)
+        error_loop.assert_not_called()
+        assert copy[:4] == expected[:4]  # dates, values, frequency and source
+        assert copy[4] == (0 if gap is None else 1)  # dropped_missing
 
 
 class TestInferFrequency:
