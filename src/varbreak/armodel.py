@@ -32,10 +32,11 @@ class ArFit:
     residuals: ResidualSeries
 
 
-def _ar_design(z: np.ndarray, order: int, intercept: bool) -> np.ndarray:
-    # per row of z: responses z_t, t = order..n-1 (0-based); an optional constant, then z_{t-1}..z_{t-order}
+def _ar_design(z: np.ndarray, order: int, intercept: bool, layout: str = "C") -> np.ndarray:
+    # per row of z: responses z_t, t = order..n-1 (0-based); an optional constant, then z_{t-1}..z_{t-order}.
+    # layout "F" stores each column contiguously, the order numpy's QR copies its input into for LAPACK
     rows = max(z.shape[-1] - order, 0)  # none for a series no longer than the order, which factorise rejects
-    design = np.empty((*z.shape[:-1], rows, int(intercept) + order))
+    design = np.empty((*z.shape[:-1], rows, int(intercept) + order), order=layout)
     if intercept:
         design[..., 0] = 1.0
     for i in range(1, order + 1):
@@ -106,7 +107,7 @@ def select_ar_order(values, max_order: int) -> int:
     x = ResidualSeries(values).unit_values
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    design = _ar_design(x, max_order, intercept=True)
+    design = _ar_design(x, max_order, intercept=True, layout="F")  # the same Q and R bits, no strided copy
     ols = fit_factorised(factorise(design, f"AR({max_order}) design"), x[max_order:], ladder=True)
     return int(ols.aic_choice(design.shape[0], 1, _RSS_FLOOR)[1]) - 1
 

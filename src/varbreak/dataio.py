@@ -23,6 +23,7 @@ import numpy as np
 from varbreak.errors import CsvParseError, DateOrderError
 
 MISSING_MARKERS = (".", "")
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")  # every byte but a comma and a line feed
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +69,12 @@ class SeriesFile:
         return int(self.values.size)
 
 
-def _frequency(ordinals) -> str:
+def _frequency(ordinals: np.ndarray) -> str:
     """Classify the median gap of day ordinals: ~30 days monthly, ~91 quarterly."""
     if len(ordinals) < 3:
         return "unknown"
-    gap = float(np.median(np.diff(ordinals)))
+    gaps = np.sort(np.diff(ordinals))
+    gap = (gaps[(gaps.size - 1) // 2] + gaps[gaps.size // 2]) / 2  # exact: the middle gap, or the middle pair's mean
     if 28 <= gap <= 31:
         return "monthly"
     if 84 <= gap <= 96:
@@ -85,7 +87,9 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
 
     The file is read once and tokenised into its header names and body
     cells: by ``str.split`` where that reads it as ``csv.reader`` would,
-    else by ``csv.reader`` less the blank rows.  One conversion turns the
+    else by ``csv.reader`` less the blank rows.  ``str.split`` needs w - 1
+    commas on every row for a header of w names, checked in one pass that
+    keeps only the body's commas and line feeds.  One conversion turns the
     cells into the series a column at a time; only where it declines does
     a row loop read the text again, to raise the first error in file order.
 
@@ -132,11 +136,14 @@ def _tokenise(text: str):
     the text alike, then by csv.reader less the blank rows, unless a row is ragged or the reader fails."""
     plain, limit = text.replace("\r\n", "\n"), csv.field_size_limit()
     if not ('"' in plain or "\r" in plain or "\0" in plain):
-        lines = plain.removesuffix("\n").split("\n")  # csv.reader's rows, but [''] for its [] of an empty line
-        header = [cell.strip() for cell in lines[0].split(",")]
-        commas = set(map(str.count, lines[1:], itertools.repeat(",")))  # empty if there is no row
-        if commas == {len(header) - 1} and (len(plain) <= limit or max(map(len, lines)) <= limit):
-            yield header, ",".join(lines[1:]).split(",")
+        head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows, '' for a blank one
+        header = [cell.strip() for cell in head.split(",")]
+        separators = body.encode().translate(None, _NOT_SEPARATORS)
+        rows = separators.count(b"\n") + 1  # an empty body is one empty row, matched only by a header of one column
+        if separators == ((b"," * (len(header) - 1) + b"\n") * rows)[:-1] and (
+            len(plain) <= limit or max(map(len, plain.split("\n"))) <= limit
+        ):
+            yield header, body.replace("\n", ",").split(",")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = [cell.strip() for cell in next(reader)]
@@ -159,22 +166,23 @@ def _convert(header: list[str], cells: list[str], date_column: str, value_column
     raw_values = list(map(str.strip, cells[header.index(value_column) :: width]))
     dropped = sum(map(raw_values.count, MISSING_MARKERS))
     try:
-        ordinals = list(map(datetime.date.toordinal, map(datetime.date.fromisoformat, dates)))
-        increasing = all(map(operator.lt, ordinals, ordinals[1:]))  # over the dropped rows too
+        ordinals = np.fromiter(map(datetime.date.toordinal, map(datetime.date.fromisoformat, dates)), np.int64)
+        increasing = (ordinals[1:] > ordinals[:-1]).all()  # over the dropped rows too
         if dropped:
             kept = [value not in MISSING_MARKERS for value in raw_values]
-            dates, raw_values, ordinals = (list(itertools.compress(c, kept)) for c in (dates, raw_values, ordinals))
-        values = list(map(float, raw_values))
+            dates, raw_values = (list(itertools.compress(c, kept)) for c in (dates, raw_values))
+            ordinals = ordinals[kept]
+        values = np.fromiter(map(float, raw_values), np.float64, len(raw_values))  # float's accepted set, not numpy's
     except ValueError:
         return None
-    if not (increasing and all(map(math.isfinite, values))):
+    if not (increasing and np.isfinite(values).all()):
         return None
     joined = "".join(dates)  # every date parsed, so none is past 10 characters: 10N means each is 10
     if len(joined) != 10 * len(dates) or not joined[4::10] == joined[7::10] == "-" * len(dates):
-        dates = list(map(datetime.date.isoformat, map(datetime.date.fromordinal, ordinals)))  # as YYYY-MM-DD
+        dates = list(map(datetime.date.isoformat, map(datetime.date.fromordinal, ordinals.tolist())))  # as YYYY-MM-DD
     return SeriesFile._checked(
         dates=tuple(dates),
-        values=np.array(values, dtype=np.float64),
+        values=values,
         frequency=_frequency(ordinals),
         source_id=value_column,
         dropped_missing=dropped,

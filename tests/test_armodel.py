@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from varbreak._ols import factorise, fit_factorised
 from varbreak.armodel import _ar_design
 from varbreak.series import ResidualSeries
 
-from conftest import split_levels
+from conftest import growing_variance_levels, split_levels
 from oracles import aic_choice_literal
 
 
@@ -125,6 +127,26 @@ class TestSelectArOrder:
             rss = fit_factorised(factorise(design, "AR design"), x[max_order:], ladder=True).rss[1:]
             expected = aic_choice_literal(rss, design.shape[0], 1, np.finfo(np.float64).tiny)
             assert select_ar_order(values, max_order) == expected
+
+    @pytest.mark.parametrize("count,cap", [(661, 12), (270, 8)], ids=["monthly", "quarterly"])
+    def test_numpy_qr_gives_a_column_major_design_the_bits_of_a_row_major_one(self, count, cap):
+        # the premise of the column-major search design: numpy's QR copies its input into column-major order for
+        # LAPACK, so Q and R, and with them every RSS and choice, come out alike, in the same layout
+        x = ResidualSeries(np.diff(growing_variance_levels(count, 0))).unit_values
+        rows, columns = _ar_design(x, cap, True), _ar_design(x, cap, True, layout="F")
+        assert rows.flags.c_contiguous and columns.flags.f_contiguous and rows.shape == (count - 1 - cap, cap + 1)
+        for a, b in zip(np.linalg.qr(rows), np.linalg.qr(columns)):
+            assert a.strides == b.strides and a.tobytes() == b.tobytes()
+
+    def test_orders_chosen_for_the_surrogates_are_pinned(self):
+        # 100 monthly and 100 quarterly differenced surrogates at their frequency's cap
+        orders = [
+            select_ar_order(np.diff(growing_variance_levels(count, seed)), cap)
+            for count, cap in ((661, 12), (270, 8))
+            for seed in range(100)
+        ]
+        digest = hashlib.sha256(np.array(orders, dtype=np.int64).tobytes()).hexdigest()
+        assert digest == "e11a22a48e1d3defc88dce7bb40f4f7de7fe4e22be6d636718702ef286731d30"
 
     def test_constant_series_is_singular(self):
         with pytest.raises(SingularDesignError):

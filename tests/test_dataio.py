@@ -151,6 +151,29 @@ class TestLoadCsv:
             load_csv(path)
 
     @pytest.mark.parametrize(
+        "value,expected",
+        [
+            ("1_000", 1000.0),
+            (" 2.5 ", 2.5),
+            ("\u0661\u0662\u0663", 123.0),  # Arabic-Indic digits
+            ("Infinity", "non-finite value 'Infinity'"),
+            ("1e400", "non-finite value '1e400'"),
+            ("0x10", "unparseable value '0x10'"),
+        ],
+        ids=["underscore", "padded", "arabic-indic", "infinity", "overflow", "hex"],
+    )
+    def test_a_value_cell_reads_as_python_float_reads_it(self, tmp_path, value, expected):
+        # numpy's string parsing accepts another set than float does; the loader keeps float's, the literal's
+        path = tmp_path / "values.csv"
+        path.write_text(f"DATE,X\n2001-01-01,1.0\n2001-02-01,{value}\n2001-03-01,3.0\n", encoding="utf-8")
+        outcome = _outcome(load_csv, path)
+        assert outcome == _outcome(load_csv_literal, path)
+        if isinstance(expected, float):
+            assert outcome[1] == np.array([1.0, expected, 3.0]).tobytes()
+        else:
+            assert outcome == (CsvParseError, f"line 3: {expected}")
+
+    @pytest.mark.parametrize(
         "before,line",
         [
             ("DATE,X\n" + "".join(f"{d},1.5\n" for d in month_starts(datetime.date(1900, 1, 1), 1500, 1)), 1502),
@@ -263,6 +286,8 @@ class TestLoadCsvMatchesTheLiteralLoader:
     @example(text="DATE,X\n2000-01-01,1\n2000-02-01,.\n2000-02-01,2\n")  # equal after a dropped row
     @example(text="\ufeffDATE,X\n\n , \n,,\n20000101,1\n2000-W01-1,2\n2000-02-01,3\n")
     @example(text="X,DATE\n1,2000-01-01\n2,2000-02-01\n3,2000-03-01\n")
+    @example(text="DATE,X\n2000-01-01,1_000\n2000-02-01,\u0661\u0662\u0663\n2000-03-01,2\n")  # float reads both
+    @example(text="DATE,X\n2000-01-01,1\n2000-02-01,0x10\n")  # float reads no hex: one error
     def test_same_series_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("differential") / "series.csv"
         path.write_text(text, encoding="utf-8")
@@ -325,6 +350,37 @@ class TestInferFrequency:
     def test_unknown(self, tmp_path):
         assert self.frequency(tmp_path, ["2000-01-01", "2001-01-01", "2002-01-01"]) == "unknown"
         assert self.frequency(tmp_path, ["2000-01-01", "2000-02-01"]) == "unknown"
+
+    @pytest.mark.parametrize(
+        "low,high,frequency",
+        [
+            (27, 28, "unknown"),
+            (27, 29, "monthly"),
+            (30, 32, "monthly"),
+            (31, 32, "unknown"),
+            (83, 84, "unknown"),
+            (83, 85, "quarterly"),
+            (95, 97, "quarterly"),
+            (96, 97, "unknown"),
+        ],
+        ids=["27.5", "28", "31", "31.5", "83.5", "84", "96", "96.5"],
+    )
+    def test_an_even_gap_count_classifies_the_mean_of_its_middle_pair(self, tmp_path, low, high, frequency):
+        # gaps high, low, high, low: no gap is the median, (low + high) / 2, which falls on or past a bound
+        ordinals = np.cumsum([datetime.date(2000, 1, 1).toordinal(), high, low, high, low])
+        dates = [datetime.date.fromordinal(int(ordinal)).isoformat() for ordinal in ordinals]
+        assert self.frequency(tmp_path, dates) == frequency
+
+    def test_a_dropped_row_counts_for_date_order_but_not_for_the_gap(self, tmp_path):
+        # with the dropped 2000-02-15 the gaps would be 31, 14, 15, 31, whose median 23 is no frequency
+        path = tmp_path / "gappy.csv"
+        path.write_text("DATE,X\n2000-01-01,1\n2000-02-01,2\n2000-02-15,.\n2000-03-01,3\n2000-04-01,4\n")
+        series = load_csv(path)
+        assert series.dates == ("2000-01-01", "2000-02-01", "2000-03-01", "2000-04-01")
+        assert (series.frequency, series.dropped_missing) == ("monthly", 1)
+        path.write_text(path.read_text().replace("2000-02-15", "2000-01-15"))
+        with pytest.raises(DateOrderError, match="^line 4: date 2000-01-15 does not increase past 2000-02-01$"):
+            load_csv(path)
 
 
 class TestDifference:
