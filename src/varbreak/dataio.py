@@ -87,7 +87,9 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
 
     The file is read once and tokenised into its header names and body
     cells: by ``str.split`` where that reads it as ``csv.reader`` would,
-    else by ``csv.reader`` less the blank rows.  ``str.split`` needs w - 1
+    else by ``csv.reader`` less the blank rows; a header with quotes that
+    close on its own line is read by ``csv.reader`` and the body by
+    ``str.split``.  ``str.split`` needs w - 1
     commas on every row for a header of w names, checked in one pass that
     keeps only the body's commas and line feeds.  One conversion turns the
     cells into the series a column at a time; only where it declines does
@@ -132,17 +134,20 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
 
 
 def _tokenise(text: str):
-    """Readings of ``text`` as header names and body cells, row after row: by ``str.split`` where csv.reader reads
-    the text alike, then by csv.reader less the blank rows, unless a row is ragged or the reader fails."""
+    """Readings of ``text`` as header names and body cells, row after row: by ``str.split`` (a quoted header by
+    csv.reader) where csv.reader reads the text alike, then by csv.reader less the blank rows, unless a row is
+    ragged or the reader fails."""
     plain, limit = text.replace("\r\n", "\n"), csv.field_size_limit()
-    if not ('"' in plain or "\r" in plain or "\0" in plain):
-        head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows, '' for a blank one
-        header = [cell.strip() for cell in head.split(",")]
+    head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows, '' for a blank one
+    if not ('"' in body or "\r" in plain or "\0" in plain) and (
+        len(plain) <= limit or max(map(len, plain.split("\n"))) <= limit
+    ):
+        # csv.reader reads a quoted header's line, and on into the empty line after it if a quote stays open
+        reader = csv.reader((head, "")) if '"' in head else None
+        header = [cell.strip() for cell in (next(reader) if reader else head.split(","))]
         separators = body.encode().translate(None, _NOT_SEPARATORS)
         rows = separators.count(b"\n") + 1  # an empty body is one empty row, matched only by a header of one column
-        if separators == ((b"," * (len(header) - 1) + b"\n") * rows)[:-1] and (
-            len(plain) <= limit or max(map(len, plain.split("\n"))) <= limit
-        ):
+        if (reader is None or reader.line_num == 1) and separators == ((b"," * (len(header) - 1) + b"\n") * rows)[:-1]:
             yield header, body.replace("\n", ",").split(",")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:

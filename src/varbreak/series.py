@@ -21,13 +21,41 @@ import numpy as np
 from varbreak.errors import WindowBoundsError
 
 
-def _unit_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``values`` at unit scale, and its e (0 for a zero row); ValueError for a NaN or infinite value."""
-    peak = np.abs(values).max(axis=-1, keepdims=True)
+def _take(buffers: list | None, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: a view of a flat array popped from ``buffers``, or a new one.
+
+    ``buffers`` is the free list of a serial Monte Carlo run, which lends
+    every block the arrays of the blocks before it.  Like the allocator, it
+    lends the smallest array large enough, of equals the one given back last;
+    with None, or none large enough, the array is new, and :func:`_give` adds
+    it to the list, which so grows to the largest set a block holds at once.
+    """
+    if buffers:
+        size = math.prod(shape)
+        fits = [i for i, buffer in enumerate(buffers) if buffer.size >= size]
+        if fits:
+            best = min(reversed(fits), key=lambda i: buffers[i].size)
+            return buffers.pop(best)[:size].reshape(shape, order=order)
+    return np.empty(shape, order=order)
+
+
+def _give(buffers: list | None, *arrays: np.ndarray) -> None:
+    """Push arrays from :func:`_take`, whose values nobody reads again, back on ``buffers``; nothing if it is None."""
+    if buffers is not None:
+        buffers.extend((array if array.base is None else array.base).reshape(-1, order="A") for array in arrays)
+
+
+def _unit_scale(values: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``values`` at unit scale, in ``out`` (not ``values``; None for a new array), and its e.
+
+    e is 0 for a zero row; ValueError for a NaN or infinite value.
+    """
+    magnitudes = np.abs(values, out=out)
+    peak = magnitudes.max(axis=-1, keepdims=True)
     if not math.isfinite(peak.max()):  # max propagates NaN
         raise ValueError("residuals contain NaN or infinite values")
     exponent = np.frexp(peak)[1]
-    return np.ldexp(values, -exponent), exponent[..., 0]
+    return np.ldexp(values, -exponent, out=magnitudes), exponent[..., 0]
 
 
 def _true_units(values, power: int):

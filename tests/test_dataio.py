@@ -288,6 +288,9 @@ class TestLoadCsvMatchesTheLiteralLoader:
     @example(text="X,DATE\n1,2000-01-01\n2,2000-02-01\n3,2000-03-01\n")
     @example(text="DATE,X\n2000-01-01,1_000\n2000-02-01,\u0661\u0662\u0663\n2000-03-01,2\n")  # float reads both
     @example(text="DATE,X\n2000-01-01,1\n2000-02-01,0x10\n")  # float reads no hex: one error
+    @example(text='"DATE","X"\r\n2000-01-01,1\r\n2000-02-01,2\r\n')  # quotes in the header only
+    @example(text='"DATE","X,Y"\n2000-01-01,1\n2000-02-01,2\n')  # a comma inside a quoted name
+    @example(text='DATE,"X\n2000-01-01,1\n2000-02-01,2\n')  # a header quote that stays open to the end
     def test_same_series_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("differential") / "series.csv"
         path.write_text(text, encoding="utf-8")
