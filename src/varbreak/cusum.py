@@ -136,7 +136,9 @@ def _corrected(
     return statistic
 
 
-def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int, buffers: list | None = None) -> tuple:
+def _statistics(
+    squares: np.ndarray, window: SubsampleWindow, p_max: int, buffers: list | None = None
+) -> tuple[np.ndarray, ...]:
     """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their failure maps.
 
     Q_mod uses the profile of the row's AIC order in 1..p_max as is, with no positivity floor.

@@ -161,7 +161,9 @@ def _fit_order(squares: np.ndarray, window: SubsampleWindow, p: int) -> NestedOl
     return fit_factorised(_design_factors(window, p), squares, ladder=True)
 
 
-def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int, buffers: list | None = None) -> tuple:
+def _select(
+    squares: np.ndarray, window: SubsampleWindow, p_max: int, buffers: list | None = None
+) -> tuple[np.ndarray, ...]:
     """The AIC order search of each row of (R, q) squares of unit-scale window values.
 
     Per row: the floored RSS of orders 1..p_max, the chosen order, its

@@ -476,7 +476,8 @@ class TestBlockBuffers:
         together = varbreak.mc._run_cells(specs, workers=1)  # one free list for all 15 cells, as in run_table
         parallel = varbreak.mc._run_cells(specs, workers=2)  # a task is one block: nothing is lent
         for spec, cell, kept, pooled in zip(specs, table.results, together, parallel):
-            assert (cell.rejection_rate_std, cell.rejection_rate_mod) == (kept.rejection_rate_std, kept.rejection_rate_mod)
+            assert cell.rejection_rate_std == kept.rejection_rate_std
+            assert cell.rejection_rate_mod == kept.rejection_rate_mod
             for other in (run_experiment(spec), pooled):
                 assert other.statistics_std.tobytes() == kept.statistics_std.tobytes()
                 assert other.statistics_mod.tobytes() == kept.statistics_mod.tobytes()
@@ -485,18 +486,18 @@ class TestBlockBuffers:
     def test_results_are_no_views_of_lent_buffers(self, monkeypatch, dgp):
         monkeypatch.setattr(varbreak.mc, "BLOCK_ELEMENTS", 8 * 60)
         first = run_experiment(make_spec(dgp=dgp, n=60, replications=40, keep_statistics=True))
-        kept = first.statistics_std.copy(), first.statistics_mod.copy()
+        kept = first.statistics_std.tobytes(), first.statistics_mod.tobytes()
         run_experiment(make_spec(dgp=dgp, n=60, replications=40, seed=10, keep_statistics=True))
-        assert (first.statistics_std.tobytes(), first.statistics_mod.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
+        assert (first.statistics_std.tobytes(), first.statistics_mod.tobytes()) == kept
         # within a run: a block's statistics survive the next block, which borrows what the first gave back
         spec, buffers = make_spec(dgp=dgp, n=60, replications=40), []
         q_std, q_mod, *_ = varbreak.mc._block(spec, 0, 8, buffers)
         lent = len(buffers)
-        kept = q_std.copy(), q_mod.copy()
+        kept = q_std.tobytes(), q_mod.tobytes()
         for start in range(8, 40, 8):
             varbreak.mc._block(spec, start, start + 8, buffers)
             assert len(buffers) == lent  # every later block borrows all it needs, and gives it all back
-        assert (q_std.tobytes(), q_mod.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
+        assert (q_std.tobytes(), q_mod.tobytes()) == kept
         assert not any(np.shares_memory(q, buffer) for q in (q_std, q_mod) for buffer in buffers)
 
 
