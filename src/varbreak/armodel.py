@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from varbreak._ols import factorise, fit_factorised
-from varbreak.series import ResidualSeries, _give, _take, _true_units
+from varbreak.series import ResidualSeries, _empty, _give, _take, _true_units
 
 _RSS_FLOOR = np.finfo(np.float64).tiny
 
@@ -36,7 +36,7 @@ def _ar_design(z: np.ndarray, order: int, intercept: bool, layout: str = "C", bu
     # per row of z: responses z_t, t = order..n-1 (0-based); an optional constant, then z_{t-1}..z_{t-order}.
     # layout "F" stores each column contiguously, the order numpy's QR copies its input into for LAPACK
     rows = max(z.shape[-1] - order, 0)  # none for a series no longer than the order, which factorise rejects
-    design = _take(buffers, (*z.shape[:-1], rows, int(intercept) + order), order=layout)
+    design = _empty(buffers, (*z.shape[:-1], rows, int(intercept) + order), order=layout)
     if intercept:
         design[..., 0] = 1.0
     for i in range(1, order + 1):
@@ -55,9 +55,9 @@ def _fit_rows(units: np.ndarray, order: int, intercept: bool, buffers: list | No
     design = _ar_design(units, order, intercept, buffers=buffers)
     ols = fit_factorised(factorise(design, f"AR({order}) design"), y)
     beta = ols.coefficients(design.shape[-1])
-    fitted = np.matmul(design, beta[..., None], out=_take(buffers, (*y.shape, 1)))[..., 0]
+    fitted = np.matmul(design, beta[..., None], _take(buffers, (*y.shape, 1)))[..., 0]
     _give(buffers, design)
-    return ols, beta, np.subtract(y, fitted, out=fitted)
+    return ols, beta, np.subtract(y, fitted, fitted)
 
 
 def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:

@@ -72,11 +72,11 @@ def _bridge(squares: np.ndarray, buffers: list | None = None) -> tuple[np.ndarra
     """
     q = squares.shape[-1]
     mean = squares.sum(axis=-1, keepdims=True) / q
-    deviations = np.subtract(squares, mean, out=_take(buffers, squares.shape))
-    spare = np.square(deviations, out=_take(buffers, squares.shape))
+    deviations = np.subtract(squares, mean, _take(buffers, squares.shape))
+    spare = np.square(deviations, _take(buffers, squares.shape))
     dispersion = spare.sum(axis=-1) / q
     bridge = deviations.cumsum(axis=-1, out=deviations)
-    bridge -= np.multiply(np.arange(1, q + 1), bridge[..., -1:] / q, out=spare)
+    bridge -= np.multiply(np.arange(1, q + 1), bridge[..., -1:] / q, spare)
     sup = np.abs(bridge, out=bridge).max(axis=-1)
     _give(buffers, spare, deviations)
     return sup, mean[..., 0], dispersion
@@ -115,8 +115,8 @@ def _corrected(
     if floor is not None:
         profile = np.maximum(profile, floor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rescaled = np.divide(squares, profile, out=_take(buffers, squares.shape))
-        magnitudes = np.abs(rescaled, out=_take(buffers, squares.shape))
+        rescaled = np.divide(squares, profile, _take(buffers, squares.shape))
+        magnitudes = np.abs(rescaled, _take(buffers, squares.shape))
         peak = magnitudes.max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
         _give(buffers, magnitudes)
         for row in np.nonzero(~np.isfinite(peak) | (peak < _SMALLEST_PEAK))[0].tolist():

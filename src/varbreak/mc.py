@@ -52,7 +52,7 @@ from varbreak.armodel import _fit_rows
 from varbreak.cusum import _statistics
 from varbreak.errors import ExperimentIntegrityError, SingularDesignError
 from varbreak.nulldist import DecisionRule
-from varbreak.series import ResidualSeries, SubsampleWindow, _give, _take, _unit_scale
+from varbreak.series import ResidualSeries, SubsampleWindow, _empty, _give, _take, _unit_scale
 
 _MASK64 = (1 << 64) - 1
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -92,7 +92,7 @@ def _logistic(u: np.ndarray, buffers: list | None = None) -> np.ndarray:
     A uniform is 0 or at least 2**-53, so flooring it at the smallest normal float changes only a 0.
     """
     np.maximum(u, np.finfo(np.float64).tiny, out=u)
-    odds = np.subtract(1.0, u, out=_take(buffers, u.shape))
+    odds = np.subtract(1.0, u, _take(buffers, u.shape))
     np.divide(u, odds, out=u)
     _give(buffers, odds)
     np.log(u, out=u)
@@ -125,7 +125,7 @@ def _uniforms(seed: int, replications: range, n: int, buffers: list | None = Non
         "has_uint32": 0,
         "uinteger": 0,
     }
-    draws = _take(buffers, (len(replications), n))
+    draws = _empty(buffers, (len(replications), n))
     for row, rep in zip(draws, replications):
         state["state"]["key"] = [seed & _MASK64, rep & _MASK64]
         bit_generator.state = state
@@ -248,22 +248,22 @@ def _ar1(u: np.ndarray, buffers: list | None = None) -> np.ndarray:
     as a long series.
     """
     rows, n = u.shape
-    out = _take(buffers, u.shape)
+    out = _empty(buffers, u.shape)
     length = -(-n // max(1, _LANES // rows))
     k = -(-n // length)  # every lane starts inside the row
     if _WARM + length >= n:
-        steps = _take(buffers, (n, rows))
+        steps = _empty(buffers, (n, rows))
         steps[...] = u.T
         out[...] = _recursion(steps).T
         _give(buffers, steps)
         return out
-    padded = _take(buffers, (rows, _WARM + k * length))
+    padded = _empty(buffers, (rows, _WARM + k * length))
     padded[:, :_WARM] = 0.0  # lane 0 warms up on zeros
     padded[:, _WARM : _WARM + n] = u
     padded[:, _WARM + n :] = 0.0
     # (rows, k, _WARM + length): lane j reads times j*length - _WARM .. (j+1)*length - 1
     lanes = np.lib.stride_tricks.sliding_window_view(padded, _WARM + length, axis=1)[:, ::length]
-    x = _take(buffers, (_WARM + length, rows, k))
+    x = _empty(buffers, (_WARM + length, rows, k))
     x[...] = lanes.transpose(2, 0, 1)
     _give(buffers, padded)
     _recursion(x.reshape(-1, rows * k))
@@ -297,12 +297,12 @@ def _residual_squares(spec: McExperimentSpec, start: int, stop: int, buffers=Non
     if spec.dgp == "dgp2":
         x = _ar1(values, buffers)
         _give(buffers, values)
-        units = _unit_scale(x, out=_take(buffers, x.shape))[0]
+        units = _unit_scale(x, _take(buffers, x.shape))[0]
         _give(buffers, x)
         ar, _, values = _fit_rows(units, 1, intercept=False, buffers=buffers)
         _give(buffers, units)
         singular = np.flatnonzero(ar.singular).tolist()
-    units = _unit_scale(values, out=_take(buffers, values.shape))[0]
+    units = _unit_scale(values, _take(buffers, values.shape))[0]
     _give(buffers, values)
     return np.multiply(units, units, out=units), singular
 

@@ -21,22 +21,30 @@ import numpy as np
 from varbreak.errors import WindowBoundsError
 
 
-def _take(buffers: list | None, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-    """An uninitialised float64 array of ``shape``: a view of a flat array popped from ``buffers``, or a new one.
+def _take(buffers: list | None, shape: tuple[int, ...], order: str = "C") -> np.ndarray | None:
+    """An uninitialised float64 array of ``shape`` from the free list ``buffers``; None if that is None.
 
-    ``buffers`` is the free list of a serial Monte Carlo run, which lends
-    every block the arrays of the blocks before it.  Like the allocator, it
-    lends the smallest array large enough, of equals the one given back last;
-    with None, or none large enough, the array is new, and :func:`_give` adds
-    it to the list, which so grows to the largest set a block holds at once.
+    ``buffers`` holds the flat arrays that every block of a serial Monte
+    Carlo run borrows and gives back (:func:`_give`).  Like the allocator,
+    it lends the smallest array large enough, of equals the one given back
+    last; with none large enough the array is new, so the list grows to the
+    largest set a block holds at once.  A numpy function given None as its
+    output allocates one, as without the argument.  Pass it by position: a
+    keyword ``out``, even None, slows a small ufunc call by more than an allocation.
     """
-    if buffers:
-        size = math.prod(shape)
-        fits = [i for i, buffer in enumerate(buffers) if buffer.size >= size]
-        if fits:
-            best = min(reversed(fits), key=lambda i: buffers[i].size)
-            return buffers.pop(best)[:size].reshape(shape, order=order)
-    return np.empty(shape, order=order)
+    if buffers is None:
+        return None
+    size = math.prod(shape)
+    fits = [i for i, buffer in enumerate(buffers) if buffer.size >= size]
+    if not fits:
+        return np.empty(shape, order=order)
+    best = min(reversed(fits), key=lambda i: buffers[i].size)
+    return buffers.pop(best)[:size].reshape(shape, order=order)
+
+
+def _empty(buffers: list | None, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """:func:`_take`, or a new array where that gives None."""
+    return np.empty(shape, order=order) if buffers is None else _take(buffers, shape, order)
 
 
 def _give(buffers: list | None, *arrays: np.ndarray) -> None:
@@ -50,12 +58,12 @@ def _unit_scale(values: np.ndarray, out: np.ndarray | None = None) -> tuple[np.n
 
     e is 0 for a zero row; ValueError for a NaN or infinite value.
     """
-    magnitudes = np.abs(values, out=out)
+    magnitudes = np.abs(values, out)
     peak = magnitudes.max(axis=-1, keepdims=True)
     if not math.isfinite(peak.max()):  # max propagates NaN
         raise ValueError("residuals contain NaN or infinite values")
     exponent = np.frexp(peak)[1]
-    return np.ldexp(values, -exponent, out=magnitudes), exponent[..., 0]
+    return np.ldexp(values, -exponent, magnitudes), exponent[..., 0]
 
 
 def _true_units(values, power: int):

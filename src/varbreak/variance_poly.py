@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from varbreak._ols import NestedOls, aic, factorise, fit_factorised
-from varbreak.series import ResidualSeries, SubsampleWindow, _give, _take, _true_units
+from varbreak.series import ResidualSeries, SubsampleWindow, _empty, _give, _take, _true_units
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
 #: the window mean of u**4.  Keeps perfectly fitted models finite and
@@ -146,7 +146,7 @@ def _profiles(coefficients: np.ndarray, window: SubsampleWindow, buffers: list |
     coefficients gets the same values as the unpadded row.
     """
     x = _centred_time(window)
-    result = _take(buffers, (*coefficients.shape[:-1], x.size))
+    result = _empty(buffers, (*coefficients.shape[:-1], x.size))
     result.fill(0.0)
     for c in coefficients.T[::-1, ..., None]:
         result *= x
@@ -171,7 +171,7 @@ def _select(
     """
     ols = _fit_order(squares, window, p_max)
     q = squares.shape[-1]
-    fourth_powers = np.multiply(squares, squares, out=_take(buffers, squares.shape))
+    fourth_powers = np.multiply(squares, squares, _take(buffers, squares.shape))
     floor = AIC_RSS_FLOOR_FRAC * (fourth_powers.sum(axis=-1, keepdims=True) / q)
     _give(buffers, fourth_powers)
     rss, columns = ols.aic_choice(q, 2, floor)
