@@ -27,8 +27,8 @@ squared once for both statistics, and its failures travel as sparse
 free list of the (R, n) arrays its blocks borrow and give back, so every
 block after the first reuses the first one's few arrays: freed, they
 would go back to the operating system and be page-faulted in again by
-the next block (an 80-replication cell at n = 2000 took 1,405 minor
-faults under dgp1 and 2,500 under dgp2, and keeps about 150 and 300).
+the next block (an 80-replication cell at n = 2000 took about 1,400 minor
+faults under dgp1 and 2,500 under dgp2, and keeps about 155 and 315).
 
 Byte identity: each row goes through the same arithmetic as a lone
 replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public
