@@ -51,7 +51,7 @@ import math
 import numpy as np
 
 from varbreak.errors import DegenerateSeriesError, NonpositiveVarianceError, ZeroDispersionError
-from varbreak.series import ResidualSeries, SubsampleWindow, _give, _take, _true_text
+from varbreak.series import ResidualSeries, SubsampleWindow, _true_text
 from varbreak.variance_poly import VariancePolyFit, _profiles, _select, check_positivity
 
 POSITIVITY_MODES = ("error", "clamp", "none")
@@ -61,33 +61,29 @@ _EPS = float(np.finfo(np.float64).eps)
 _SMALLEST_PEAK = 2.0**-969
 
 
-def _bridge(squares: np.ndarray, buffers: list | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sup, mean, dispersion) of each row of (..., q) squares, every reduction along the row.
 
     ``sup = max_k |D_k - k D_q / q|`` over the partial sums D_k of the
     deviations from the mean, and the dispersion is their mean square.
     Centring first avoids the cancellation of the literal forms when the
     squares nearly agree; ``k D_q / q`` removes the rounding in the mean.
-    Its two (..., q) arrays come from ``buffers`` (see :func:`varbreak.series._take`).
     """
     q = squares.shape[-1]
     mean = squares.sum(axis=-1, keepdims=True) / q
-    deviations = np.subtract(squares, mean, _take(buffers, squares.shape))
-    spare = np.square(deviations, _take(buffers, squares.shape))
-    dispersion = spare.sum(axis=-1) / q
-    bridge = deviations.cumsum(axis=-1, out=deviations)
-    bridge -= np.multiply(np.arange(1, q + 1), bridge[..., -1:] / q, spare)
-    sup = np.abs(bridge, out=bridge).max(axis=-1)
-    _give(buffers, spare, deviations)
-    return sup, mean[..., 0], dispersion
+    deviations = squares - mean
+    dispersion = np.square(deviations).sum(axis=-1) / q
+    bridge = deviations.cumsum(axis=-1, out=deviations)  # in place: blocks stay a few arrays
+    bridge -= np.arange(1, q + 1) * (bridge[..., -1:] / q)
+    return np.abs(bridge, out=bridge).max(axis=-1), mean[..., 0], dispersion
 
 
-def _sanso(squares: np.ndarray, failures: dict, buffers: list | None = None) -> np.ndarray:
+def _sanso(squares: np.ndarray, failures: dict) -> np.ndarray:
     """Each row's ``sup / sqrt(q * dispersion)``; a row with constant squares fails with ZeroDispersionError.
 
     The squares count as constant when the dispersion is within the rounding of their mean, ``(q * eps * mean)**2``.
     """
-    sup, mean, dispersion = _bridge(squares, buffers)
+    sup, mean, dispersion = _bridge(squares)
     q = squares.shape[-1]
     constant = dispersion <= (q * _EPS * mean) ** 2
     for row in constant.nonzero()[0].tolist():
@@ -100,9 +96,7 @@ def _sanso(squares: np.ndarray, failures: dict, buffers: list | None = None) -> 
     return sup / np.sqrt(dispersion + constant) / math.sqrt(q)
 
 
-def _corrected(
-    squares: np.ndarray, profile: np.ndarray, floor: float | None, failures: dict, buffers: list | None = None
-) -> np.ndarray:
+def _corrected(squares: np.ndarray, profile: np.ndarray, floor: float | None, failures: dict) -> np.ndarray:
     """:func:`_sanso` of each row of ``squares / profile``, the profile floored at ``floor`` unless that is None.
 
     A row whose rescaled squares are not finite (a tiny profile), or peak
@@ -115,10 +109,8 @@ def _corrected(
     if floor is not None:
         profile = np.maximum(profile, floor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rescaled = np.divide(squares, profile, _take(buffers, squares.shape))
-        magnitudes = np.abs(rescaled, _take(buffers, squares.shape))
-        peak = magnitudes.max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
-        _give(buffers, magnitudes)
+        rescaled = squares / profile
+        peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
         for row in np.nonzero(~np.isfinite(peak) | (peak < _SMALLEST_PEAK))[0].tolist():
             row_profile = np.broadcast_to(profile, rescaled.shape)[row]
             row_profile = np.ldexp(row_profile, -np.frexp(np.abs(row_profile).max())[1])
@@ -131,24 +123,18 @@ def _corrected(
                     else "fitted variance spans more than the floating-point range inside the window"
                 )
                 rescaled[row], peak[row] = 1.0, 1.0
-    statistic = _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures, buffers)
-    _give(buffers, rescaled)
-    return statistic
+    return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
-def _statistics(
-    squares: np.ndarray, window: SubsampleWindow, p_max: int, buffers: list | None = None
-) -> tuple[np.ndarray, ...]:
+def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
     """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their failure maps.
 
     Q_mod uses the profile of the row's AIC order in 1..p_max as is, with no positivity floor.
     """
     failures_std, failures_mod = {}, {}
-    q_std = _sanso(squares, failures_std, buffers)
-    profiles = _profiles(_select(squares, window, p_max, buffers)[2], window, buffers)
-    q_mod = _corrected(squares, profiles, None, failures_mod, buffers)
-    _give(buffers, profiles)
-    return q_std, q_mod, failures_std, failures_mod
+    q_std = _sanso(squares, failures_std)
+    profiles = _profiles(_select(squares, window, p_max)[2], window)
+    return q_std, _corrected(squares, profiles, None, failures_mod), failures_std, failures_mod
 
 
 def _one(statistic, *args) -> float:

@@ -23,12 +23,15 @@ Blocks: replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``
 rows through one batched kernel.  A block's draws form one (R, n) array
 that becomes the innovations and the errors in place; its residuals are
 squared once for both statistics, and its failures travel as sparse
-``{replication: name}`` maps.  A serial run of several blocks owns one
-free list of the (R, n) arrays its blocks borrow and give back, so every
-block after the first reuses the first one's few arrays: freed, they
-would go back to the operating system and be page-faulted in again by
-the next block (an 80-replication cell at n = 2000 took about 1,400 minor
-faults under dgp1 and 2,500 under dgp2, and keeps about 155 and 315).
+``{replication: name}`` maps.  Importing this module allocates and frees
+one array of ``8 * BLOCK_ELEMENTS`` floats (2 MB), never written, so never
+faulted in.  glibc serves a chunk that large by mmap; freeing it raises
+the mmap threshold to its size and the trim threshold to twice that (see
+mallopt(3)), so a block's freed arrays, about 256 KB each, stay in the
+heap for the next block, in every call, cell and pool worker, instead of
+going back to the operating system to be faulted in again (an
+80-replication cell at n = 2000 took about 1,400 minor faults under dgp1
+and 2,600 under dgp2 without it, and at most 2 with it).
 
 Byte identity: each row goes through the same arithmetic as a lone
 replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public
@@ -52,7 +55,7 @@ from varbreak.armodel import _fit_rows
 from varbreak.cusum import _statistics
 from varbreak.errors import ExperimentIntegrityError, SingularDesignError
 from varbreak.nulldist import DecisionRule
-from varbreak.series import ResidualSeries, SubsampleWindow, _empty, _give, _take, _unit_scale
+from varbreak.series import ResidualSeries, SubsampleWindow, _unit_scale
 
 _MASK64 = (1 << 64) - 1
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
@@ -79,6 +82,8 @@ BLOCK_ELEMENTS = 2**15
 _LANES = 256
 _WARM = 64
 
+np.empty(8 * BLOCK_ELEMENTS)  # raises glibc's mmap and trim thresholds above a block's arrays; see Blocks above
+
 
 def stream(seed: int, replication: int) -> np.random.Generator:
     """The counter-based random stream of one replication."""
@@ -86,15 +91,14 @@ def stream(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _logistic(u: np.ndarray, buffers: list | None = None) -> np.ndarray:
+def _logistic(u: np.ndarray) -> np.ndarray:
     """Unit-variance logistic draws from uniforms ``u`` by the inverse CDF, written over ``u``.
 
     A uniform is 0 or at least 2**-53, so flooring it at the smallest normal float changes only a 0.
     """
     np.maximum(u, np.finfo(np.float64).tiny, out=u)
-    odds = np.subtract(1.0, u, _take(buffers, u.shape))
+    odds = np.subtract(1.0, u)
     np.divide(u, odds, out=u)
-    _give(buffers, odds)
     np.log(u, out=u)
     u *= _SQRT3_OVER_PI
     return u
@@ -107,7 +111,7 @@ def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
     return _logistic(rng.random(count))
 
 
-def _uniforms(seed: int, replications: range, n: int, buffers: list | None = None) -> np.ndarray:
+def _uniforms(seed: int, replications: range, n: int) -> np.ndarray:
     """``stream(seed, rep).random(n)`` of each replication, as rows.
 
     One Philox is reset for every row to the state a new stream starts from.
@@ -125,7 +129,7 @@ def _uniforms(seed: int, replications: range, n: int, buffers: list | None = Non
         "has_uint32": 0,
         "uinteger": 0,
     }
-    draws = _empty(buffers, (len(replications), n))
+    draws = np.empty((len(replications), n))
     for row, rep in zip(draws, replications):
         state["state"]["key"] = [seed & _MASK64, rep & _MASK64]
         bit_generator.state = state
@@ -211,10 +215,10 @@ class McResult:
     statistics_mod: np.ndarray | None = None
 
 
-def _simulate_u(spec: McExperimentSpec, replications: range, innovations=None, buffers=None) -> np.ndarray:
+def _simulate_u(spec: McExperimentSpec, replications: range, innovations=None) -> np.ndarray:
     """Rows u_t = h(t) * eps_t of the given replications; ``innovations``, copied, replaces the draws of one."""
     if innovations is None:
-        u = _logistic(_uniforms(spec.seed, replications, spec.n, buffers), buffers)
+        u = _logistic(_uniforms(spec.seed, replications, spec.n))
     else:
         u = np.array(innovations, dtype=np.float64)[None]
         if u.shape != (1, spec.n):
@@ -233,8 +237,8 @@ def _recursion(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ar1(u: np.ndarray, buffers: list | None = None) -> np.ndarray:
-    """Rows x_t = 0.4*x_{t-1} + u_t with x_0 = 0, in an array from ``buffers``, in k verified time chunks per row.
+def _ar1(u: np.ndarray) -> np.ndarray:
+    """Rows x_t = 0.4*x_{t-1} + u_t with x_0 = 0, in k verified time chunks per row.
 
     Each row is cut into k chunks of length L = ceil(n / max(1, _LANES // rows)),
     k = ceil(n / L), so every chunk starts inside the row.  The chunks run
@@ -248,33 +252,18 @@ def _ar1(u: np.ndarray, buffers: list | None = None) -> np.ndarray:
     as a long series.
     """
     rows, n = u.shape
-    out = _empty(buffers, u.shape)
     length = -(-n // max(1, _LANES // rows))
     k = -(-n // length)  # every lane starts inside the row
     if _WARM + length >= n:
-        steps = _empty(buffers, (n, rows))
-        steps[...] = u.T
-        out[...] = _recursion(steps).T
-        _give(buffers, steps)
-        return out
-    padded = _empty(buffers, (rows, _WARM + k * length))
-    padded[:, :_WARM] = 0.0  # lane 0 warms up on zeros
+        return np.ascontiguousarray(_recursion(u.T.copy()).T)
+    padded = np.zeros((rows, _WARM + k * length))  # lane 0 warms up on zeros
     padded[:, _WARM : _WARM + n] = u
-    padded[:, _WARM + n :] = 0.0
     # (rows, k, _WARM + length): lane j reads times j*length - _WARM .. (j+1)*length - 1
     lanes = np.lib.stride_tricks.sliding_window_view(padded, _WARM + length, axis=1)[:, ::length]
-    x = _empty(buffers, (_WARM + length, rows, k))
-    x[...] = lanes.transpose(2, 0, 1)
-    _give(buffers, padded)
-    _recursion(x.reshape(-1, rows * k))
+    x = _recursion(lanes.transpose(2, 0, 1).copy().reshape(-1, rows * k)).reshape(-1, rows, k)
     bits = x.view(np.int64)
     failed = (bits[_WARM - 1, :, 1:] != bits[-1, :, :-1]).any(axis=1)
-    # lanes 0..k-2 fill a whole chunk of each row, and the last one the rest: strided copies into ``out``
-    chunks = x[_WARM:].transpose(1, 2, 0)
-    whole = (k - 1) * length
-    out[:, :whole].reshape(rows, k - 1, length)[...] = chunks[:, :-1]
-    out[:, whole:] = chunks[:, -1, : n - whole]
-    _give(buffers, x)
+    out = np.ascontiguousarray(x[_WARM:].transpose(1, 2, 0).reshape(rows, k * length)[:, :n])
     if failed.any():
         out[failed] = _recursion(u[failed].T.copy()).T
     return out
@@ -290,35 +279,26 @@ def simulate_dgp2(spec: McExperimentSpec, replication: int, innovations=None) ->
     return _ar1(_simulate_u(spec, range(replication, replication + 1), innovations))[0]
 
 
-def _residual_squares(spec: McExperimentSpec, start: int, stop: int, buffers=None) -> tuple[np.ndarray, list[int]]:
+def _residual_squares(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, list[int]]:
     """Squared unit-scale residuals of replications ``start..stop-1``, and the rows whose AR(1) fit is singular."""
-    values = _simulate_u(spec, range(start, stop), buffers=buffers)
+    values = _simulate_u(spec, range(start, stop))
     singular = []
     if spec.dgp == "dgp2":
-        x = _ar1(values, buffers)
-        _give(buffers, values)
-        units = _unit_scale(x, _take(buffers, x.shape))[0]
-        _give(buffers, x)
-        ar, _, values = _fit_rows(units, 1, intercept=False, buffers=buffers)
-        _give(buffers, units)
+        ar, _, values = _fit_rows(_unit_scale(_ar1(values))[0], 1, intercept=False)
         singular = np.flatnonzero(ar.singular).tolist()
-    units = _unit_scale(values, _take(buffers, values.shape))[0]
-    _give(buffers, values)
+    units = _unit_scale(values)[0]
     return np.multiply(units, units, out=units), singular
 
 
-def _block(spec: McExperimentSpec, start: int, stop: int, buffers: list | None = None) -> tuple:
+def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple:
     """Q_std, Q_mod and their ``{replication: failure name}`` maps of replications ``start..stop-1``.
 
     A failure is a :class:`VarbreakError`, named by its class, or a value
     that is not finite; a statistic is NaN where it failed.  The profile is
     used with no positivity floor: :func:`run_table` was calibrated that way.
-    ``buffers`` lends the block's (R, n) arrays (see :func:`varbreak.series._take`).
     """
-    squares, singular = _residual_squares(spec, start, stop, buffers)
-    window = SubsampleWindow.full(squares.shape[1])
-    q_std, q_mod, *failures = _statistics(squares, window, spec.poly_p_max, buffers)
-    _give(buffers, squares)
+    squares, singular = _residual_squares(spec, start, stop)
+    q_std, q_mod, *failures = _statistics(squares, SubsampleWindow.full(squares.shape[1]), spec.poly_p_max)
     names = []
     for q, errors in zip((q_std, q_mod), failures):
         named = {row: type(error).__name__ for row, error in errors.items()}
@@ -354,11 +334,7 @@ def _run_cells(specs: list[McExperimentSpec], workers: int) -> list[McResult]:
     else:
         context = contextlib.nullcontext()
     with context as pool:
-        if pool:
-            done = pool.map(_block, *zip(*jobs))  # lazy, in job order
-        else:
-            buffers = [] if len(jobs) > 1 else None  # the first block's arrays, lent to every later one
-            done = (_block(*job, buffers) for job in jobs)
+        done = pool.map(_block, *zip(*jobs)) if pool else itertools.starmap(_block, jobs)  # lazy, in job order
         return [_aggregate(spec, list(itertools.islice(done, len(r)))) for spec, r in zip(specs, starts)]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from varbreak._ols import NestedOls, aic, factorise, fit_factorised
-from varbreak.series import ResidualSeries, SubsampleWindow, _empty, _give, _take, _true_units
+from varbreak.series import ResidualSeries, SubsampleWindow, _true_units
 
 #: Relative floor applied to RSS before the AIC logarithm, in units of
 #: the window mean of u**4.  Keeps perfectly fitted models finite and
@@ -139,15 +139,14 @@ def _design_factors(window: SubsampleWindow, p: int) -> tuple[np.ndarray, np.nda
     return _read_only(q), _read_only(r), singular  # a shared design is never singular: factorise raised
 
 
-def _profiles(coefficients: np.ndarray, window: SubsampleWindow, buffers: list | None = None) -> np.ndarray:
-    """Unit-scale profiles of the rows of ``coefficients`` (..., p + 1) at every t of ``window``, from ``buffers``.
+def _profiles(coefficients: np.ndarray, window: SubsampleWindow) -> np.ndarray:
+    """Unit-scale profiles of the rows of ``coefficients`` (..., p + 1) at every t of ``window``.
 
     Horner's rule, in place; a row of lower order padded with zero high-order
     coefficients gets the same values as the unpadded row.
     """
     x = _centred_time(window)
-    result = _empty(buffers, (*coefficients.shape[:-1], x.size))
-    result.fill(0.0)
+    result = np.zeros((*coefficients.shape[:-1], x.size))
     for c in coefficients.T[::-1, ..., None]:
         result *= x
         result += c
@@ -161,9 +160,7 @@ def _fit_order(squares: np.ndarray, window: SubsampleWindow, p: int) -> NestedOl
     return fit_factorised(_design_factors(window, p), squares, ladder=True)
 
 
-def _select(
-    squares: np.ndarray, window: SubsampleWindow, p_max: int, buffers: list | None = None
-) -> tuple[np.ndarray, ...]:
+def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
     """The AIC order search of each row of (R, q) squares of unit-scale window values.
 
     Per row: the floored RSS of orders 1..p_max, the chosen order, its
@@ -171,9 +168,7 @@ def _select(
     """
     ols = _fit_order(squares, window, p_max)
     q = squares.shape[-1]
-    fourth_powers = np.multiply(squares, squares, _take(buffers, squares.shape))
-    floor = AIC_RSS_FLOOR_FRAC * (fourth_powers.sum(axis=-1, keepdims=True) / q)
-    _give(buffers, fourth_powers)
+    floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum(axis=-1, keepdims=True) / q)
     rss, columns = ols.aic_choice(q, 2, floor)
     coefficients = np.zeros_like(ols.z)
     for k in set(columns.tolist()):  # one solve per column count chosen
