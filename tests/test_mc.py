@@ -483,6 +483,21 @@ class TestManyCells:
                 assert other.statistics_std.tobytes() == kept.statistics_std.tobytes()
                 assert other.statistics_mod.tobytes() == kept.statistics_mod.tobytes()
 
+    @pytest.mark.parametrize("dgp", ["dgp1", "dgp2"])
+    def test_statistics_survive_later_cells_and_blocks(self, monkeypatch, dgp):
+        monkeypatch.setattr(varbreak.mc, "BLOCK_ELEMENTS", 8 * 60)
+        first = run_experiment(make_spec(dgp=dgp, n=60, replications=40, keep_statistics=True))
+        kept = first.statistics_std.tobytes(), first.statistics_mod.tobytes()
+        run_experiment(make_spec(dgp=dgp, n=60, replications=40, seed=10, keep_statistics=True))
+        assert (first.statistics_std.tobytes(), first.statistics_mod.tobytes()) == kept
+        # within a run: a block's statistics survive the blocks after it, whose memory the allocator reuses
+        spec = make_spec(dgp=dgp, n=60, replications=40)
+        q_std, q_mod, *_ = varbreak.mc._block(spec, 0, 8)
+        kept = q_std.tobytes(), q_mod.tobytes()
+        later = [varbreak.mc._block(spec, start, start + 8)[:2] for start in range(8, 40, 8)]
+        assert (q_std.tobytes(), q_mod.tobytes()) == kept
+        assert not any(np.shares_memory(q, other) for q in (q_std, q_mod) for pair in later for other in pair)
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the import of varbreak.mc tunes glibc's malloc")
     def test_a_cell_after_the_first_faults_in_no_block_arrays(self):
         # five blocks of 16 rows, each allocating and freeing about twenty 256 KB arrays: about 2,600 minor
