@@ -48,8 +48,6 @@ _EXPORTS = {
     "pipeline": ("PipelineConfig", "TestReport", "emit_report", "run_test_pipeline"),
     "series": ("ResidualSeries", "SubsampleWindow"),
     "variance_poly": (
-        "OrderSelection",
-        "PositivityReport",
         "VariancePolyFit",
         "check_positivity",
         "fit_variance_poly",

@@ -16,8 +16,8 @@ Each replication runs the uncorrected statistic (Q_std) and the
 variance-profile-corrected statistic with AIC-selected order (Q_mod) on
 the full sample, and counts rejections against a decision rule.
 
-Streams: every replication draws from its own counter-based Philox
-stream keyed by ``(seed, replication)``.
+Streams: every replication draws only from its own counter-based Philox
+stream keyed by ``(seed, replication)``; no argument overrides its draws.
 
 Blocks: replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``
 rows through one batched kernel.  A block's draws form one (R, n) array
@@ -29,9 +29,7 @@ faulted in.  glibc serves a chunk that large by mmap; freeing it raises
 the mmap threshold to its size and the trim threshold to twice that (see
 mallopt(3)), so a block's freed arrays, about 256 KB each, stay in the
 heap for the next block, in every call, cell and pool worker, instead of
-going back to the operating system to be faulted in again (an
-80-replication cell at n = 2000 took about 1,400 minor faults under dgp1
-and 2,600 under dgp2 without it, and at most 2 with it).
+going back to the operating system to be faulted in again.
 
 Byte identity: each row goes through the same arithmetic as a lone
 replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public
@@ -153,18 +151,13 @@ class VariancePathSpec:
         if not 0.0 < self.kappa < 1.0:
             raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
 
-    @property
-    def break_index(self) -> int:
-        """First t carrying the level shift, floor(n * kappa)."""
-        return math.floor(self.n * self.kappa)
-
 
 @functools.lru_cache(maxsize=64)
 def variance_path(spec: VariancePathSpec) -> np.ndarray:
     """Read-only h2(t), t = 1..n, cached per spec; for alpha >= 0 its infimum is -2.7 + 1.5e ~ 1.377."""
     t = np.arange(1, spec.n + 1, dtype=np.float64)
     path = -2.7 + 1.5 * np.exp(1.0 + t / spec.n) + 0.2 * np.sin(5.0 * np.pi * t / spec.n)
-    path[t >= spec.break_index] += spec.alpha
+    path[t >= math.floor(spec.n * spec.kappa)] += spec.alpha
     path.flags.writeable = False
     return path
 
@@ -215,14 +208,9 @@ class McResult:
     statistics_mod: np.ndarray | None = None
 
 
-def _simulate_u(spec: McExperimentSpec, replications: range, innovations=None) -> np.ndarray:
-    """Rows u_t = h(t) * eps_t of the given replications; ``innovations``, copied, replaces the draws of one."""
-    if innovations is None:
-        u = _logistic(_uniforms(spec.seed, replications, spec.n))
-    else:
-        u = np.array(innovations, dtype=np.float64)[None]
-        if u.shape != (1, spec.n):
-            raise ValueError(f"innovations must have shape ({spec.n},), got {np.shape(innovations)}")
+def _simulate_u(spec: McExperimentSpec, replications: range) -> np.ndarray:
+    """Rows u_t = h(t) * eps_t of the given replications."""
+    u = _logistic(_uniforms(spec.seed, replications, spec.n))
     u *= np.sqrt(variance_path(spec.path))
     return u
 
@@ -269,14 +257,14 @@ def _ar1(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_dgp1(spec: McExperimentSpec, replication: int, innovations=None) -> ResidualSeries:
-    """Directly observed heteroscedastic errors u_t = h(t) * eps_t; ``innovations`` overrides the draws."""
-    return ResidualSeries(_simulate_u(spec, range(replication, replication + 1), innovations)[0])
+def simulate_dgp1(spec: McExperimentSpec, replication: int) -> ResidualSeries:
+    """Directly observed heteroscedastic errors u_t = h(t) * eps_t."""
+    return ResidualSeries(_simulate_u(spec, range(replication, replication + 1))[0])
 
 
-def simulate_dgp2(spec: McExperimentSpec, replication: int, innovations=None) -> np.ndarray:
+def simulate_dgp2(spec: McExperimentSpec, replication: int) -> np.ndarray:
     """AR(1) observations x_t = 0.4*x_{t-1} + u_t with x_0 = 0, no burn-in."""
-    return _ar1(_simulate_u(spec, range(replication, replication + 1), innovations))[0]
+    return _ar1(_simulate_u(spec, range(replication, replication + 1)))[0]
 
 
 def _residual_squares(spec: McExperimentSpec, start: int, stop: int) -> tuple[np.ndarray, list[int]]:

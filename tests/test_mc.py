@@ -13,6 +13,7 @@ from varbreak import (
     DecisionRule,
     ExperimentIntegrityError,
     McExperimentSpec,
+    ResidualSeries,
     SubsampleWindow,
     VarbreakError,
     VariancePathSpec,
@@ -51,12 +52,17 @@ def make_spec(**overrides) -> McExperimentSpec:
     return McExperimentSpec(**defaults)
 
 
+def observed(spec, innovations):
+    """The residuals that ``spec``'s process tests when one replication's innovations are ``innovations``."""
+    u = innovations * np.sqrt(variance_path(spec.path))
+    if spec.dgp == "dgp2":
+        return fit_ar_ols(varbreak.mc._ar1(u[None])[0], 1).residuals
+    return ResidualSeries(u)
+
+
 def replication_statistics(spec, innovations):
     """Q_std and Q_mod of one replication of ``spec`` driven by ``innovations``."""
-    if spec.dgp == "dgp2":
-        residuals = fit_ar_ols(simulate_dgp2(spec, 0, innovations), 1).residuals
-    else:
-        residuals = simulate_dgp1(spec, 0, innovations)
+    residuals = observed(spec, innovations)
     window = SubsampleWindow.full(residuals.n)
     fit = select_poly_order_aic(residuals, window, spec.poly_p_max).fit
     return (
@@ -70,10 +76,7 @@ def replication_outcomes(spec, innovations):
 
     def outcome(statistic):
         try:
-            if spec.dgp == "dgp2":
-                residuals = fit_ar_ols(simulate_dgp2(spec, 0, innovations), 1).residuals
-            else:
-                residuals = simulate_dgp1(spec, 0, innovations)
+            residuals = observed(spec, innovations)
             return statistic(residuals, SubsampleWindow.full(residuals.n))
         except VarbreakError as exc:
             return type(exc).__name__
@@ -162,11 +165,11 @@ class TestBlockStreams:
 
 class TestSimulateDgp1:
     def test_frozen_innovations_reproduce_the_path(self):
-        spec = make_spec(n=64)
-        series = simulate_dgp1(spec, 0, innovations=np.ones(64))
-        np.testing.assert_allclose(
-            series.values**2, variance_path(spec.path), rtol=1e-12
-        )
+        # a replication's innovations are frozen by its stream key, so they and the path give its errors
+        for n, seed, replication in [(64, 9, 0), (5, 0, 3), (2000, 2**64 - 1, 2**63)]:
+            spec = make_spec(n=n, seed=seed)
+            expected = np.sqrt(variance_path(spec.path)) * sample_innovations(n, stream(seed, replication))
+            assert simulate_dgp1(spec, replication).values.tobytes() == expected.tobytes()
 
     def test_determinism(self):
         spec = make_spec()
@@ -182,37 +185,24 @@ class TestSimulateDgp1:
         assert draws.var() == pytest.approx(expected, rel=0.05)
 
 
-@pytest.mark.parametrize("simulate", [simulate_dgp1, simulate_dgp2])
-@pytest.mark.parametrize("shape", [(2, 30), (29,), (31,), (30, 1), ()])
-def test_innovations_of_the_wrong_shape_are_named(simulate, shape):
-    with pytest.raises(ValueError, match=rf"^innovations must have shape \(30,\), got {re.escape(str(shape))}$"):
-        simulate(make_spec(n=30), 0, innovations=np.ones(shape))
-
-
-@pytest.mark.parametrize("simulate", [simulate_dgp1, simulate_dgp2])
-@pytest.mark.parametrize("writeable", [True, False])
-def test_innovations_are_scaled_in_a_copy(simulate, writeable):
-    innovations = sample_innovations(30, stream(4, 0))
-    kept = innovations.tobytes()
-    innovations.flags.writeable = writeable
-    runs = [np.asarray(getattr(x, "values", x)) for x in (simulate(make_spec(n=30), 0, innovations) for _ in range(2))]
-    assert innovations.tobytes() == kept
-    assert runs[0].tobytes() == runs[1].tobytes()
-
-
 class TestSimulateDgp2:
     def test_zero_innovations_give_zero_path(self):
-        spec = make_spec(n=30)
-        x = simulate_dgp2(spec, 0, innovations=np.zeros(30))
-        np.testing.assert_array_equal(x, np.zeros(30))
+        x = varbreak.mc._ar1(np.zeros((1, 30)))
+        assert x.tobytes() == ar1_literal(np.zeros((1, 30))).tobytes() == np.zeros((1, 30)).tobytes()
 
     def test_unit_errors_build_a_geometric_series(self):
-        spec = make_spec(n=60)
-        h = np.sqrt(variance_path(spec.path))
-        x = simulate_dgp2(spec, 0, innovations=1.0 / h)  # forces u_t = 1
-        assert x[0] == pytest.approx(1.0, rel=1e-12)
+        x = varbreak.mc._ar1(np.ones((1, 60)))[0]
+        assert x.tobytes() == ar1_literal(np.ones(60)).tobytes()
+        assert x[0] == 1.0
         assert x[1] == pytest.approx(1.4, rel=1e-12)
         assert x[-1] == pytest.approx(5.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [6, 60, 2000])
+    def test_observes_the_ar1_of_the_dgp1_errors(self, n):
+        spec = make_spec(dgp="dgp2", n=n, seed=2**63 + n)
+        for replication in (0, 5):
+            u = simulate_dgp1(spec, replication).values
+            assert simulate_dgp2(spec, replication).tobytes() == ar1_literal(u).tobytes()
 
     def test_ar1_ols_recovers_the_coefficient(self):
         spec = make_spec(n=200, replications=1000, seed=301)
