@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import math
 import platform
 import re
@@ -118,6 +119,17 @@ class TestVariancePath:
         with pytest.raises(ValueError):
             first[0] = 0.0
 
+    # the first shifted t is floor(n * kappa) in floating point: 100 * 0.29 is 28.999999999999996
+    @pytest.mark.parametrize(
+        "n, kappa, first",
+        [(400, 0.5, 200), (50, 0.3, 15), (3, 0.5, 1), (7, 0.01, 1), (2000, 0.999, 1998), (100, 0.29, 28), (100, 0.57, 56)],
+    )
+    def test_the_shift_starts_at_floor_n_kappa(self, n, kappa, first):
+        base = variance_path(VariancePathSpec(n=n))
+        shifted = variance_path(VariancePathSpec(n=n, alpha=0.75, kappa=kappa))
+        assert shifted[: first - 1].tobytes() == base[: first - 1].tobytes()
+        assert shifted[first - 1 :].tobytes() == (base[first - 1 :] + 0.75).tobytes()
+
     @pytest.mark.parametrize(
         "kwargs",
         [dict(n=1), dict(n=50, alpha=-0.5), dict(n=50, kappa=0.0), dict(n=50, kappa=1.0)],
@@ -183,6 +195,11 @@ class TestSimulateDgp1:
         draws = np.array([simulate_dgp1(spec, rep).values[t_index] for rep in range(10_000)])
         expected = variance_path(spec.path)[t_index]
         assert draws.var() == pytest.approx(expected, rel=0.05)
+
+
+@pytest.mark.parametrize("simulate", [simulate_dgp1, simulate_dgp2])
+def test_a_replication_is_named_by_its_spec_and_index_alone(simulate):
+    assert list(inspect.signature(simulate).parameters) == ["spec", "replication"]
 
 
 class TestSimulateDgp2:

@@ -3,9 +3,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
+import pytest
+
 import varbreak
+import varbreak.variance_poly
 
 from conftest import growing_variance_levels, month_starts, write_fred_csv
 
@@ -16,6 +20,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in varbreak.__all__ if not hasattr(varbreak, name)]
     assert missing == []
     assert len(set(varbreak.__all__)) == len(varbreak.__all__)
+
+
+@pytest.mark.parametrize(
+    "function, name", [("select_poly_order_aic", "OrderSelection"), ("check_positivity", "PositivityReport")]
+)
+def test_unexported_return_types_resolve_in_variance_poly(function, name):
+    assert name not in varbreak.__all__
+    assert typing.get_type_hints(getattr(varbreak, function))["return"] is getattr(varbreak.variance_poly, name)
 
 
 def _modules_after(code: str) -> set[str]:
