@@ -19,8 +19,7 @@ partial sums converge instead to the bridge of the partial sums of
 ``e - P(g e)/g``, e white noise and P the projection onto the powers of
 rescaled time up to p: a profile-weighted generalized Brownian bridge, the
 order-p bridge of MacNeill (1978) for constant g.  Its quantiles lie well
-below the Kolmogorov ones (95% point near 0.71 for order 3 and
-g = 1 + 2 r**2, against 1.358), so there the Kolmogorov rule is conservative.
+below the Kolmogorov ones, so there the Kolmogorov rule is conservative.
 
 Failure maps: all four share one bridge kernel, :func:`_bridge`, and the
 last three run row-wise over a block of series, the public functions being

@@ -85,16 +85,6 @@ def _frequency(ordinals: np.ndarray) -> str:
 def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None) -> SeriesFile:
     """Parse a FRED-style CSV export into a :class:`SeriesFile`.
 
-    The file is read once and tokenised into its header names and body
-    cells: by ``str.split`` where that reads it as ``csv.reader`` would,
-    else by ``csv.reader`` less the blank rows; a header with quotes that
-    close on its own line is read by ``csv.reader`` and the body by
-    ``str.split``.  ``str.split`` needs w - 1
-    commas on every row for a header of w names, checked in one pass that
-    keeps only the body's commas and line feeds.  One conversion turns the
-    cells into the series a column at a time; only where it declines does
-    a row loop read the text again, to raise the first error in file order.
-
     Parameters
     ----------
     path : str or os.PathLike
@@ -134,9 +124,14 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
 
 
 def _tokenise(text: str):
-    """Readings of ``text`` as header names and body cells, row after row: by ``str.split`` (a quoted header by
-    csv.reader) where csv.reader reads the text alike, then by csv.reader less the blank rows, unless a row is
-    ragged or the reader fails."""
+    """Readings of ``text`` as header names and body cells, the first tried first.
+
+    First by ``str.split`` where that reads the text as ``csv.reader`` would:
+    a header of w names needs w - 1 commas on every body row, checked in one
+    pass that keeps only the body's commas and line feeds, and a header with
+    quotes that close on its own line is read by ``csv.reader``.  Then by
+    ``csv.reader`` less the blank rows, unless a row is ragged or the reader fails.
+    """
     plain, limit = text.replace("\r\n", "\n"), csv.field_size_limit()
     head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows, '' for a blank one
     if not ('"' in body or "\r" in plain or "\0" in plain) and (

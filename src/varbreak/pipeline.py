@@ -15,7 +15,6 @@ import contextlib
 import csv
 import io
 import operator
-import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -345,8 +344,7 @@ def emit_report(reports, fmt: str = "human") -> str:
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    # a table exists only once varbreak.mc is imported; isinstance of the empty tuple is False
-    if isinstance(reports, getattr(sys.modules.get("varbreak.mc"), "SimulationTable", ())):
+    if hasattr(reports, "results"):
         if fmt == "csv":
             return _table_csv(reports)
         if fmt == "json":

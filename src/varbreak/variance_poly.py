@@ -86,9 +86,6 @@ class VariancePolyFit:
         """Fitted values g_hat**2(t/n) at every t of the fit's own window, evaluated once; read-only."""
         return _read_only(_profiles(np.array(self.unit_coefficients), self.window))
 
-    def profile(self) -> np.ndarray:
-        return _true_units(self.unit_profile, 2 * self.exponent)
-
 
 @dataclass(frozen=True)
 class OrderSelection:
@@ -110,10 +107,8 @@ class OrderSelection:
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Minimum of a fitted profile over its window versus the positivity floor, in true units."""
+    """Whether a fitted profile stays above its positivity floor over its window, and where it is least."""
 
-    min_value: float
-    floor: float
     passed: bool
     t_min: int
 
@@ -222,10 +217,4 @@ def check_positivity(fit: VariancePolyFit) -> PositivityReport:
     """The minimum of the fitted profile over its window against the floor ``POS_FLOOR_FRAC`` times the mean square."""
     values = fit.unit_profile
     idx = int(np.argmin(values))
-    min_value, floor = _true_units([values[idx], fit.unit_floor], 2 * fit.exponent)
-    return PositivityReport(
-        min_value=float(min_value),
-        floor=float(floor),
-        passed=bool(values[idx] > fit.unit_floor),
-        t_min=fit.window.offset + 1 + idx,
-    )
+    return PositivityReport(passed=bool(values[idx] > fit.unit_floor), t_min=fit.window.offset + 1 + idx)

@@ -255,7 +255,7 @@ def test_c07_profile_estimation_error_halves():
         for rep in range(100):
             eps = stream(seed, rep).standard_normal(q)
             fit = fit_variance_poly(ResidualSeries(np.sqrt(g2) * eps), window, 2)
-            errors.append(float(np.max(np.abs(fit.profile() - g2))))
+            errors.append(float(np.max(np.abs(np.ldexp(fit.unit_profile, 2 * fit.exponent) - g2))))
         medians[q] = float(np.median(errors))
     ratio = medians[3200] / medians[200]
     _criterion(

@@ -71,7 +71,7 @@ class TestFit:
                 s = ResidualSeries(np.sqrt(g2) * eps)
                 fit = fit_variance_poly(s, w, 2)
                 coefs[rep] = fit.coefficients
-                errors[rep] = np.max(np.abs(fit.profile() - g2))
+                errors[rep] = np.max(np.abs(np.ldexp(fit.unit_profile, 2 * fit.exponent) - g2))
             return errors, coefs
 
         err_small, _ = sup_errors(200, seed=91)
@@ -191,7 +191,10 @@ class TestOrderSelection:
         assert scaled.fit.coefficients == tuple(np.ldexp(base.fit.coefficients, 532))
         assert scaled.fit.unit_mean_sq == base.fit.unit_mean_sq
         assert scaled.fit.exponent == base.fit.exponent + 266
-        np.testing.assert_array_equal(scaled.fit.profile(), np.ldexp(base.fit.profile(), 532))
+        np.testing.assert_array_equal(
+            np.ldexp(scaled.fit.unit_profile, 2 * scaled.fit.exponent),
+            np.ldexp(base.fit.unit_profile, 2 * base.fit.exponent + 532),
+        )
         assert scaled.fit.rss == math.inf
         assert all(score == math.inf for _, score in scaled.scores)
 
@@ -271,12 +274,12 @@ class TestEvaluation:
     def test_center_returns_intercept(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (2.0, 3.0))
-        assert fit.profile()[50 - 1] == 2.0
+        assert fit.unit_profile[50 - 1] == 2.0
 
     def test_linear_step(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (2.0, 3.0))
-        assert fit.profile()[60 - 1] == pytest.approx(2.3, abs=1e-12)
+        assert fit.unit_profile[60 - 1] == pytest.approx(2.3, abs=1e-12)
 
     @settings(max_examples=100)
     @given(
@@ -289,7 +292,7 @@ class TestEvaluation:
         w = SubsampleWindow.full(500)
         fit = make_fit(w, coefficients)
         naive = polyval_naive(coefficients, t / 500 - w.center)
-        assert fit.profile()[t - 1] == pytest.approx(naive, abs=1e-12, rel=1e-12)
+        assert fit.unit_profile[t - 1] == pytest.approx(naive, abs=1e-12, rel=1e-12)
 
 
 class TestPositivity:
@@ -299,16 +302,38 @@ class TestPositivity:
         fit = make_fit(w, (2.0, 3.0), mean_sq=2.0)
         report = check_positivity(fit)
         assert report.passed
-        assert report.min_value >= 1.7
-        assert report.floor == pytest.approx(0.02)
+        assert fit.unit_profile[report.t_min - 1 - w.offset] == fit.unit_profile.min() >= 1.7
+        assert fit.unit_floor == pytest.approx(0.02)
 
     def test_flags_a_sign_change(self):
         w = SubsampleWindow.full(100)
         fit = make_fit(w, (0.001, -10.0), mean_sq=1.0)
         report = check_positivity(fit)
         assert not report.passed
-        assert report.min_value < 0.0
         assert 1 <= report.t_min <= 100
+        assert fit.unit_profile[report.t_min - 1] == fit.unit_profile.min() < 0.0
+
+    def test_verdict_is_scale_invariant(self):
+        # the verdict and its t are read at unit scale, so they hold at scales where
+        # the true-unit profile and floor read 0.0 (2**-600) or inf (2**600)
+        spec = McExperimentSpec(
+            dgp="dgp1",
+            n=200,
+            replications=40,
+            path=VariancePathSpec(n=200),
+            seed=424242,
+            decision=DecisionRule.fixed_boundary(),
+        )
+        w = SubsampleWindow(n=200, offset=20, length=150)
+        verdicts = set()
+        for rep in range(40):
+            values = simulate_dgp1(spec, rep).values
+            reports = [
+                check_positivity(fit_variance_poly(ResidualSeries(np.ldexp(values, e)), w, 3)) for e in (-600, 0, 600)
+            ]
+            assert reports[0] == reports[1] == reports[2]
+            verdicts.add(reports[1].passed)
+        assert verdicts == {True, False}
 
     def test_pass_rate_on_smooth_variance_fits(self):
         # fixed cubic fits on simulated smooth-variance data at n=200;
@@ -380,6 +405,6 @@ class TestFitInvariants:
             for rep in range(100):
                 eps = stream(seed, rep).standard_normal(q)
                 fit = fit_variance_poly(ResidualSeries(np.sqrt(g2) * eps), w, 2)
-                errors.append(np.max(np.abs(fit.profile() - g2)))
+                errors.append(np.max(np.abs(np.ldexp(fit.unit_profile, 2 * fit.exponent) - g2)))
             medians.append(float(np.median(errors)))
         assert medians[0] > medians[1] > medians[2]
