@@ -56,8 +56,6 @@ from varbreak.variance_poly import VariancePolyFit, _profiles, _select, check_po
 POSITIVITY_MODES = ("error", "clamp", "none")
 
 _EPS = float(np.finfo(np.float64).eps)
-# 2**(53 - 1022): with a peak at least this large, every square within 2**53 of it is normal
-_SMALLEST_PEAK = 2.0**-969
 
 
 def _bridge(squares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,33 +93,23 @@ def _sanso(squares: np.ndarray, failures: dict) -> np.ndarray:
     return sup / np.sqrt(dispersion + constant) / math.sqrt(q)
 
 
-def _corrected(squares: np.ndarray, profile: np.ndarray, floor: float | None, failures: dict) -> np.ndarray:
-    """:func:`_sanso` of each row of ``squares / profile``, the profile floored at ``floor`` unless that is None.
+def _corrected(squares: np.ndarray, profile: np.ndarray, failures: dict) -> np.ndarray:
+    """:func:`_sanso` of each row of ``squares / profile``, every profile row scaled as a fit to unit-scale squares.
 
-    A row whose rescaled squares are not finite (a tiny profile), or peak
-    below ``_SMALLEST_PEAK`` (a huge one), is redone with its profile scaled
-    by the power of two of its peak; if they are still not finite, the row
-    fails with NonpositiveVarianceError.  Every row is then brought to unit
-    scale by an exact power of two, so the profile's scale cannot overflow
-    or underflow the dispersion.
+    :func:`_statistics` and :func:`statistic_corrected` pass such profiles, so a row's quotients are not finite only
+    where its profile is at or near zero, and the row fails with NonpositiveVarianceError.  Every row is then brought
+    to unit scale by an exact power of two, so the profile's scale cannot overflow or underflow the dispersion.
     """
-    if floor is not None:
-        profile = np.maximum(profile, floor)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rescaled = squares / profile
-        peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the retries and the scale
-        for row in np.nonzero(~np.isfinite(peak) | (peak < _SMALLEST_PEAK))[0].tolist():
-            row_profile = np.broadcast_to(profile, rescaled.shape)[row]
-            row_profile = np.ldexp(row_profile, -np.frexp(np.abs(row_profile).max())[1])
-            rescaled[row] = squares[row] / row_profile
-            peak[row] = np.abs(rescaled[row]).max()
-            if not np.isfinite(peak[row]):
-                failures[row] = NonpositiveVarianceError(
-                    "fitted variance is exactly zero inside the window"
-                    if (row_profile == 0.0).any()
-                    else "fitted variance spans more than the floating-point range inside the window"
-                )
-                rescaled[row], peak[row] = 1.0, 1.0
+    peak = np.abs(rescaled).max(axis=-1)  # NaN and inf propagate: one pass finds both the failures and the scale
+    for row in np.nonzero(~np.isfinite(peak))[0].tolist():
+        failures[row] = NonpositiveVarianceError(
+            "fitted variance is exactly zero inside the window"
+            if (np.broadcast_to(profile, rescaled.shape)[row] == 0.0).any()
+            else "fitted variance spans more than the floating-point range inside the window"
+        )
+        rescaled[row], peak[row] = 1.0, 1.0
     return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
@@ -133,7 +121,7 @@ def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tup
     failures_std, failures_mod = {}, {}
     q_std = _sanso(squares, failures_std)
     profiles = _profiles(_select(squares, window, p_max)[2], window)
-    return q_std, _corrected(squares, profiles, None, failures_mod), failures_std, failures_mod
+    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod
 
 
 def _one(statistic, *args) -> float:
@@ -216,5 +204,6 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
             f"fitted variance dips to {_true_text(fit.unit_profile.min(), power)} at t={report.t_min} "
             f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
         )
-    floor = None if positivity == "none" else fit.unit_floor  # a no-op once "error" has passed
-    return _one(_corrected, squares, fit.unit_profile, floor)
+    profile = fit.unit_profile if positivity == "none" else np.maximum(fit.unit_profile, fit.unit_floor)
+    # a profile from outside the package may have any scale: the power of two of its peak brings it to unit scale
+    return _one(_corrected, squares, np.ldexp(profile, -np.frexp(np.abs(profile).max())[1]))

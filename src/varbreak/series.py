@@ -8,9 +8,9 @@ Unit scale: every fit and statistic reads a series as ``values * 2**-e``,
 e from ``frexp(max|values|)``.  :func:`_unit_scale` maps values in, exactly,
 so no power-of-two scale of the input changes an order, a lag coefficient
 or a statistic; :func:`_true_units` maps reported values out, and
-:func:`_true_text` words one for a message.  Only ``cusum._corrected``
-applies the rule itself, to retried profiles and to its quotient rows: its
-retry check has already computed the quotients' peaks.
+:func:`_true_text` words one for a message.  Only ``cusum`` applies the
+rule itself: ``statistic_corrected`` to the one profile it is given, and
+``_corrected`` to its quotient rows, whose peaks it has already computed.
 """
 
 from __future__ import annotations

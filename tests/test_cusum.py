@@ -304,13 +304,15 @@ class TestScaleInvariance:
             (1.7e308, 4e-16),
         ],
     )
-    def test_extreme_constant_profiles_only_rescale(self, value, rel):
+    @pytest.mark.parametrize("positivity", ["error", "clamp", "none"])
+    def test_extreme_constant_profiles_only_rescale(self, value, rel, positivity):
         # a constant profile only rescales the squares, but here their dispersion leaves the float
         # range, below 2**-1022 the squares divided by the profile overflow, and above 2**969 the
-        # small ones are subnormal; a RuntimeWarning fails
+        # small ones are subnormal; statistic_corrected scales the profile in every positivity mode,
+        # and a RuntimeWarning fails
         s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
         fit = constant_profile_fit(SubsampleWindow.full(s.n), value)
-        assert statistic_corrected(s, fit, positivity="none") == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)
+        assert statistic_corrected(s, fit, positivity=positivity) == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)
 
     @pytest.mark.parametrize(
         "a0,message",
