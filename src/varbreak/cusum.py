@@ -191,7 +191,8 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
         If the fit's window was built for a series of another length.
     NonpositiveVarianceError
         Under "error" when the profile dips to or below the floor; under
-        every mode when a rescaled square is not finite (profile exactly zero).
+        every mode when a rescaled square is not finite: an entry of the profile
+        is zero, or so far below its peak that scaling by the peak flushes it to zero.
     ZeroDispersionError
         If the rescaled squares are empirically constant.
     """

@@ -126,15 +126,14 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
 def _tokenise(text: str):
     """Readings of ``text`` as header names and body cells, the first tried first.
 
-    First by ``str.split`` where that reads the text as ``csv.reader`` would: empty lines are dropped
-    first, then a header of w names needs w - 1 commas on every body row, checked in one pass that keeps
-    only the body's commas and line feeds, and a header with quotes that close on its own line is read
-    by ``csv.reader``.  Then by ``csv.reader`` less the blank rows, unless a row is ragged or the reader fails.
+    First by ``str.split`` where that reads the text as ``csv.reader`` would:
+    a header of w names needs w - 1 commas on every body row, checked in one
+    pass that keeps only the body's commas and line feeds, and a header with
+    quotes that close on its own line is read by ``csv.reader``.  Then by
+    ``csv.reader`` less the blank rows, unless a row is ragged or the reader fails.
     """
     plain, limit = text.replace("\r\n", "\n"), csv.field_size_limit()
-    while "\n\n" in plain:  # a leading empty line stays, and fails the header
-        plain = plain.replace("\n\n", "\n")
-    head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows
+    head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows, '' for a blank one
     if not ('"' in body or "\r" in plain or "\0" in plain) and (
         len(plain) <= limit or max(map(len, plain.split("\n"))) <= limit
     ):

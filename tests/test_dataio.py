@@ -302,7 +302,6 @@ class TestLoadCsvMatchesTheLiteralLoader:
 
 _ROWS = [("2000-01-01", "1.5"), ("2000-02-01", "2.5"), ("2000-03-01", "-0.25"), ("2000-04-01", "4"),
          ("2000-05-01", "1e3")]
-_TWELVE = [(f"2000-{month:02d}-01", str(month / 4)) for month in range(1, 13)]
 
 
 def _plain(rows) -> str:
@@ -320,17 +319,13 @@ class TestOneConversion:
             ("DATE,X\n" + "".join(f'{date},"{value}\n"\n' for date, value in _ROWS), None),
             (_plain(_ROWS[:2]) + " , \n\n" + _plain(_ROWS[2:]).removeprefix("DATE,X\n") + "\n", None),
             (_plain(_ROWS[:2] + [("2000-03-01", ".")] + _ROWS[3:]), 2),
-            (_plain(_ROWS[:2]).replace("\n", "\n\n", 1) + "\n" + _plain(_ROWS[2:]).removeprefix("DATE,X") + "\n", None),
             pytest.param(
                 _plain([("20000101", "1.5")] + _ROWS[1:]),
                 None,
                 marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD"),
             ),
         ],
-        ids=[
-            "plain", "crlf", "bom", "quoted-header", "quoted-multiline-values", "blank-rows", "gappy", "empty-lines",
-            "basic-date",
-        ],
+        ids=["plain", "crlf", "bom", "quoted-header", "quoted-multiline-values", "blank-rows", "gappy", "basic-date"],
     )
     def test_each_copy_converts_to_the_plain_series_without_the_error_loop(self, tmp_path, text, gap):
         path, plain = tmp_path / "copy.csv", tmp_path / "plain.csv"
@@ -341,25 +336,6 @@ class TestOneConversion:
         error_loop.assert_not_called()
         assert copy[:4] == expected[:4]  # dates, values, frequency and source
         assert copy[4] == (0 if gap is None else 1)  # dropped_missing
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            _plain(_TWELVE) + "\n",
-            _plain(_TWELVE) + "\n\n",
-            _plain(_TWELVE).replace("DATE,X\n", "DATE,X\n\n"),
-            _plain(_TWELVE[:6]) + "\n\n" + _plain(_TWELVE[6:]).removeprefix("DATE,X\n"),
-            (_plain(_TWELVE) + "\n").replace("\n", "\r\n"),
-        ],
-        ids=["trailing", "two-trailing", "after-header", "two-between", "crlf-trailing"],
-    )
-    def test_empty_lines_keep_the_str_split_reading(self, tmp_path, text):
-        path, plain = tmp_path / "copy.csv", tmp_path / "plain.csv"
-        path.write_bytes(text.encode())
-        plain.write_text(_plain(_TWELVE))
-        with mock.patch.object(dataio.csv, "reader", side_effect=AssertionError("csv.reader was called")):
-            copy, expected = _outcome(load_csv, path), _outcome(load_csv, plain)
-        assert copy == expected
 
 
 class TestInferFrequency:
