@@ -206,5 +206,8 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
             f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
         )
     profile = fit.unit_profile if positivity == "none" else np.maximum(fit.unit_profile, fit.unit_floor)
-    # a profile from outside the package may have any scale: the power of two of its peak brings it to unit scale
-    return _one(_corrected, squares, np.ldexp(profile, -np.frexp(np.abs(profile).max())[1]))
+    # a profile from outside the package may have any scale: the power of two of its peak brings it to unit scale,
+    # and an entry that this flushes to zero is no zero of the fit: NaN fails its row as out of the float range
+    scaled = np.ldexp(profile, -np.frexp(np.abs(profile).max())[1])
+    scaled[(scaled == 0.0) & (profile != 0.0)] = np.nan
+    return _one(_corrected, squares, scaled)

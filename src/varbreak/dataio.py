@@ -3,9 +3,10 @@
 Files are expected comma-separated with a header, a DATE column of
 ISO-8601 dates (stored as YYYY-MM-DD) and one value column; missing
 observations marked "." (or empty) are dropped and counted, never
-interpolated.  :func:`load_csv` tokenises a file into flat cells, turns
-them into the series in one column-wise conversion, and reads the file row
-by row only to word its first error.
+interpolated.  :func:`load_csv` reads quote-free text whose rows all have
+the header's width by ``str.split``, and any other text, or a file with an
+error, row by row with ``csv.reader``, which words the first error; either
+way one column-wise conversion makes the series.
 """
 
 from __future__ import annotations
@@ -116,43 +117,28 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
         text = text[: max(text.rfind("\n"), text.rfind("\r")) + 1]  # less the start of the byte's own line
         stop = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8 ({exc.reason})"
     text = text.removeprefix("\ufeff")  # as utf-8-sig reads it, with file offsets in an error
-    for header, cells in () if stop else _tokenise(text):  # a blank row that str.split keeps fails its date
-        series = _convert(header, cells, date_column, value_column)
-        if series is not None:
-            return series
-    _raise_first_error(text, date_column, value_column, stop)
+    if not stop and (reading := _split(text)) and (series := _convert(*reading, date_column, value_column)):
+        return series
+    return _read_rows(text, date_column, value_column, stop)
 
 
-def _tokenise(text: str):
-    """Readings of ``text`` as header names and body cells, the first tried first.
+def _split(text: str) -> tuple[list[str], list[str]] | None:
+    """Header names and body cells of ``text`` by ``str.split``, or None where ``csv.reader`` would read it otherwise.
 
-    First by ``str.split`` where that reads the text as ``csv.reader`` would:
-    a header of w names needs w - 1 commas on every body row, checked in one
-    pass that keeps only the body's commas and line feeds, and a header with
-    quotes that close on its own line is read by ``csv.reader``.  Then by
-    ``csv.reader`` less the blank rows, unless a row is ragged or the reader fails.
+    The text must hold no quote, no NUL, no carriage return but in a CRLF, and no line past the field size limit; a
+    header of w names then needs w - 1 commas on every body row, checked in one pass that keeps only the body's commas
+    and line feeds: a blank row fails the check, or else its empty date fails the conversion.
     """
-    plain, limit = text.replace("\r\n", "\n"), csv.field_size_limit()
-    head, _, body = plain.removesuffix("\n").partition("\n")  # its lines csv.reader's rows, '' for a blank one
-    if not ('"' in body or "\r" in plain or "\0" in plain) and (
-        len(plain) <= limit or max(map(len, plain.split("\n"))) <= limit
-    ):
-        # csv.reader reads a quoted header's line, and on into the empty line after it if a quote stays open
-        reader = csv.reader((head, "")) if '"' in head else None
-        header = [cell.strip() for cell in (next(reader) if reader else head.split(","))]
-        separators = body.encode().translate(None, _NOT_SEPARATORS)
-        rows = separators.count(b"\n") + 1  # an empty body is one empty row, matched only by a header of one column
-        if (reader is None or reader.line_num == 1) and separators == ((b"," * (len(header) - 1) + b"\n") * rows)[:-1]:
-            yield header, body.replace("\n", ",").split(",")
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = [cell.strip() for cell in next(reader)]
-        rows = list(reader)
-    except (StopIteration, csv.Error):
-        return
-    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))  # less the blank rows
-    if set(map(len, rows)) <= {len(header)}:
-        yield header, list(itertools.chain.from_iterable(rows))
+    plain, limit = text.replace("\r\n", "\n") if "\r" in text else text, csv.field_size_limit()
+    if '"' in plain or "\r" in plain or "\0" in plain or (len(plain) > limit and max(map(len, plain.split("\n"))) > limit):
+        return None
+    head, _, body = plain.removesuffix("\n").partition("\n")
+    header = [cell.strip() for cell in head.split(",")]
+    separators = body.encode().translate(None, _NOT_SEPARATORS)
+    rows = separators.count(b"\n") + 1  # an empty body is one empty row, matched only by a header of one column
+    if separators == ((b"," * (len(header) - 1) + b"\n") * rows)[:-1]:
+        return header, body.replace("\n", ",").split(",")
+    return None
 
 
 def _convert(header: list[str], cells: list[str], date_column: str, value_column: str | None) -> SeriesFile | None:
@@ -189,9 +175,10 @@ def _convert(header: list[str], cells: list[str], date_column: str, value_column
     )
 
 
-def _raise_first_error(text: str, date_column: str, value_column: str | None, stop: str | None) -> None:
-    """Raise the first error of ``text`` in file order, or ``stop``, why the text was cut short, when the reader
-    asks for the line after its last: a record still open there is not read."""
+def _read_rows(text: str, date_column: str, value_column: str | None, stop: str | None) -> SeriesFile:
+    """The series of ``text`` by ``csv.reader`` less its blank rows, or its first error in file order raised; ``stop``,
+    why the text was cut short, is raised when the reader asks for the line after its last: a record still open there
+    is not read."""
 
     def lines():
         yield from io.StringIO(text, newline="")
@@ -213,6 +200,7 @@ def _raise_first_error(text: str, date_column: str, value_column: str | None, st
             raise CsvParseError(f"value column {value_column!r} is the date column", line=1)
         date_idx, value_idx, width = header.index(date_column), header.index(value_column), len(header)
         previous = 0  # ordinal of the last dated row; a real date's is at least 1
+        cells = []
         for row in reader:
             if not "".join(row).strip():
                 continue
@@ -233,10 +221,12 @@ def _raise_first_error(text: str, date_column: str, value_column: str | None, st
                 raise CsvParseError(f"unparseable value {raw_value!r}", line=reader.line_num) from None
             if not finite:
                 raise CsvParseError(f"non-finite value {raw_value!r}", line=reader.line_num)
+            cells += row
     except StopIteration:  # from reading the header
         raise CsvParseError("file is empty", line=1) from None
     except csv.Error as exc:
         raise CsvParseError(str(exc), line=reader.line_num) from None
+    return _convert(header, cells, date_column, value_column)
 
 
 def difference(series: SeriesFile, order: int = 1) -> SeriesFile:

@@ -7,6 +7,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared oracles module
 
 
+def pytest_configure(config):
+    """Register "long", a longer run of the property tests chosen with --hypothesis-profile=long.
+
+    The default profile stays as it is.  Hypothesis is imported here, not with the module, because
+    bench/workloads.py imports this module for its surrogates and its memory is measured.
+    """
+    from hypothesis import settings
+
+    settings.register_profile("long", max_examples=2000)
+
+
 def month_starts(start: datetime.date, count: int, step_months: int) -> list[str]:
     """ISO dates of the first of every step_months-th month."""
     dates = []

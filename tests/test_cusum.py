@@ -315,15 +315,26 @@ class TestScaleInvariance:
         assert statistic_corrected(s, fit, positivity=positivity) == pytest.approx(statistic_sanso(s), rel=rel, abs=0.0)
 
     @pytest.mark.parametrize(
-        "a0,message",
-        [(0.0, "exactly zero"), (5e-324, "spans more than the floating-point range")],
+        "coefficients,message",
+        [
+            ((0.0, 1.0), "exactly zero"),
+            ((5e-324, 1.0), "spans more than the floating-point range"),
+            ((2.0**-1000, 0.0, 2.0**100), "spans more than the floating-point range"),
+        ],
+        ids=["zero", "subnormal", "flushed-by-the-peak"],
     )
-    def test_profile_through_zero_fails_by_name(self, a0, message):
-        # the linear profile a0 + (t/n - 1/2) is a0 at t = n/2 and about 0.5 at the ends
+    def test_profile_through_zero_fails_by_name(self, coefficients, message):
+        # a0 + (t/n - 1/2) is a0 at t = n/2 and about 0.5 at the ends; 2**-1000 + 2**100 (t/n - 1/2)**2 has no zero,
+        # but its least entry, 2**-1000 at t = n/2, lies more than the float range below its peak, 2**98
         s = ResidualSeries(np.random.default_rng(17).standard_normal(1000))
         fit = VariancePolyFit(
-            order=1, unit_coefficients=(a0, 1.0), unit_rss=0.0, window=SubsampleWindow.full(s.n), unit_mean_sq=1.0
+            order=len(coefficients) - 1,
+            unit_coefficients=coefficients,
+            unit_rss=0.0,
+            window=SubsampleWindow.full(s.n),
+            unit_mean_sq=1.0,
         )
+        assert (fit.unit_profile == 0.0).any() == (message == "exactly zero")
         with pytest.raises(NonpositiveVarianceError, match=message):
             statistic_corrected(s, fit, positivity="none")
 

@@ -17,7 +17,7 @@ from varbreak import (
     load_csv,
 )
 
-from conftest import month_starts, write_fred_csv
+from conftest import growing_variance_levels, month_starts, write_fred_csv
 from oracles import load_csv_literal
 
 
@@ -294,10 +294,13 @@ class TestLoadCsvMatchesTheLiteralLoader:
     def test_same_series_or_same_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("differential") / "series.csv"
         path.write_text(text, encoding="utf-8")
-        with mock.patch.object(dataio, "_raise_first_error", wraps=dataio._raise_first_error) as error_loop:
+        with mock.patch.object(dataio, "_split", wraps=dataio._split) as split, \
+                mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as row_loop:
             outcome = _outcome(load_csv, path)
         assert outcome == _outcome(load_csv_literal, path)
-        assert error_loop.called == (outcome[0] in (CsvParseError, DateOrderError))  # every error, and only errors
+        reading = dataio._split(*split.call_args.args)
+        converted = reading is not None and dataio._convert(*reading, "DATE", None) is not None
+        assert row_loop.call_count == (not converted)  # exactly when the str.split reading does not convert
 
 
 _ROWS = [("2000-01-01", "1.5"), ("2000-02-01", "2.5"), ("2000-03-01", "-0.25"), ("2000-04-01", "4"),
@@ -310,32 +313,46 @@ def _plain(rows) -> str:
 
 class TestOneConversion:
     @pytest.mark.parametrize(
-        "text,gap",
+        "text,gap,by_rows",
         [
-            (_plain(_ROWS), None),
-            (_plain(_ROWS).replace("\n", "\r\n"), None),
-            ("\ufeff" + _plain(_ROWS), None),
-            (_plain(_ROWS).replace("DATE,X", 'DATE,"X"'), None),
-            ("DATE,X\n" + "".join(f'{date},"{value}\n"\n' for date, value in _ROWS), None),
-            (_plain(_ROWS[:2]) + " , \n\n" + _plain(_ROWS[2:]).removeprefix("DATE,X\n") + "\n", None),
-            (_plain(_ROWS[:2] + [("2000-03-01", ".")] + _ROWS[3:]), 2),
+            (_plain(_ROWS), None, False),
+            (_plain(_ROWS).replace("\n", "\r\n"), None, False),
+            ("\ufeff" + _plain(_ROWS), None, False),
+            (_plain(_ROWS[:2] + [("2000-03-01", ".")] + _ROWS[3:]), 2, False),
             pytest.param(
                 _plain([("20000101", "1.5")] + _ROWS[1:]),
                 None,
+                False,
                 marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD"),
             ),
+            (_plain(_ROWS).replace("DATE,X", 'DATE,"X"'), None, True),
+            ("DATE,X\n" + "".join(f'{date},"{value}\n"\n' for date, value in _ROWS), None, True),
+            (_plain(_ROWS[:2]) + " , \n\n" + _plain(_ROWS[2:]).removeprefix("DATE,X\n") + "\n", None, True),
         ],
-        ids=["plain", "crlf", "bom", "quoted-header", "quoted-multiline-values", "blank-rows", "gappy", "basic-date"],
+        ids=["plain", "crlf", "bom", "gappy", "basic-date", "quoted-header", "quoted-multiline-values", "blank-rows"],
     )
-    def test_each_copy_converts_to_the_plain_series_without_the_error_loop(self, tmp_path, text, gap):
+    def test_each_copy_converts_to_the_plain_series(self, tmp_path, text, gap, by_rows):
         path, plain = tmp_path / "copy.csv", tmp_path / "plain.csv"
         path.write_bytes(text.encode())
         plain.write_text(_plain([row for k, row in enumerate(_ROWS) if k != gap]))
-        with mock.patch.object(dataio, "_raise_first_error") as error_loop:
-            copy, expected = _outcome(load_csv, path), _outcome(load_csv, plain)
-        error_loop.assert_not_called()
+        expected = _outcome(load_csv, plain)
+        with mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as row_loop:
+            copy = _outcome(load_csv, path)
+        assert row_loop.call_count == by_rows
         assert copy[:4] == expected[:4]  # dates, values, frequency and source
         assert copy[4] == (0 if gap is None else 1)  # dropped_missing
+
+    @pytest.mark.parametrize(
+        "count,start,step", [(661, datetime.date(1959, 1, 1), 1), (270, datetime.date(1946, 10, 1), 3)],
+        ids=["monthly", "quarterly"],
+    )
+    def test_the_bench_surrogates_skip_the_row_loop(self, tmp_path, count, start, step):
+        path = write_fred_csv(tmp_path / "surrogate.csv", "S", month_starts(start, count, step),
+                              growing_variance_levels(count, 7))
+        with mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as row_loop:
+            outcome = _outcome(load_csv, path)
+        row_loop.assert_not_called()
+        assert outcome == _outcome(load_csv_literal, path)
 
 
 class TestInferFrequency:
