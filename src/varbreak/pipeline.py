@@ -14,9 +14,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import operator
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
@@ -70,8 +70,6 @@ _REPORT_FIELDS = {
     "poly_order": "poly_order",
 }
 _REPORT_GETTER = operator.attrgetter(*_REPORT_FIELDS.values())
-
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float reprs json writes otherwise
 
 
 @dataclass(frozen=True)
@@ -302,35 +300,8 @@ def _table_human(table: SimulationTable) -> str:
 
 
 def _json(kind: str, **fields) -> str:
-    """A JSON document of ``kind`` with the schema version by :func:`_json_text`; keys sorted, numbers lossless."""
-    return _json_text({"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}) + "\n"
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for str-keyed dicts, lists, tuples and scalars.
-
-    A scalar is written by the functions ``json`` writes it with, so a float is its repr or ``NaN``,
-    ``Infinity`` or ``-Infinity``; ``indent=2`` alone would send the whole document through
-    ``json``'s pure-Python encoder.
-    """
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE_JSON.get(text, text)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = [_json_text(item, inner) for item in value], "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
+    """A JSON document of ``kind`` with the schema version; keys sorted, numbers lossless."""
+    return json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, **fields}, sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(reports, fmt: str = "human") -> str:
@@ -340,7 +311,7 @@ def emit_report(reports, fmt: str = "human") -> str:
     :class:`TestReport`, or a sequence of :class:`McResult` (an empty
     sequence is treated as experiment results).  Output is
     deterministic: the same inputs give byte-identical text, and JSON
-    numbers round-trip losslessly.
+    keys are sorted, numbers lossless.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")

@@ -179,8 +179,9 @@ class TestLoadCsv:
             ("DATE,X\n" + "".join(f"{d},1.5\n" for d in month_starts(datetime.date(1900, 1, 1), 1500, 1)), 1502),
             ("DA", 1),
             ("\ufeffDATE,X\r\n2000-01-01,1\r\n2000-02-01,", 3),
+            ("DATE,X\r2000-01-01,1\r2000-02-01,", 3),  # lone CR line ends, which the property below leaves out
         ],
-        ids=["past-8KiB", "header", "bom-crlf"],
+        ids=["past-8KiB", "header", "bom-crlf", "cr"],
     )
     def test_byte_that_is_not_utf8_names_its_line_and_file_offset(self, tmp_path, before, line):
         # the offset counts from the start of the file, BOM included, not from a decoded chunk
@@ -271,9 +272,9 @@ def fred_csv_texts(draw) -> str:
     return bom + end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
-def _outcome(loader, path):
+def _outcome(loader, path, **options):
     try:
-        series = loader(path)
+        series = loader(path, **options)
     except Exception as exc:
         return type(exc), str(exc)
     return series.dates, series.values.tobytes(), series.frequency, series.source_id, series.dropped_missing
@@ -281,26 +282,51 @@ def _outcome(loader, path):
 
 class TestLoadCsvMatchesTheLiteralLoader:
     @settings(deadline=None)
-    @given(text=fred_csv_texts())
-    @example(text="DATE,X\n2000-01-01,1\n2000-03-01,.\n2000-02-01,2\n")  # decrease after a dropped row
-    @example(text="DATE,X\n2000-01-01,1\n2000-02-01,.\n2000-02-01,2\n")  # equal after a dropped row
-    @example(text="\ufeffDATE,X\n\n , \n,,\n20000101,1\n2000-W01-1,2\n2000-02-01,3\n")
-    @example(text="X,DATE\n1,2000-01-01\n2,2000-02-01\n3,2000-03-01\n")
-    @example(text="DATE,X\n2000-01-01,1_000\n2000-02-01,\u0661\u0662\u0663\n2000-03-01,2\n")  # float reads both
-    @example(text="DATE,X\n2000-01-01,1\n2000-02-01,0x10\n")  # float reads no hex: one error
-    @example(text='"DATE","X"\r\n2000-01-01,1\r\n2000-02-01,2\r\n')  # quotes in the header only
-    @example(text='"DATE","X,Y"\n2000-01-01,1\n2000-02-01,2\n')  # a comma inside a quoted name
-    @example(text='DATE,"X\n2000-01-01,1\n2000-02-01,2\n')  # a header quote that stays open to the end
-    def test_same_series_or_same_error(self, tmp_path_factory, text):
+    # every value column but the date column, whose error the literal loader words otherwise; Z is in no header
+    @given(text=fred_csv_texts(), value_column=st.sampled_from([None, "X", "Y", "Z"]))
+    @example(text="DATE,X\n2000-01-01,1\n2000-03-01,.\n2000-02-01,2\n", value_column=None)  # decrease after a dropped row
+    @example(text="DATE,X\n2000-01-01,1\n2000-02-01,.\n2000-02-01,2\n", value_column=None)  # equal after a dropped row
+    @example(text="\ufeffDATE,X\n\n , \n,,\n20000101,1\n2000-W01-1,2\n2000-02-01,3\n", value_column=None)
+    @example(text="X,DATE\n1,2000-01-01\n2,2000-02-01\n3,2000-03-01\n", value_column=None)
+    @example(text="DATE,X\n2000-01-01,1_000\n2000-02-01,\u0661\u0662\u0663\n2000-03-01,2\n", value_column=None)  # float reads both
+    @example(text="DATE,X\n2000-01-01,1\n2000-02-01,0x10\n", value_column=None)  # float reads no hex: one error
+    @example(text='"DATE","X"\r\n2000-01-01,1\r\n2000-02-01,2\r\n', value_column=None)  # quotes in the header only
+    @example(text='"DATE","X,Y"\n2000-01-01,1\n2000-02-01,2\n', value_column=None)  # a comma inside a quoted name
+    @example(text='DATE,"X\n2000-01-01,1\n2000-02-01,2\n', value_column=None)  # a header quote that stays open to the end
+    @example(text="DATE,X,Y\n2000-01-01,1,.\n2000-02-01,oops,2\n", value_column="Y")  # the other column is not read
+    def test_same_series_or_same_error(self, tmp_path_factory, text, value_column):
         path = tmp_path_factory.mktemp("differential") / "series.csv"
         path.write_text(text, encoding="utf-8")
         with mock.patch.object(dataio, "_split", wraps=dataio._split) as split, \
                 mock.patch.object(dataio, "_read_rows", wraps=dataio._read_rows) as row_loop:
-            outcome = _outcome(load_csv, path)
-        assert outcome == _outcome(load_csv_literal, path)
+            outcome = _outcome(load_csv, path, value_column=value_column)
+        assert outcome == _outcome(load_csv_literal, path, value_column=value_column)
         reading = dataio._split(*split.call_args.args)
-        converted = reading is not None and dataio._convert(*reading, "DATE", None) is not None
+        converted = reading is not None and dataio._convert(*reading, "DATE", value_column) is not None
         assert row_loop.call_count == (not converted)  # exactly when the str.split reading does not convert
+
+
+class TestByteThatIsNotUtf8:
+    @settings(deadline=None)
+    @given(
+        # quote-free and with no lone CR, so that each line feed ends a physical line and a record
+        text=fred_csv_texts().filter(lambda text: "\n" in text and '"' not in text and "\r" not in text.replace("\r\n", "")),
+        data=st.data(),
+    )
+    def test_the_lines_before_it_fail_first_or_it_names_its_line_and_offset(self, tmp_path_factory, text, data):
+        at = data.draw(st.sampled_from([at + 1 for at, char in enumerate(text) if char == "\n"]))  # a body line's start
+        before = text[:at].encode()
+        folder = tmp_path_factory.mktemp("latin")
+        (folder / "before.csv").write_bytes(before)
+        (folder / "latin.csv").write_bytes(before + b"\xff" + text[at:].encode())
+        try:
+            load_csv(folder / "before.csv")
+        except (CsvParseError, DateOrderError) as exc:
+            expected = type(exc), str(exc)
+        else:  # the offset counts the BOM's three bytes too
+            line = text.count("\n", 0, at) + 1
+            expected = CsvParseError, f"line {line}: byte 0xff at offset {len(before)} is not UTF-8 (invalid start byte)"
+        assert _outcome(load_csv, folder / "latin.csv") == expected
 
 
 _ROWS = [("2000-01-01", "1.5"), ("2000-02-01", "2.5"), ("2000-03-01", "-0.25"), ("2000-04-01", "4"),

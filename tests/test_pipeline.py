@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import varbreak.cusum
@@ -28,7 +28,7 @@ from varbreak import (
     statistic_subsample,
 )
 from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
-from varbreak.pipeline import REPORT_SCHEMA_VERSION, _json_text
+from varbreak.pipeline import REPORT_SCHEMA_VERSION
 
 from conftest import growing_variance_levels, month_starts, split_levels
 
@@ -227,24 +227,54 @@ class TestRunTestPipeline:
         assert report_std.window_length < report_std.n_effective
 
 
+_ODD_FLOATS = st.one_of(
+    st.floats(),  # NaN, infinities, signed zeros and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004,
+                     2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+)
+_FLOAT_TUPLES = st.lists(_ODD_FLOATS, max_size=4).map(tuple)
+_ODD_REPORT_FIELDS = st.fixed_dictionaries({
+    "statistic": _ODD_FLOATS,
+    "p_value": _ODD_FLOATS,
+    "ar_coefficients": _FLOAT_TUPLES,
+    "ar_intercept": _ODD_FLOATS,
+    "poly_coefficients": _FLOAT_TUPLES,
+    "poly_aic_scores": st.lists(st.tuples(st.integers(0, 5), _ODD_FLOATS), max_size=4).map(tuple),
+    "warnings": st.lists(
+        st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", 'say "hi"\n'])),
+        max_size=3,
+    ).map(tuple),
+})
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _exact(value):
+    """``value`` with each float as its exact hex digits, or as the token JSON writes for NaN or an infinity, and each
+    tuple as a list: what a lossless JSON document reads back as, with its NaN and infinity tokens kept as text."""
+    if isinstance(value, float):
+        return value.hex() if math.isfinite(value) else _JSON_TOKENS[repr(value)]
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return value
+
+
 class TestEmitTestReports:
-    @pytest.fixture()
+    @pytest.fixture(scope="class")
     def reports(self):
         series = white_noise_series(100, seed=7)
         return list(run_test_pipeline(series, PipelineConfig(diff_order=0)))
 
-    def test_json_round_trip_is_lossless(self, reports):
-        text = emit_report(reports, "json")
-        payload = json.loads(text)
+    @given(fields=st.lists(_ODD_REPORT_FIELDS, min_size=2, max_size=2))
+    @example(fields=[{}, {}])  # the reports as the pipeline gave them
+    def test_json_round_trip_is_lossless(self, reports, fields):
+        items = [dataclasses.replace(r, **f) for r, f in zip(reports, fields)]
+        text = emit_report(items, "json")
+        assert text.isascii() and text.endswith("}\n")
+        payload = json.loads(text, parse_constant=str)  # NaN, Infinity and -Infinity read back as their tokens
         assert payload["schema_version"] == 1
-        for parsed, original in zip(payload["reports"], reports):
-            assert parsed["statistic"] == original.statistic
-            assert parsed["p_value"] == original.p_value
-            assert parsed["critical_value"] == original.critical_value
-            for score_pair, original_pair in zip(
-                parsed["poly_aic_scores"] or [], original.poly_aic_scores or []
-            ):
-                assert tuple(score_pair) == original_pair
+        assert _exact(payload["reports"]) == _exact([vars(r) for r in items])
 
     def test_json_rows_are_the_report_fields(self, reports):
         # Q_std leaves every poly_* field None; Q_mod has AIC scores; the copies carry warnings
@@ -272,32 +302,6 @@ class TestEmitTestReports:
     def test_unknown_format(self, reports):
         with pytest.raises(ValueError):
             emit_report(reports, "xml")
-
-
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),  # NaN, infinities, signed zeros and subnormals included
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
-    st.text(),
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", 'say "hi"\n']),
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)),
-    max_leaves=40,
-)
-
-
-class TestJsonWriter:
-    @given(payload=_JSON_VALUES)
-    def test_same_bytes_as_json_dumps(self, payload):
-        assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
-
-    def test_other_types_are_not_serializable(self):
-        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
-            _json_text({"a": {1}})
 
 
 class TestEmitExperiments:
