@@ -52,10 +52,9 @@ class NestedOls:
     singular: np.ndarray
     rss: np.ndarray | None
 
-    def coefficients(self, k: int, rows=...) -> np.ndarray:
-        """Coefficients (..., k) of the selected rows' fits on the first ``k`` columns; zero for a singular row."""
-        r = self.r[:k, :k] if self.r.ndim == 2 else self.r[rows, :k, :k]
-        return np.linalg.solve(r, self.z[rows, :k, None])[..., 0]
+    def coefficients(self, k: int) -> np.ndarray:
+        """Coefficients (..., k) of the fits on the first ``k`` columns; zero for a singular row."""
+        return np.linalg.solve(self.r[..., :k, :k], self.z[..., :k, None])[..., 0]
 
     def aic_choice(self, n: int, first: int, floor) -> tuple[np.ndarray, np.ndarray]:
         """Floored RSS (..., K + 1 - first) of the fits on ``first``..K columns, and each row's AIC column count.

@@ -18,6 +18,7 @@ the full sample, and counts rejections against a decision rule.
 
 Streams: every replication draws only from its own counter-based Philox
 stream keyed by ``(seed, replication)``; no argument overrides its draws.
+Each thread draws from its one Philox, whose whole state is set per row.
 
 Blocks: replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``
 rows through one batched kernel.  A block's draws form one (R, n) array
@@ -43,6 +44,7 @@ import contextlib
 import functools
 import itertools
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
@@ -57,6 +59,7 @@ from varbreak.series import ResidualSeries, SubsampleWindow, _unit_scale
 
 _MASK64 = (1 << 64) - 1
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi
+_THREAD = threading.local()  # each thread's generator for _uniforms
 
 DGPS = ("dgp1", "dgp2")
 AR1_COEFF = 0.4
@@ -112,13 +115,14 @@ def sample_innovations(count: int, rng: np.random.Generator) -> np.ndarray:
 def _uniforms(seed: int, replications: range, n: int) -> np.ndarray:
     """``stream(seed, rep).random(n)`` of each replication, as rows.
 
-    One Philox is reset for every row to the state a new stream starts from.
-    The state is one dict of Python ints and lists in which only the key
-    changes; that skips the entropy a new generator draws only for the key
-    to override, and the conversion of numpy arrays on every reset.
+    The thread's one Philox, built on first use, gets for every row the whole
+    state a new stream starts from: one dict of Python ints and lists, only its
+    key changing, which skips a new generator's entropy and the conversion of
+    numpy arrays on every reset.
     """
-    bit_generator = np.random.Philox(0)
-    rng = np.random.Generator(bit_generator)
+    if not hasattr(_THREAD, "rng"):
+        _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    rng = _THREAD.rng
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -130,7 +134,7 @@ def _uniforms(seed: int, replications: range, n: int) -> np.ndarray:
     draws = np.empty((len(replications), n))
     for row, rep in zip(draws, replications):
         state["state"]["key"] = [seed & _MASK64, rep & _MASK64]
-        bit_generator.state = state
+        rng.bit_generator.state = state
         rng.random(out=row)
     return draws
 

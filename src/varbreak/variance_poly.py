@@ -165,10 +165,10 @@ def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[n
     q = squares.shape[-1]
     floor = AIC_RSS_FLOOR_FRAC * ((squares * squares).sum(axis=-1, keepdims=True) / q)
     rss, columns = ols.aic_choice(q, 2, floor)
-    coefficients = np.zeros_like(ols.z)
-    for k in set(columns.tolist()):  # one solve per column count chosen
-        rows = columns == k
-        coefficients[rows, :k] = ols.coefficients(k, rows)
+    # one solve: past its column count k a row's factor is I and its z 0, which keeps R_k's bits and pads with +0.0
+    pad = np.arange(ols.z.shape[-1]) >= columns[:, None]
+    r = np.where(pad[:, :, None] | pad[:, None, :], np.eye(pad.shape[-1]), ols.r)
+    coefficients = np.linalg.solve(r, np.where(pad, 0.0, ols.z)[..., None])[..., 0]
     chosen_rss = ols.rss[np.arange(columns.size), columns]
     return rss, columns - 1, coefficients, chosen_rss
 

@@ -4,6 +4,7 @@ import inspect
 import math
 import platform
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +174,31 @@ class TestBlockStreams:
             draws = varbreak.mc._uniforms(seed, reps, 37)
             for row, rep in zip(draws, reps):
                 assert row.tobytes() == stream(seed, rep).random(37).tobytes()
+
+    def test_a_block_after_another_draws_only_its_own_streams(self):
+        # the first block leaves the thread's generator mid-buffer (37 draws) on other keys
+        varbreak.mc._uniforms(2**64 - 1, range(2**63, 2**63 + 3), 37)
+        draws = varbreak.mc._uniforms(9, range(4, 8), 50)
+        for row, rep in zip(draws, range(4, 8)):
+            assert row.tobytes() == stream(9, rep).random(50).tobytes()
+
+    def test_threads_at_once_draw_only_their_own_streams(self):
+        def blocks(seed):
+            mismatched = 0
+            for first in range(0, 400, 4):
+                draws = varbreak.mc._uniforms(seed, range(first, first + 4), 200)
+                mismatched += sum(row.tobytes() != stream(seed, first + i).random(200).tobytes()
+                                  for i, row in enumerate(draws))
+            return mismatched
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(blocks, seed) for seed in (11, 2**63 + 5)]
+                assert [future.result(timeout=120) for future in futures] == [0, 0]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSimulateDgp1:

@@ -20,7 +20,7 @@ from varbreak import (
 from varbreak._ols import factorise, fit_factorised
 from varbreak.mc import McExperimentSpec
 from varbreak.nulldist import DecisionRule
-from varbreak.variance_poly import AIC_RSS_FLOOR_FRAC, _centred_time, _design_factors
+from varbreak.variance_poly import AIC_RSS_FLOOR_FRAC, _centred_time, _design_factors, _profiles, _select
 
 from oracles import aic_choice_literal, poly_aic_scores_literal, polyval_naive
 
@@ -179,6 +179,30 @@ class TestOrderSelection:
             with np.errstate(over="ignore"):
                 true_rss = np.ldexp(floored, 4 * series.exponent)
             assert selection.scores == poly_aic_scores_literal(true_rss, length)
+
+    @settings(deadline=None)
+    @given(
+        rows=st.sampled_from([1, 7, 64]),
+        q=st.sampled_from([8, 50, 648]),
+        p_max=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_solve_gives_each_row_the_bits_of_its_own_order(self, rows, q, p_max, seed):
+        # row i holds an exact polynomial of order 1 + i % p_max, so its floored RSS ties from that
+        # order on and the AIC picks it: every order 1..min(rows, p_max) is some row's
+        rng = np.random.default_rng(seed)
+        window = SubsampleWindow.full(q)
+        planted = 1 + np.arange(rows) % p_max
+        coefficients = rng.uniform(1.0, 4.0, (rows, p_max + 1)) * rng.choice([-1.0, 1.0], (rows, p_max + 1))
+        coefficients[:, 0] = rng.uniform(5.0, 10.0, rows)
+        coefficients[np.arange(p_max + 1) > planted[:, None]] = 0.0
+        squares = _profiles(coefficients, window)
+        _, p, solved, _ = _select(squares, window, p_max)
+        np.testing.assert_array_equal(p, planted)
+        ols = fit_factorised(_design_factors(window, p_max), squares, ladder=True)
+        for row, k in enumerate(planted + 1):  # column counts
+            alone = np.linalg.solve(ols.r[:k, :k], ols.z[row, :k])
+            assert solved[row].tobytes() == np.concatenate([alone, np.zeros(p_max + 1 - k)]).tobytes()
 
     def test_overflowing_scale_keeps_the_order_and_maps_the_fit(self):
         # at 2**266 u**4 overflows; the order is chosen at unit scale, and the
