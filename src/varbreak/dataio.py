@@ -176,9 +176,9 @@ def _convert(header: list[str], cells: list[str], date_column: str, value_column
 
 
 def _read_rows(text: str, date_column: str, value_column: str | None, stop: str | None) -> SeriesFile:
-    """The series of ``text`` by ``csv.reader`` less its blank rows, converted at once, or its first error in file order
-    raised, each row's date and value checked only where that fails; ``stop``, why the text was cut short, is raised
-    when the reader asks for the line after its last: a record still open there is not read."""
+    """The series of ``text`` by ``csv.reader`` less its blank rows, or its first error in file order raised; ``stop``,
+    why the text was cut short, is raised when the reader asks for the line after its last: a record still open there
+    is not read."""
 
     def lines():
         yield from io.StringIO(text, newline="")
@@ -188,52 +188,45 @@ def _read_rows(text: str, date_column: str, value_column: str | None, stop: str 
     reader = csv.reader(lines())
     try:
         header = [cell.strip() for cell in next(reader)]
-    except StopIteration:
-        raise CsvParseError("file is empty", line=1) from None
-    except csv.Error as exc:
-        raise CsvParseError(str(exc), line=reader.line_num) from None
-    if date_column not in header:
-        raise CsvParseError(f"no {date_column!r} column in header {header}", line=1)
-    if value_column is None:
-        value_column = next((name for name in header if name != date_column), None)
+        if date_column not in header:
+            raise CsvParseError(f"no {date_column!r} column in header {header}", line=1)
         if value_column is None:
-            raise CsvParseError("no value column besides the date column", line=1)
-    if value_column not in header:
-        raise CsvParseError(f"no {value_column!r} column in header {header}", line=1)
-    if value_column == date_column:
-        raise CsvParseError(f"value column {value_column!r} is the date column", line=1)
-    width, cells, ends, error = len(header), [], [], None  # ends: the line each collected row ends on
-    try:
+            value_column = next((name for name in header if name != date_column), None)
+            if value_column is None:
+                raise CsvParseError("no value column besides the date column", line=1)
+        if value_column not in header:
+            raise CsvParseError(f"no {value_column!r} column in header {header}", line=1)
+        if value_column == date_column:
+            raise CsvParseError(f"value column {value_column!r} is the date column", line=1)
+        date_idx, value_idx, width = header.index(date_column), header.index(value_column), len(header)
+        previous = 0  # ordinal of the last dated row; a real date's is at least 1
+        cells = []
         for row in reader:
             if not "".join(row).strip():
                 continue
             if len(row) != width:
                 raise CsvParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+            raw_date, raw_value = row[date_idx].strip(), row[value_idx].strip()
+            try:
+                ordinal = datetime.date.fromisoformat(raw_date).toordinal()
+            except ValueError:
+                raise CsvParseError(f"unparseable date {raw_date!r}", line=reader.line_num) from None
+            if ordinal <= previous:
+                raise DateOrderError(f"line {reader.line_num}: date {raw_date} does not increase past "
+                                     f"{datetime.date.fromordinal(previous).isoformat()}")
+            previous = ordinal
+            try:
+                finite = raw_value in MISSING_MARKERS or math.isfinite(float(raw_value))
+            except ValueError:
+                raise CsvParseError(f"unparseable value {raw_value!r}", line=reader.line_num) from None
+            if not finite:
+                raise CsvParseError(f"non-finite value {raw_value!r}", line=reader.line_num)
             cells += row
-            ends.append(reader.line_num)
-    except (csv.Error, CsvParseError) as exc:  # the rows before it are checked first
-        error = CsvParseError(str(exc), line=reader.line_num) if isinstance(exc, csv.Error) else exc
-    if error is None and (series := _convert(header, cells, date_column, value_column)):
-        return series
-    date_idx, value_idx = header.index(date_column), header.index(value_column)
-    previous = 0  # ordinal of the last dated row; a real date's is at least 1
-    for line, start in zip(ends, range(0, len(cells), width)):
-        raw_date, raw_value = cells[start + date_idx].strip(), cells[start + value_idx].strip()
-        try:
-            ordinal = datetime.date.fromisoformat(raw_date).toordinal()
-        except ValueError:
-            raise CsvParseError(f"unparseable date {raw_date!r}", line=line) from None
-        if ordinal <= previous:
-            raise DateOrderError(f"line {line}: date {raw_date} does not increase past "
-                                 f"{datetime.date.fromordinal(previous).isoformat()}")
-        previous = ordinal
-        try:
-            finite = raw_value in MISSING_MARKERS or math.isfinite(float(raw_value))
-        except ValueError:
-            raise CsvParseError(f"unparseable value {raw_value!r}", line=line) from None
-        if not finite:
-            raise CsvParseError(f"non-finite value {raw_value!r}", line=line)
-    raise error  # _convert declines only rows that fail a check above
+    except StopIteration:  # from reading the header
+        raise CsvParseError("file is empty", line=1) from None
+    except csv.Error as exc:
+        raise CsvParseError(str(exc), line=reader.line_num) from None
+    return _convert(header, cells, date_column, value_column)
 
 
 def difference(series: SeriesFile, order: int = 1) -> SeriesFile:
