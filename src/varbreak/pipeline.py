@@ -36,7 +36,7 @@ MIN_PIPELINE_LENGTH = 10
 FORMATS = ("human", "json", "csv")
 
 #: The row model of experiment output: field name -> attribute path on
-#: :class:`McResult`, in CSV column order.
+#: :class:`McResult`.
 _EXPERIMENT_FIELDS = {
     "dgp": "spec.dgp",
     "n": "spec.n",
@@ -228,16 +228,8 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
 
 
 def _experiment_fields(result: McResult) -> dict:
-    """One experiment as a row; every experiment and table report format reads it."""
+    """One experiment as a row; the experiment and table JSON documents read it."""
     return dict(zip(_EXPERIMENT_FIELDS, _EXPERIMENT_GETTER(result)))
-
-
-def _experiment_csv_cells(result: McResult):
-    """One experiment's row with the shift as a float and failures as ``name:count;...``."""
-    row = _experiment_fields(result)
-    row["alpha"], row["kappa"] = float(row["alpha"]), float(row["kappa"])
-    row["failures"] = ";".join(f"{failure}:{count}" for failure, count in row["failures"])
-    return row.values()
 
 
 def _csv(columns, rows) -> str:
@@ -307,11 +299,11 @@ def _json(kind: str, **fields) -> str:
 def emit_report(reports, fmt: str = "human") -> str:
     """Serialize test reports, experiment results, or a whole grid.
 
-    ``reports`` may be a :class:`SimulationTable`, a sequence of
-    :class:`TestReport`, or a sequence of :class:`McResult` (an empty
-    sequence is treated as experiment results).  Output is
-    deterministic: the same inputs give byte-identical text, and JSON
-    keys are sorted, numbers lossless.
+    ``reports`` may be a :class:`SimulationTable` or a sequence of
+    :class:`TestReport`, in any of :data:`FORMATS`, or a sequence of
+    :class:`McResult` (an empty sequence counts as one) in JSON only.
+    Output is deterministic: the same inputs give byte-identical text,
+    and JSON keys are sorted, numbers lossless.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -332,15 +324,6 @@ def emit_report(reports, fmt: str = "human") -> str:
         return "\n\n".join(r.summary() for r in items) + "\n"
 
     # experiment results (possibly empty)
-    if fmt == "csv":
-        return _csv(_EXPERIMENT_FIELDS, map(_experiment_csv_cells, items))
-    if fmt == "json":
-        return _json("experiments", experiments=[_experiment_fields(r) for r in items])
-    lines = [
-        "{dgp} n={n} alpha={alpha:g}: Q_std {rate_std:.1f}% (se {se_std:.2f}), Q_mod "
-        "{rate_mod:.1f}% (se {se_mod:.2f}) [crit {critical_value:g}, N={replications}]".format(
-            **_experiment_fields(r)
-        )
-        for r in items
-    ]
-    return "\n".join(lines) + "\n"
+    if fmt != "json":
+        raise ValueError(f"experiment results are written as JSON only, got format {fmt!r}")
+    return _json("experiments", experiments=[_experiment_fields(r) for r in items])

@@ -20,6 +20,7 @@ from varbreak import (
     VarbreakError,
     VariancePathSpec,
     ZeroDispersionError,
+    emit_report,
     experiment_for_cell,
     fit_ar_ols,
     run_experiment,
@@ -342,6 +343,8 @@ class TestRunExperiment:
         np.testing.assert_array_equal(serial.statistics_std, parallel.statistics_std)
         np.testing.assert_array_equal(serial.statistics_mod, parallel.statistics_mod)
         assert serial.rejection_rate_mod == parallel.rejection_rate_mod
+        # the experiment JSON, as the bench workers-2-identical gate compares it
+        assert emit_report([serial], "json") == emit_report([parallel], "json")
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_are_rejected(self, workers):

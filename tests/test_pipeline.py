@@ -305,11 +305,8 @@ class TestEmitTestReports:
 
 
 class TestEmitExperiments:
-    def test_empty_list_gives_header_only(self):
-        text = emit_report([], "csv")
-        lines = text.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("dgp,n,alpha")
+    def test_empty_list_gives_no_rows(self):
+        assert json.loads(emit_report([], "json"))["experiments"] == []
 
     def test_one_result_gives_one_row_with_rate_and_se(self):
         spec = McExperimentSpec(
@@ -321,12 +318,9 @@ class TestEmitExperiments:
             decision=DecisionRule.fixed_boundary(),
         )
         result = run_experiment(spec)
-        lines = emit_report([result], "csv").strip().splitlines()
-        assert len(lines) == 2
-        header = lines[0].split(",")
-        row = lines[1].split(",")
-        assert float(row[header.index("rate_std")]) == result.rejection_rate_std
-        assert float(row[header.index("se_std")]) == result.se_std
+        (row,) = json.loads(emit_report([result], "json"))["experiments"]
+        assert row["rate_std"] == result.rejection_rate_std
+        assert row["se_std"] == result.se_std
 
     def test_json_shape(self):
         text = emit_report([], "json")
