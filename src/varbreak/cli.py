@@ -7,7 +7,8 @@ Three subcommands:
 * ``varbreak critval``        print an asymptotic critical value
 
 Exit status is 0 when the run produced reports (a statistical rejection
-is data, not an error), 1 on operational errors, 2 on bad usage.
+is data, not an error), 2 when argparse rejects the command line, and 1 with one
+error line otherwise, also for an option value the command checks itself (``--ar x``).
 """
 
 from __future__ import annotations

@@ -199,10 +199,10 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
     if positivity not in POSITIVITY_MODES:
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     squares = fit.window.squares(series)[None]
-    if positivity == "error" and not (report := check_positivity(fit)).passed:
+    if positivity == "error" and (t_min := check_positivity(fit)) is not None:
         power = 2 * fit.exponent
         raise NonpositiveVarianceError(
-            f"fitted variance dips to {_true_text(fit.unit_profile.min(), power)} at t={report.t_min} "
+            f"fitted variance dips to {_true_text(fit.unit_profile.min(), power)} at t={t_min} "
             f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
         )
     profile = fit.unit_profile if positivity == "none" else np.maximum(fit.unit_profile, fit.unit_floor)

@@ -182,11 +182,11 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     with _stage("variance-fit"):
         selection = select_poly_order_aic(residuals, window, p_max)
     poly_fit = selection.fit
-    if config.clamp and not (positivity := check_positivity(poly_fit)).passed:
+    if config.clamp and (t_min := check_positivity(poly_fit)) is not None:
         power = 2 * poly_fit.exponent
         warnings.append(
             f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
-            f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={positivity.t_min})"
+            f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={t_min})"
         )
     with _stage("statistic-mod"):
         q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")

@@ -105,14 +105,6 @@ class OrderSelection:
         return tuple(enumerate(aic(rss, self.fit.window.length, 2).tolist(), 1))
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Whether a fitted profile stays above its positivity floor over its window, and where it is least."""
-
-    passed: bool
-    t_min: int
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -213,8 +205,7 @@ def select_poly_order_aic(
     return OrderSelection(tuple(rss.tolist()), fit)
 
 
-def check_positivity(fit: VariancePolyFit) -> PositivityReport:
-    """The minimum of the fitted profile over its window against the floor ``POS_FLOOR_FRAC`` times the mean square."""
-    values = fit.unit_profile
-    idx = int(np.argmin(values))
-    return PositivityReport(passed=bool(values[idx] > fit.unit_floor), t_min=fit.window.offset + 1 + idx)
+def check_positivity(fit: VariancePolyFit) -> int | None:
+    """The 1-based t of the profile's least value if that is at or below ``fit.unit_floor``; else None."""
+    idx = int(np.argmin(fit.unit_profile))
+    return None if fit.unit_profile[idx] > fit.unit_floor else fit.window.offset + 1 + idx

@@ -1,7 +1,8 @@
 """Literal, loop-based re-implementations of the statistics, of the
-AIC order choice and of the AR(1) recursion, a simulation of the
-corrected statistic's limit law, and the row-by-row CSV loader that
-``load_csv``'s one column-wise conversion replaced.
+AIC order choice and of the AR(1) recursion, the ``varbreak test``
+pipeline composed from them, a simulation of the corrected statistic's
+limit law, and the row-by-row CSV loader that ``load_csv``'s one
+column-wise conversion replaced.
 
 The statistics are independent of the package code.  The
 re-implementations are deliberately unoptimized: every partial sum is
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from varbreak.dataio import MISSING_MARKERS, SeriesFile
-from varbreak.errors import CsvParseError, DateOrderError
+from varbreak.errors import CsvParseError, DateOrderError, NonpositiveVarianceError, SingularDesignError
 
 
 def cumsums_bruteforce(values, offset, length):
@@ -63,11 +64,12 @@ def polyval_naive(coefficients, x):
     return sum(a * x**i for i, a in enumerate(coefficients))
 
 
-def corrected_statistic_literal(values, offset, q, n, coefficients, center):
-    """Variance-rescaled bridge statistic with a polynomial profile."""
+def corrected_statistic_literal(values, offset, q, n, coefficients, center, floor=None):
+    """Variance-rescaled bridge statistic with a polynomial profile, floored at ``floor`` if one is given."""
 
     def g2(t):
-        return polyval_naive(coefficients, t / n - center)
+        value = polyval_naive(coefficients, t / n - center)
+        return value if floor is None else max(value, floor)
 
     cumsums = []
     for k in range(1, q + 1):
@@ -121,6 +123,116 @@ def poly_aic_scores_literal(rss, q):
     """``(p, q*log(RSS/q) + 2(p+1))`` for p = 1, 2, ..., one order at a time; an RSS of 0 scores -inf."""
     with np.errstate(divide="ignore"):
         return tuple((p, float(q * np.log(r / q) + 2.0 * (p + 1))) for p, r in enumerate(rss, 1))
+
+
+#: Relative gap under which two AIC scores, or a profile minimum and its floor, are a near tie.
+NEAR_TIE = 1e-9
+
+
+def _lstsq_literal(design, y, what):
+    """Coefficients and residuals of ``y`` on ``design`` by ``np.linalg.lstsq``; SingularDesignError for a design
+    with no more rows than columns or of lower rank.
+
+    The first column is the constant.  The others are centred on their means and scaled to unit norm first, an
+    exact change of basis that keeps the solve accurate: an SVD solve, unlike a QR, loses accuracy to columns of
+    unequal scale, such as an intercept beside lags of size 1e-5, and to nearly parallel ones, such as an
+    intercept beside lags of levels far from zero.
+    """
+    rows, columns = design.shape
+    if rows <= columns:
+        raise SingularDesignError(f"{what} has {rows} rows for {columns} columns")
+    means = design.mean(axis=0) * (np.arange(columns) > 0)
+    centred = design - means
+    norms = np.sqrt((centred**2).sum(axis=0))
+    norms[norms == 0.0] = 1.0
+    beta, _, rank, _ = np.linalg.lstsq(centred / norms, y, rcond=None)
+    if rank < columns:
+        raise SingularDesignError(f"{what} is rank deficient")
+    beta /= norms
+    return beta - np.concatenate([[beta @ means], np.zeros(columns - 1)]), y - centred @ beta
+
+
+def _aic_literal(rss, n, first, floor, ties, what):
+    """:func:`aic_choice_literal`, recording ``what`` in ``ties`` when its two lowest scores are a near tie.
+
+    A score's rounding scales with n, the factor of its logarithm, so the gap is taken relative to n as well.
+    """
+    scores = sorted(n * math.log(max(r, floor) / n) + 2.0 * (first + i) for i, r in enumerate(rss))
+    if len(scores) > 1 and scores[1] - scores[0] <= NEAR_TIE * max(abs(scores[0]), abs(scores[1]), n):
+        ties.append(what)
+    return aic_choice_literal(rss, n, first, floor)
+
+
+def pipeline_literal(series, config, ties=None):
+    """``run_test_pipeline`` from the stage oracles, in the true units of ``series``.
+
+    Differences with ``np.diff``; chooses the AR order by AIC over ``np.linalg.lstsq`` fits with an intercept on
+    the common sample, capped at 12 (monthly), 8 (quarterly) or ``round(4*(n/100)**0.25)`` and at ``(n - 2) // 2``;
+    fits AR(m) with an intercept; takes the window ``floor(n**gamma)`` from ``floor(offset * n)``; chooses the
+    profile order in ``1..min(p_max, max(1, q - 2))`` by AIC with the RSS floored at ``1e-12 * mean(u**4)``; then
+    raises NonpositiveVarianceError where the profile dips to or below ``0.01 * mean(u**2)``, or under clamp
+    floors it there; and computes Q_std, Q_mod and their ``scipy.special.kolmogorov`` p-values.  It raises
+    SingularDesignError and NonpositiveVarianceError in the package's stage order.
+
+    Each near tie of an AIC choice, or of the profile minimum with its floor, is named in the list ``ties``: at
+    one, two correct routines may decide either way.  ``cancellation``, max|x| / max|u| over the series the AR
+    model is fitted to and its residuals, is the factor by which forming the residuals magnifies the rounding
+    of the data.
+    """
+    from scipy.special import kolmogorov  # here, not at the top: the benchmark imports this module and measures memory
+
+    ties = [] if ties is None else ties
+    x = np.diff(series.values, n=config.diff_order) if config.diff_order else np.array(series.values)
+
+    n = len(x)
+    order = config.ar_order
+    if order is None:
+        cap = {"monthly": 12, "quarterly": 8}.get(series.frequency, round(4 * (n / 100) ** 0.25))
+        cap = max(0, min(cap, (n - 2) // 2))
+        rss = []
+        for m in range(cap + 1):  # responses t = cap+1..n for every m
+            design = np.array([[1.0] + [x[t - i] for i in range(1, m + 1)] for t in range(cap, n)])
+            residuals = _lstsq_literal(design, x[cap:], f"AR({m}) design")[1]
+            rss.append(float(residuals @ residuals))
+        order = _aic_literal(rss, n - cap, 1, np.finfo(np.float64).tiny, ties, "ar-aic")
+    design = np.array([[1.0] + [x[t - i] for i in range(1, order + 1)] for t in range(order, n)])
+    u = _lstsq_literal(design, x[order:], f"AR({order}) design")[1].tolist()
+
+    n = len(u)
+    offset, q = math.floor(config.offset_fraction * n), math.floor(n**config.gamma)
+    window = u[offset : offset + q]
+    center = (2.0 * offset / n + q / n) / 2.0
+    q_std = subsample_statistic_literal(u, offset, q)
+
+    times = [t / n - center for t in range(offset + 1, offset + q + 1)]
+    squares = np.array([v**2 for v in window])
+    aic_floor = 1e-12 * sum(v**4 for v in window) / q
+    fits = []
+    for p in range(1, min(config.p_max, max(1, q - 2)) + 1):
+        design = np.array([[r**i for i in range(p + 1)] for r in times])
+        beta, residuals = _lstsq_literal(design, squares, f"order {p} design")
+        fits.append((beta.tolist(), float(residuals @ residuals)))
+    coefficients = fits[_aic_literal([rss for _, rss in fits], q, 2, aic_floor, ties, "poly-aic")][0]
+
+    profile = [polyval_naive(coefficients, r) for r in times]
+    floor = 0.01 * sum(v**2 for v in window) / q
+    if abs(min(profile) - floor) <= NEAR_TIE * floor:
+        ties.append("floor")
+    floored = min(profile) <= floor
+    if floored and not config.clamp:
+        raise NonpositiveVarianceError(f"fitted variance dips to {min(profile)}")
+    q_mod = corrected_statistic_literal(u, offset, q, n, coefficients, center, floor if config.clamp else None)
+
+    statistics = (q_std, q_mod)
+    return {
+        "cancellation": float(np.abs(x).max() / max(abs(v) for v in u)),
+        "ar_order": order,
+        "poly_order": len(coefficients) - 1,
+        "statistics": statistics,
+        "p_values": tuple(float(kolmogorov(s)) for s in statistics),
+        "reject": tuple(s > config.rule.critical_value for s in statistics),
+        "floored": floored,
+    }
 
 
 def generalized_bridge_quantile(

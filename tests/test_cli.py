@@ -79,6 +79,31 @@ class TestTestCommand:
     def test_bad_ar_argument(self, capsys, macro_csv):
         assert main(["test", str(macro_csv), "--ar", "several"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["test", "{csv}", "--level", "1.5"], 1),
+            (["test", "{csv}", "--offset", "1"], 1),
+            (["test", "{csv}", "--pmax", "-1"], 1),
+            (["simulate", "--table", "5"], 2),
+            (["simulate", "--table", "1", "--reps", "x"], 2),
+            (["test", "{csv}", "--unknown"], 2),
+            (["test", "{csv}", "--rule", "paper", "--level", "0.1"], 2),
+        ],
+    )
+    def test_only_argparse_rejections_exit_2(self, capsys, macro_csv, argv, code):
+        # a value the command checks itself is one error line and exit 1; argparse's own rejections exit 2
+        try:
+            status = main([arg.format(csv=macro_csv) for arg in argv])
+        except SystemExit as exc:
+            status = exc.code
+        err = capsys.readouterr().err
+        assert status == code
+        if code == 1:
+            assert err.startswith("varbreak: error:") and err.count("\n") == 1
+        else:
+            assert err.startswith("usage: varbreak")
+
     def test_out_file(self, tmp_path, macro_csv):
         target = tmp_path / "report.json"
         assert main(["test", str(macro_csv), "--format", "json", "--out", str(target)]) == 0

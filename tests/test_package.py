@@ -22,12 +22,14 @@ def test_every_exported_name_resolves():
     assert len(set(varbreak.__all__)) == len(varbreak.__all__)
 
 
-@pytest.mark.parametrize(
-    "function, name", [("select_poly_order_aic", "OrderSelection"), ("check_positivity", "PositivityReport")]
-)
+@pytest.mark.parametrize("function, name", [("select_poly_order_aic", "OrderSelection")])
 def test_unexported_return_types_resolve_in_variance_poly(function, name):
     assert name not in varbreak.__all__
     assert typing.get_type_hints(getattr(varbreak, function))["return"] is getattr(varbreak.variance_poly, name)
+
+
+def test_positivity_check_answers_with_a_t_or_none():
+    assert typing.get_type_hints(varbreak.check_positivity)["return"] == int | None
 
 
 def _modules_after(code: str) -> set[str]:

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import varbreak.cusum
@@ -18,6 +18,7 @@ from varbreak import (
     SeriesFile,
     SingularDesignError,
     SubsampleWindow,
+    VarbreakError,
     difference,
     emit_report,
     fit_ar_ols,
@@ -31,6 +32,7 @@ from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
 from varbreak.pipeline import REPORT_SCHEMA_VERSION
 
 from conftest import growing_variance_levels, month_starts, split_levels
+from oracles import pipeline_literal
 
 
 def series_from_values(values, step_months=1, seed_date=datetime.date(1990, 1, 1)):
@@ -225,6 +227,75 @@ class TestRunTestPipeline:
         report_std, _ = run_test_pipeline(series, config)
         assert report_std.window_offset > 0
         assert report_std.window_length < report_std.n_effective
+
+
+@st.composite
+def _levels_and_configs(draw):
+    """Levels, a power of two k that keeps them and their differences normal floats, and a pipeline configuration.
+
+    The levels are a random walk whose steps follow an AR(1) with a smoothly growing scale, drawn from a seeded
+    generator: continuous values, whose AR and profile fits are never exact, so both pipelines compare statistics
+    of residuals and not of rounding noise.
+    """
+    count = draw(st.integers(12, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi, growth = draw(st.floats(-0.5, 0.9)), draw(st.floats(0.0, 8.0))
+    sigma = 1.0 + growth * (np.arange(1, count) / count) ** 2
+    steps = [0.0]
+    for shock in sigma * rng.standard_normal(count - 1):
+        steps.append(phi * steps[-1] + shock)
+    levels = np.ldexp(draw(st.floats(-100.0, 100.0)) + np.cumsum(steps), draw(st.integers(-20, 20)))
+    magnitudes = np.frexp(np.abs(levels[levels != 0.0]))[1]  # 2**(e - 1) <= |level| < 2**e
+    k = min(max(draw(st.integers(-1000, 1000)), -1021 - magnitudes.min()), 1021 - magnitudes.max())
+    gamma, offset_fraction = draw(st.sampled_from([(1.0, 0.0), (0.9, 0.05)]))
+    config = PipelineConfig(
+        diff_order=draw(st.integers(0, 2)),
+        ar_order=draw(st.one_of(st.none(), st.integers(0, 3))),
+        gamma=gamma,
+        offset_fraction=offset_fraction,
+        clamp=draw(st.booleans()),
+    )
+    return levels, int(k), draw(st.sampled_from([1, 3])), config
+
+
+class TestLiteralPipeline:
+    @settings(deadline=None)
+    @given(case=_levels_and_configs())
+    def test_the_pipeline_on_scaled_levels_is_the_literal_pipeline_on_the_levels(self, case):
+        levels, k, step_months, config = case
+
+        def series(values):
+            dates = month_starts(datetime.date(1990, 1, 1), len(values), step_months)
+            return SeriesFile(tuple(dates), values, "monthly" if step_months == 1 else "quarterly", "SYN")
+
+        ties = []
+        try:
+            expected = pipeline_literal(series(levels), config, ties)
+        except VarbreakError as exc:
+            expected = exc
+        # at a near tie of two AIC scores, or of the profile minimum and its floor, two correct
+        # least-squares routines may decide either way: only these examples are left out
+        assume(not ties)
+        try:
+            reports = run_test_pipeline(series(np.ldexp(levels, k)), config)
+        except VarbreakError as exc:
+            assert type(exc) is type(expected), (exc, expected)
+            return
+        assert not isinstance(expected, VarbreakError), (reports, expected)
+        assert [r.ar_order for r in reports] == [expected["ar_order"]] * 2
+        assert reports[1].poly_order == expected["poly_order"]
+        # 1e-10 relative, widened by the cancellation in forming the residuals: where an AR model nearly
+        # interpolates a few levels, max|x| / max|u| reaches 1e4, and the rounding of the data alone then
+        # moves either pipeline's statistics by more than 1e-10
+        tolerance = 1e-10 * max(1.0, expected["cancellation"])
+        for report, statistic, p_value, reject in zip(
+            reports, expected["statistics"], expected["p_values"], expected["reject"]
+        ):
+            assert math.isclose(report.statistic, statistic, rel_tol=tolerance), (report.kind, statistic)
+            # |d log p / d log Q| <= 1 + 4 Q**2 for the Kolmogorov tail
+            assert math.isclose(report.p_value, p_value, rel_tol=tolerance * (1 + 4 * statistic**2)), report.kind
+            assert report.reject == reject
+        assert any("floored" in warning for warning in reports[1].warnings) == expected["floored"]
 
 
 _ODD_FLOATS = st.one_of(

@@ -324,21 +324,38 @@ class TestPositivity:
         # window keeps |t/n - r0| <= 0.105, so min of 2 + 3x stays above 1.7
         w = SubsampleWindow(n=100, offset=40, length=20)
         fit = make_fit(w, (2.0, 3.0), mean_sq=2.0)
-        report = check_positivity(fit)
-        assert report.passed
-        assert fit.unit_profile[report.t_min - 1 - w.offset] == fit.unit_profile.min() >= 1.7
+        assert check_positivity(fit) is None
         assert fit.unit_floor == pytest.approx(0.02)
 
     def test_flags_a_sign_change(self):
-        w = SubsampleWindow.full(100)
+        w = SubsampleWindow(n=100, offset=10, length=80)
         fit = make_fit(w, (0.001, -10.0), mean_sq=1.0)
-        report = check_positivity(fit)
-        assert not report.passed
-        assert 1 <= report.t_min <= 100
-        assert fit.unit_profile[report.t_min - 1] == fit.unit_profile.min() < 0.0
+        t = check_positivity(fit)
+        assert w.offset + 1 <= t <= w.stop
+        assert fit.unit_profile[t - 1 - w.offset] == fit.unit_profile.min() < 0.0
+
+    @settings(deadline=None)
+    @given(
+        p=st.integers(1, 5),
+        window=st.tuples(st.integers(0, 60), st.integers(2, 80), st.integers(0, 60)),
+        coefficients=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+        mean_sq=st.floats(1e-3, 1e3),
+        e=st.integers(-600, 600),
+    )
+    def test_the_answer_is_the_t_of_the_least_value_at_or_below_the_floor(self, p, window, coefficients, mean_sq, e):
+        # random fits of every order and window, at power-of-two scales: None exactly when the whole
+        # unit-scale profile stays above the floor, else the 1-based t of its first least value
+        offset, length, tail = window
+        w = SubsampleWindow(n=offset + length + tail, offset=offset, length=length)
+        fit = VariancePolyFit(p, tuple(coefficients[: p + 1]), 0.0, w, mean_sq, e)
+        t = check_positivity(fit)
+        if fit.unit_profile.min() > fit.unit_floor:
+            assert t is None
+        else:
+            assert t == w.offset + 1 + int(np.argmin(fit.unit_profile))
 
     def test_verdict_is_scale_invariant(self):
-        # the verdict and its t are read at unit scale, so they hold at scales where
+        # the answer is read at unit scale, so it holds at scales where
         # the true-unit profile and floor read 0.0 (2**-600) or inf (2**600)
         spec = McExperimentSpec(
             dgp="dgp1",
@@ -349,15 +366,15 @@ class TestPositivity:
             decision=DecisionRule.fixed_boundary(),
         )
         w = SubsampleWindow(n=200, offset=20, length=150)
-        verdicts = set()
+        kinds = set()
         for rep in range(40):
             values = simulate_dgp1(spec, rep).values
-            reports = [
+            answers = [
                 check_positivity(fit_variance_poly(ResidualSeries(np.ldexp(values, e)), w, 3)) for e in (-600, 0, 600)
             ]
-            assert reports[0] == reports[1] == reports[2]
-            verdicts.add(reports[1].passed)
-        assert verdicts == {True, False}
+            assert answers[0] == answers[1] == answers[2]
+            kinds.add(answers[1] is None)
+        assert kinds == {True, False}
 
     def test_pass_rate_on_smooth_variance_fits(self):
         # fixed cubic fits on simulated smooth-variance data at n=200;
@@ -374,7 +391,7 @@ class TestPositivity:
         passed = 0
         for rep in range(1000):
             fit = fit_variance_poly(simulate_dgp1(spec, rep), w, 3)
-            passed += check_positivity(fit).passed
+            passed += check_positivity(fit) is None
         assert passed >= 850
 
 
