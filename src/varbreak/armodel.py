@@ -62,8 +62,8 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
 
     Parameters
     ----------
-    values : array_like
-        Observed series of n >= 2 values.
+    values : array_like or ResidualSeries
+        Observed series of n >= 2 values; a ResidualSeries is used as is, so it is unit-scaled once.
     order : int
         Number of lags m >= 0; with m = 0 the residuals are the input, less any intercept.
     intercept : bool
@@ -76,7 +76,8 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     SingularDesignError
         If ``n <= 2*order + intercept`` (no more rows than columns) or the design is rank deficient.
     """
-    series = ResidualSeries(values)
+    # a ResidualSeries is known by its attribute: a span tracer may stand a function in for the class
+    series = values if hasattr(values, "unit_values") else ResidualSeries(values)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     _, beta, residuals = _fit_rows(series.unit_values, order, intercept)
@@ -104,7 +105,7 @@ def select_ar_order(values, max_order: int) -> int:
     SingularDesignError
         If ``n <= 2*max_order + 1`` (no more rows than columns) or the design is rank deficient.
     """
-    x = ResidualSeries(values).unit_values
+    x = (values if hasattr(values, "unit_values") else ResidualSeries(values)).unit_values  # as in fit_ar_ols
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     design = _ar_design(x, max_order, intercept=True, layout="F")  # the same Q and R bits, no strided copy

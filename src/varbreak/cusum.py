@@ -25,7 +25,9 @@ Failure maps: all four share one bridge kernel, :func:`_bridge`, and the
 last three run row-wise over a block of series, the public functions being
 one-row calls.  Each failure rule is tested in one place, which records a
 row's first :class:`VarbreakError` in a ``{row: error}`` map; a one-row call
-raises it.  A failed row's statistic means nothing.
+raises it.  A failed row's statistic means nothing.  The row kernel,
+:func:`_statistics`, divides by each row's AIC profile as is ("none", the
+grid) or floored by :func:`_floor`, the floor rule's one owner ("floor").
 
 References
 ----------
@@ -51,7 +53,7 @@ import numpy as np
 
 from varbreak.errors import DegenerateSeriesError, NonpositiveVarianceError, ZeroDispersionError
 from varbreak.series import ResidualSeries, SubsampleWindow, _true_text
-from varbreak.variance_poly import VariancePolyFit, _profiles, _select, check_positivity
+from varbreak.variance_poly import POS_FLOOR_FRAC, VariancePolyFit, _profiles, _select, check_positivity
 
 POSITIVITY_MODES = ("error", "clamp", "none")
 
@@ -113,15 +115,35 @@ def _corrected(squares: np.ndarray, profile: np.ndarray, failures: dict) -> np.n
     return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
-def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[np.ndarray, ...]:
-    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their failure maps.
+def _floor(profiles: np.ndarray, mean_sq) -> np.ndarray:
+    """The positivity floor rule, its one owner: each profile row raised to ``POS_FLOOR_FRAC`` times its mean square."""
+    return np.maximum(profiles, POS_FLOOR_FRAC * np.reshape(mean_sq, (-1, 1)))
 
-    Q_mod uses the profile of the row's AIC order in 1..p_max as is, with no positivity floor.
+
+def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int, positivity: str = "none") -> tuple:
+    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, their failure maps, and the search.
+
+    The search is :func:`varbreak.variance_poly._select`'s row arrays, then each row's least profile value and its
+    0-based index in the window.  Q_mod divides by the profile as is under "none", or by :func:`_floor`'s under "floor".
     """
     failures_std, failures_mod = {}, {}
     q_std = _sanso(squares, failures_std)
-    profiles = _profiles(_select(squares, window, p_max)[2], window)
-    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod
+    search = _select(squares, window, p_max)
+    profiles = _profiles(search[2], window)
+    index = profiles.argmin(axis=-1)
+    least = profiles[np.arange(index.size), index]
+    if positivity == "floor":
+        profiles = _floor(profiles, search[4])
+    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod, (*search, least, index)
+
+
+def _dip_error(fit: VariancePolyFit, least: float, t: int) -> NonpositiveVarianceError:
+    """The strict positivity rule's error: the fit's profile dips to ``least`` at ``t``, at or below its floor."""
+    power = 2 * fit.exponent
+    return NonpositiveVarianceError(
+        f"fitted variance dips to {_true_text(least, power)} at t={t} "
+        f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
+    )
 
 
 def _one(statistic, *args) -> float:
@@ -177,7 +199,8 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
 
     The positivity rule: Q_mod divides the squares by the profile, so the profile must stay
     above the floor of :func:`check_positivity`, ``POS_FLOOR_FRAC`` times the window mean
-    square, at every t of the window.  ``varbreak test`` runs "error", or "clamp" under ``--clamp``.
+    square, at every t of the window.  "clamp" floors it by :func:`_floor`, as the row kernel does
+    under "floor"; ``varbreak test`` runs that kernel, and replays as "error", or "clamp" under ``--clamp``.
 
     Parameters
     ----------
@@ -200,12 +223,8 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     squares = fit.window.squares(series)[None]
     if positivity == "error" and (t_min := check_positivity(fit)) is not None:
-        power = 2 * fit.exponent
-        raise NonpositiveVarianceError(
-            f"fitted variance dips to {_true_text(fit.unit_profile.min(), power)} at t={t_min} "
-            f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
-        )
-    profile = fit.unit_profile if positivity == "none" else np.maximum(fit.unit_profile, fit.unit_floor)
+        raise _dip_error(fit, fit.unit_profile.min(), t_min)
+    profile = fit.unit_profile if positivity == "none" else _floor(fit.unit_profile, fit.unit_mean_sq)
     # a profile from outside the package may have any scale: the power of two of its peak brings it to unit scale,
     # and an entry that this flushes to zero is no zero of the fit: NaN fails its row as out of the float range
     scaled = np.ldexp(profile, -np.frexp(np.abs(profile).max())[1])

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
-from varbreak.cusum import statistic_corrected, statistic_subsample
+from varbreak.cusum import _dip_error, _statistics, statistic_subsample
 from varbreak.dataio import SeriesFile, difference
 from varbreak.errors import VarbreakError
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow, _true_text
-from varbreak.variance_poly import DEFAULT_P_MAX, check_positivity, select_poly_order_aic
+from varbreak.variance_poly import DEFAULT_P_MAX, _selection
 
 if TYPE_CHECKING:  # the Monte Carlo engine loads only for the commands that run it
     from varbreak.mc import McResult, SimulationTable
@@ -161,35 +161,46 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
             f"need at least {MIN_PIPELINE_LENGTH} observations to run the tests, got {series.n}"
         )
     worked = difference(series, config.diff_order) if config.diff_order > 0 else series
-    values = worked.values
 
     with _stage("ar-fit"):
+        values = ResidualSeries(worked.values)  # unit-scaled once, for the order search and the fit
         order = config.ar_order
         if order is None:
-            order = select_ar_order(values, default_max_order(values.size, worked.frequency))
+            order = select_ar_order(values, default_max_order(values.n, worked.frequency))
         ar_fit: ArFit = fit_ar_ols(values, order, intercept=True)
     residuals: ResidualSeries = ar_fit.residuals
 
     window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
-
-    with _stage("statistic-std"):
-        q_std = statistic_subsample(residuals, window)
-
     warnings: list[str] = []
     p_max = min(config.p_max, max(1, window.length - 2))  # the largest order the window supports, if any
     if p_max < config.p_max:
         warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
-    with _stage("variance-fit"):
-        selection = select_poly_order_aic(residuals, window, p_max)
+    squares = window.squares(residuals)[None]
+    try:  # one kernel call: Q_std, the AIC profile search, the profile's least value, and Q_mod on the floored profile
+        q_std, q_mod, failures_std, failures_mod, search = _statistics(squares, window, p_max, "floor")
+    except (VarbreakError, ValueError):  # the search failed: a failure of Q_std, the stage before it, comes first
+        with _stage("statistic-std"):
+            statistic_subsample(residuals, window)
+        with _stage("variance-fit"):
+            raise
+    with _stage("statistic-std"):
+        if failures_std:
+            raise failures_std[0]
+    *row, least, index = (a[0] for a in search)
+    selection = _selection(row, window, residuals.exponent)
     poly_fit = selection.fit
-    if config.clamp and (t_min := check_positivity(poly_fit)) is not None:
-        power = 2 * poly_fit.exponent
-        warnings.append(
-            f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
-            f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={t_min})"
-        )
     with _stage("statistic-mod"):
-        q_mod = statistic_corrected(residuals, poly_fit, positivity="clamp" if config.clamp else "error")
+        if not least > poly_fit.unit_floor:  # check_positivity's answer: the profile dips to its floor or below
+            t_min = window.offset + 1 + int(index)
+            if not config.clamp:
+                raise _dip_error(poly_fit, least, t_min)
+            power = 2 * poly_fit.exponent
+            warnings.append(
+                f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
+                f"(minimum {_true_text(least, power)} at t={t_min})"
+            )
+        if failures_mod:
+            raise failures_mod[0]
 
     def report(kind: str, statistic: float, **fields) -> TestReport:
         return TestReport(
@@ -216,9 +227,9 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
             **fields,
         )
 
-    return report("Q_std", q_std), report(
+    return report("Q_std", float(q_std[0])), report(
         "Q_mod",
-        q_mod,
+        float(q_mod[0]),
         poly_order=poly_fit.order,
         poly_coefficients=poly_fit.coefficients,
         poly_rss=poly_fit.rss,

@@ -14,6 +14,7 @@ from varbreak import (
     VariancePolyFit,
     WindowBoundsError,
     ZeroDispersionError,
+    check_positivity,
     fit_variance_poly,
     select_poly_order_aic,
     statistic_corrected,
@@ -21,6 +22,7 @@ from varbreak import (
     statistic_sanso,
     statistic_subsample,
 )
+from varbreak.cusum import _statistics
 
 from oracles import (
     corrected_statistic_literal,
@@ -391,3 +393,47 @@ class TestGolden:
                 for mode in ("error", "clamp", "none")
             ]
         assert tuple(got) == _GOLDEN[profile, n]
+
+
+class TestRowKernel:
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        n=st.integers(8, 200),
+        p_max=st.integers(1, 5),
+        inner=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_is_the_public_chain_on_that_row(self, rows, n, p_max, inner, seed):
+        # rows of growing variance, at their own power-of-two scales: "floor" is statistic_subsample and
+        # statistic_corrected(..., positivity="clamp") on the row's own AIC fit, "none" the profile as is,
+        # and the least profile value sits at check_positivity's t whenever it is at the floor or below
+        rng = np.random.default_rng(seed)
+        growth = rng.uniform(0.0, 6.0, (rows, 1)) * np.linspace(0.0, 1.0, n)
+        values = np.ldexp(rng.standard_normal((rows, n)) * np.exp(growth), rng.integers(-30, 31, (rows, 1)))
+        window = SubsampleWindow(n, n // 10, n - n // 5) if inner else SubsampleWindow.full(n)
+        p_max = min(p_max, window.length - 2)
+        series = [ResidualSeries(v) for v in values]
+        squares = np.stack([window.squares(s) for s in series])
+        q_std, q_mod, failures_std, failures_mod, search = _statistics(squares, window, p_max, "floor")
+        _, q_none, _, failures_none, search_none = _statistics(squares, window, p_max)
+        names = ("ladder", "order", "coefficients", "rss", "mean square", "least", "index")
+        for name, got, expected in zip(names, search, search_none, strict=True):
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        *_, least, index = search
+
+        def agrees(value, failures, row, function, *args, **kwargs):
+            try:
+                expected = function(*args, **kwargs)
+            except VarbreakError as exc:
+                return type(failures.get(row)) is type(exc) and str(failures[row]) == str(exc)
+            return row not in failures and float(value[row]) == expected
+
+        for row, s in enumerate(series):
+            fit = select_poly_order_aic(s, window, p_max).fit
+            assert agrees(q_std, failures_std, row, statistic_subsample, s, window)
+            assert agrees(q_mod, failures_mod, row, statistic_corrected, s, fit, positivity="clamp")
+            assert agrees(q_none, failures_none, row, statistic_corrected, s, fit, positivity="none")
+            assert least[row] == fit.unit_profile.min()
+            t_min = window.offset + 1 + int(index[row])
+            assert check_positivity(fit) == (None if least[row] > fit.unit_floor else t_min)

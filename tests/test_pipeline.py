@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import varbreak.cusum
-import varbreak.pipeline
+import varbreak.variance_poly
 from varbreak import (
     DecisionRule,
     NonpositiveVarianceError,
@@ -19,6 +19,8 @@ from varbreak import (
     SingularDesignError,
     SubsampleWindow,
     VarbreakError,
+    ZeroDispersionError,
+    check_positivity,
     difference,
     emit_report,
     fit_ar_ols,
@@ -115,42 +117,84 @@ class TestRunTestPipeline:
         _, report_mod = run_test_pipeline(series, clamped)
         assert any("floored" in warning for warning in report_mod.warnings)
 
+    @staticmethod
+    def profile_evaluations(monkeypatch):
+        """A list that grows by one at each evaluation of ``variance_poly._profiles``, at every name it is called by."""
+        calls = []
+        profiles = varbreak.variance_poly._profiles
+
+        def counted(*args):
+            calls.append(args)
+            return profiles(*args)
+
+        for module in (varbreak.variance_poly, varbreak.cusum):
+            monkeypatch.setattr(module, "_profiles", counted)
+        return calls
+
+    @staticmethod
+    def public_chain(series, ar_order, config):
+        """The README Quickstart chain on the AR(``ar_order``) residuals: the residuals, window and profile fit."""
+        values = difference(series, config.diff_order).values if config.diff_order else series.values
+        residuals = fit_ar_ols(values, ar_order, intercept=True).residuals
+        window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
+        return residuals, window, select_poly_order_aic(residuals, window, config.p_max).fit
+
     @pytest.mark.parametrize("clamp", [False, True])
     def test_positivity_is_checked_once_per_run(self, monkeypatch, clamp):
-        calls = []
-        check = varbreak.pipeline.check_positivity
-
-        def counted(fit):
-            calls.append(fit)
-            return check(fit)
-
-        for module in (varbreak.pipeline, varbreak.cusum):
-            monkeypatch.setattr(module, "check_positivity", counted)
-        run_test_pipeline(series_from_values(growing_variance_levels(200, seed=42)), PipelineConfig(clamp=clamp))
+        # a profile that dips: a strict run raises statistic_corrected's error, a clamped run warns at
+        # check_positivity's t and floors as statistic_corrected does, each from one profile evaluation
+        rng = np.random.default_rng(11)
+        series = series_from_values(np.exp(np.linspace(0.0, 6.0, 120)) * rng.standard_normal(120))
+        config = PipelineConfig(diff_order=0, ar_order=0, p_max=1, clamp=clamp)
+        calls = self.profile_evaluations(monkeypatch)
+        if clamp:
+            report_std, report_mod = run_test_pipeline(series, config)
+        else:
+            with pytest.raises(NonpositiveVarianceError) as info:
+                run_test_pipeline(series, config)
         assert len(calls) == 1
+
+        residuals, window, fit = self.public_chain(series, 0, config)
+        t_min = check_positivity(fit)
+        assert t_min is not None
+        if clamp:
+            (warning,) = report_mod.warnings
+            assert warning.endswith(f" at t={t_min})")
+            assert report_std.statistic == statistic_subsample(residuals, window)
+            assert report_mod.statistic == statistic_corrected(residuals, fit, positivity="clamp")
+        else:
+            with pytest.raises(NonpositiveVarianceError) as chain:
+                statistic_corrected(residuals, fit)
+            assert str(info.value) == f"statistic-mod: {chain.value}"
 
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("gamma, offset_fraction", [(1.0, 0.0), (0.8, 0.1)])
     def test_pipeline_is_the_public_chain(self, monkeypatch, clamp, gamma, offset_fraction):
-        # the README Quickstart chain on the AR residuals replays both statistics bit for bit
-        calls = []
-        chain = {f.__name__: f for f in (statistic_subsample, select_poly_order_aic, statistic_corrected)}
-
-        def counted(name):
-            return lambda *args, **kwargs: calls.append(name) or chain[name](*args, **kwargs)
-
-        for name in chain:
-            monkeypatch.setattr(varbreak.pipeline, name, counted(name), raising=False)
+        # one kernel call, one profile evaluation, and the bits of the README Quickstart chain for both statistics
         series = series_from_values(growing_variance_levels(200, seed=42))
         config = PipelineConfig(gamma=gamma, offset_fraction=offset_fraction, clamp=clamp)
+        calls = self.profile_evaluations(monkeypatch)
         report_std, report_mod = run_test_pipeline(series, config)
-        assert calls == list(chain)
+        assert len(calls) == 1
 
-        residuals = fit_ar_ols(difference(series).values, report_std.ar_order, intercept=True).residuals
-        window = SubsampleWindow.from_exponent(residuals.n, gamma, offset_fraction)
-        fit = select_poly_order_aic(residuals, window, config.p_max).fit
+        residuals, window, fit = self.public_chain(series, report_std.ar_order, config)
         assert report_std.statistic == statistic_subsample(residuals, window)
         assert report_mod.statistic == statistic_corrected(residuals, fit, positivity="clamp" if clamp else "error")
+        assert (report_mod.poly_order, report_mod.poly_coefficients, report_mod.poly_rss) == (
+            fit.order, fit.coefficients, fit.rss
+        )
+
+    def test_a_failure_of_q_std_wins_over_a_failure_of_the_profile_search(self):
+        # 10 levels alternating in sign, tested as they are: the AR(0) residuals are +-1, so Q_std's squares
+        # are constant, and floor(10**0.35) = 2 leaves the order-1 profile design 2 rows for 2 columns
+        series = series_from_values(np.tile([1.0, -1.0], 5))
+        config = PipelineConfig(diff_order=0, ar_order=0, gamma=0.35)
+        residuals = fit_ar_ols(series.values, 0, intercept=True).residuals
+        window = SubsampleWindow.from_exponent(residuals.n, 0.35)
+        with pytest.raises(SingularDesignError, match="^order 1 design has 2 rows for 2 columns$"):
+            select_poly_order_aic(residuals, window, 1)
+        with pytest.raises(ZeroDispersionError, match="^statistic-std: squared residuals are empirically constant"):
+            run_test_pipeline(series, config)
 
     def test_window_too_short_for_order_one_is_a_labelled_error(self):
         series = series_from_values(growing_variance_levels(661, seed=42))
@@ -251,6 +295,7 @@ def _levels_and_configs(draw):
     config = PipelineConfig(
         diff_order=draw(st.integers(0, 2)),
         ar_order=draw(st.one_of(st.none(), st.integers(0, 3))),
+        p_max=draw(st.integers(1, 5)),
         gamma=gamma,
         offset_fraction=offset_fraction,
         clamp=draw(st.booleans()),
