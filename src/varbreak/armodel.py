@@ -76,8 +76,7 @@ def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:
     SingularDesignError
         If ``n <= 2*order + intercept`` (no more rows than columns) or the design is rank deficient.
     """
-    # a ResidualSeries is known by its attribute: a span tracer may stand a function in for the class
-    series = values if hasattr(values, "unit_values") else ResidualSeries(values)
+    series = values if hasattr(values, "unit_values") else ResidualSeries(values)  # a tracer may wrap the class
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     _, beta, residuals = _fit_rows(series.unit_values, order, intercept)

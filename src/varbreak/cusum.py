@@ -123,18 +123,18 @@ def _floor(profiles: np.ndarray, mean_sq) -> np.ndarray:
 def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int, positivity: str = "none") -> tuple:
     """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, their failure maps, and the search.
 
-    The search is :func:`varbreak.variance_poly._select`'s row arrays, then each row's least profile value and its
-    0-based index in the window.  Q_mod divides by the profile as is under "none", or by :func:`_floor`'s under "floor".
+    The search is :func:`varbreak.variance_poly._select`'s.  Q_mod divides by the profile as is under "none"; "floor"
+    floors it by :func:`_floor` and adds what a report reads: each row's mean square, least profile value and its index.
     """
     failures_std, failures_mod = {}, {}
     q_std = _sanso(squares, failures_std)
     search = _select(squares, window, p_max)
     profiles = _profiles(search[2], window)
-    index = profiles.argmin(axis=-1)
-    least = profiles[np.arange(index.size), index]
     if positivity == "floor":
+        index = profiles.argmin(axis=-1)
+        search += (squares.sum(axis=-1) / squares.shape[-1], profiles[np.arange(index.size), index], index)
         profiles = _floor(profiles, search[4])
-    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod, (*search, least, index)
+    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod, search
 
 
 def _dip_error(fit: VariancePolyFit, least: float, t: int) -> NonpositiveVarianceError:
@@ -199,8 +199,7 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
 
     The positivity rule: Q_mod divides the squares by the profile, so the profile must stay
     above the floor of :func:`check_positivity`, ``POS_FLOOR_FRAC`` times the window mean
-    square, at every t of the window.  "clamp" floors it by :func:`_floor`, as the row kernel does
-    under "floor"; ``varbreak test`` runs that kernel, and replays as "error", or "clamp" under ``--clamp``.
+    square, at every t of the window; "clamp" applies :func:`_floor`, as the row kernel's "floor" does.
 
     Parameters
     ----------

@@ -186,8 +186,8 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     with _stage("statistic-std"):
         if failures_std:
             raise failures_std[0]
-    *row, least, index = (a[0] for a in search)
-    selection = _selection(row, window, residuals.exponent)
+    *row, mean_sq, least, index = (a[0] for a in search)
+    selection = _selection(row, mean_sq, window, residuals.exponent)
     poly_fit = selection.fit
     with _stage("statistic-mod"):
         if not least > poly_fit.unit_floor:  # check_positivity's answer: the profile dips to its floor or below

@@ -151,7 +151,7 @@ def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[n
     """The AIC order search of each row of (R, q) squares of unit-scale window values.
 
     Per row: the floored RSS of orders 1..p_max, the chosen order, its
-    coefficients zero-padded to p_max + 1, its RSS, and the mean square.
+    coefficients zero-padded to p_max + 1, and its RSS.
     """
     ols = _fit_order(squares, window, p_max)
     q = squares.shape[-1]
@@ -162,7 +162,7 @@ def _select(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple[n
     r = np.where(pad[:, :, None] | pad[:, None, :], np.eye(pad.shape[-1]), ols.r)
     coefficients = np.linalg.solve(r, np.where(pad, 0.0, ols.z)[..., None])[..., 0]
     chosen_rss = ols.rss[np.arange(columns.size), columns]
-    return rss, columns - 1, coefficients, chosen_rss, squares.sum(axis=-1) / q
+    return rss, columns - 1, coefficients, chosen_rss
 
 
 def fit_variance_poly(series: ResidualSeries, window: SubsampleWindow, p: int) -> VariancePolyFit:
@@ -198,12 +198,13 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    return _selection([a[0] for a in _select(window.squares(series)[None], window, p_max)], window, series.exponent)
+    squares = window.squares(series)[None]
+    return _selection([a[0] for a in _select(squares, window, p_max)], np.mean(squares), window, series.exponent)
 
 
-def _selection(row, window: SubsampleWindow, exponent: int) -> OrderSelection:
+def _selection(row, mean_sq, window: SubsampleWindow, exponent: int) -> OrderSelection:
     """One row of a :func:`_select` search of the window's squares of ``u * 2**-exponent``, as an OrderSelection."""
-    rss, p, coefficients, unit_rss, mean_sq = row
+    rss, p, coefficients, unit_rss = row
     coefficients = tuple(coefficients[: p + 1].tolist())
     fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(mean_sq), exponent)
     return OrderSelection(tuple(rss.tolist()), fit)

@@ -417,10 +417,9 @@ class TestRowKernel:
         squares = np.stack([window.squares(s) for s in series])
         q_std, q_mod, failures_std, failures_mod, search = _statistics(squares, window, p_max, "floor")
         _, q_none, _, failures_none, search_none = _statistics(squares, window, p_max)
-        names = ("ladder", "order", "coefficients", "rss", "mean square", "least", "index")
-        for name, got, expected in zip(names, search, search_none, strict=True):
+        for name, got, expected in zip(("ladder", "order", "coefficients", "rss"), search[:4], search_none, strict=True):
             np.testing.assert_array_equal(got, expected, err_msg=name)
-        *_, least, index = search
+        *_, mean_sq, least, index = search
 
         def agrees(value, failures, row, function, *args, **kwargs):
             try:
@@ -434,6 +433,7 @@ class TestRowKernel:
             assert agrees(q_std, failures_std, row, statistic_subsample, s, window)
             assert agrees(q_mod, failures_mod, row, statistic_corrected, s, fit, positivity="clamp")
             assert agrees(q_none, failures_none, row, statistic_corrected, s, fit, positivity="none")
+            assert mean_sq[row] == fit.unit_mean_sq
             assert least[row] == fit.unit_profile.min()
             t_min = window.offset + 1 + int(index[row])
             assert check_positivity(fit) == (None if least[row] > fit.unit_floor else t_min)

@@ -197,7 +197,7 @@ class TestOrderSelection:
         coefficients[:, 0] = rng.uniform(5.0, 10.0, rows)
         coefficients[np.arange(p_max + 1) > planted[:, None]] = 0.0
         squares = _profiles(coefficients, window)
-        _, p, solved, *_ = _select(squares, window, p_max)
+        _, p, solved, _ = _select(squares, window, p_max)
         np.testing.assert_array_equal(p, planted)
         ols = fit_factorised(_design_factors(window, p_max), squares, ladder=True)
         for row, k in enumerate(planted + 1):  # column counts
