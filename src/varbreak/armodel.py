@@ -54,7 +54,10 @@ def _fit_rows(units: np.ndarray, order: int, intercept: bool):
     design = _ar_design(units, order, intercept)
     ols = fit_factorised(factorise(design, f"AR({order}) design"), y)
     beta = ols.coefficients(design.shape[-1])
-    return ols, beta, y - np.matmul(design, beta[..., None])[..., 0]
+    if design.shape[-1] != 1:
+        return ols, beta, y - np.matmul(design, beta[..., None])[..., 0]
+    fitted = design[..., 0] * beta  # one column: one multiply; + 0.0 gives a zero product matmul's sign, +0
+    return ols, beta, np.subtract(y, np.add(fitted, 0.0, out=fitted), out=fitted)
 
 
 def fit_ar_ols(values, order: int, *, intercept: bool = False) -> ArFit:

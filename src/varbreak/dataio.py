@@ -125,14 +125,14 @@ def load_csv(path, *, date_column: str = "DATE", value_column: str | None = None
 def _split(text: str) -> tuple[list[str], list[str]] | None:
     """Header names and body cells of ``text`` by ``str.split``, or None where ``csv.reader`` would read it otherwise.
 
-    The text must hold no quote, no NUL, no carriage return but in a CRLF, and no line past the field size limit; a
-    header of w names then needs w - 1 commas on every body row, checked in one pass that keeps only the body's commas
-    and line feeds: a blank row fails the check, or else its empty date fails the conversion.
+    The text, less its trailing line feeds, must hold no quote, no NUL, no carriage return but in a CRLF, and no line
+    past the field size limit; a header of w names then needs w - 1 commas on every body row, checked in one pass over
+    the body's commas and line feeds: an inner blank row fails it, or else its empty date fails the conversion.
     """
     plain, limit = text.replace("\r\n", "\n") if "\r" in text else text, csv.field_size_limit()
     if '"' in plain or "\r" in plain or "\0" in plain or (len(plain) > limit and max(map(len, plain.split("\n"))) > limit):
         return None
-    head, _, body = plain.removesuffix("\n").partition("\n")
+    head, _, body = plain.rstrip("\n").partition("\n")
     header = [cell.strip() for cell in head.split(",")]
     separators = body.encode().translate(None, _NOT_SEPARATORS)
     rows = separators.count(b"\n") + 1  # an empty body is one empty row, matched only by a header of one column

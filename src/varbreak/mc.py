@@ -285,12 +285,14 @@ def _residual_squares(spec: McExperimentSpec, start: int, stop: int) -> tuple[np
 def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple:
     """Q_std, Q_mod and their ``{replication: failure name}`` maps of replications ``start..stop-1``.
 
-    A failure is a :class:`VarbreakError`, named by its class, or a value
-    that is not finite; a statistic is NaN where it failed.  The profile is
-    used with no positivity floor: :func:`run_table` was calibrated that way.
+    A failure is a :class:`VarbreakError`, named by its class, or a value that is not finite; a statistic is NaN
+    where it failed, and a block where nothing failed returns two empty maps without building them.  The profile
+    is used with no positivity floor: :func:`run_table` was calibrated that way.
     """
     squares, singular = _residual_squares(spec, start, stop)
     q_std, q_mod, *failures, _ = _statistics(squares, SubsampleWindow.full(squares.shape[1]), spec.poly_p_max)
+    if not singular and not any(failures) and np.isfinite(q_std + q_mod).all():
+        return q_std, q_mod, {}, {}
     names = []
     for q, errors in zip((q_std, q_mod), failures):
         named = {row: type(error).__name__ for row, error in errors.items()}
@@ -305,7 +307,7 @@ def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple:
 def _rate_and_se(values: np.ndarray, rule: DecisionRule) -> tuple[float, float, int]:
     valid = values[np.isfinite(values)]
     n_valid = int(valid.size)
-    count = int(np.sum(valid > rule.critical_value))
+    count = int(np.count_nonzero(valid > rule.critical_value))
     rate = (100.0 * count) / n_valid
     fraction = count / n_valid
     se = 100.0 * math.sqrt(fraction * (1.0 - fraction) / n_valid)
@@ -331,10 +333,10 @@ def _run_cells(specs: list[McExperimentSpec], workers: int) -> list[McResult]:
 
 
 def _aggregate(spec: McExperimentSpec, blocks: list[tuple]) -> McResult:
-    """One cell's result from its blocks, in replication order; see :func:`run_experiment`."""
+    """One cell's result from its blocks in replication order, a lone block's arrays as is; see :func:`run_experiment`."""
     n_rep = spec.replications
     parts_std, parts_mod, *maps = zip(*blocks)
-    stats_std, stats_mod = np.concatenate(parts_std), np.concatenate(parts_mod)
+    stats_std, stats_mod = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (parts_std, parts_mod))
     named = [item for side in maps for errors in side for item in errors.items()]  # (replication, name)
     failure_counts = Counter(name for _, name in named)
     failed = {rep for rep, _ in named}

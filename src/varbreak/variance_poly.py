@@ -129,12 +129,12 @@ def _design_factors(window: SubsampleWindow, p: int) -> tuple[np.ndarray, np.nda
 def _profiles(coefficients: np.ndarray, window: SubsampleWindow) -> np.ndarray:
     """Unit-scale profiles of the rows of ``coefficients`` (..., p + 1) at every t of ``window``.
 
-    Horner's rule, in place; a row of lower order padded with zero high-order
-    coefficients gets the same values as the unpadded row.
+    Horner's rule, in place, started from the leading coefficient; a row of lower
+    order padded with zero high-order coefficients gets the same values as the unpadded row.
     """
     x = _centred_time(window)
-    result = np.zeros((*coefficients.shape[:-1], x.size))
-    for c in coefficients.T[::-1, ..., None]:
+    result = np.repeat(coefficients[..., -1:], x.size, axis=-1)
+    for c in coefficients.T[-2::-1, ..., None]:
         result *= x
         result += c
     return result

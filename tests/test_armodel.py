@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varbreak import (
     SingularDesignError,
@@ -13,7 +15,7 @@ from varbreak import (
     select_poly_order_aic,
 )
 from varbreak._ols import factorise, fit_factorised
-from varbreak.armodel import _ar_design
+from varbreak.armodel import _ar_design, _fit_rows
 from varbreak.series import ResidualSeries
 
 from conftest import growing_variance_levels, split_levels
@@ -80,6 +82,31 @@ class TestFitArOls:
         assert past.sum() == 3 and np.isneginf(scaled.residuals.values[past]).all()
         np.testing.assert_array_equal(scaled.residuals.values[~past], np.ldexp(base.residuals.values[~past], 1025))
         assert scaled.intercept == np.ldexp(base.intercept, 1025)
+
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0]) | st.floats(-1e3, 1e3), min_size=3, max_size=40),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(values=[1.0, 1.0, -0.0, -0.0], rows=1, seed=0)  # a -0 product, from 1 * -0, at a response of -0
+    @example(values=[1.0, 1.0, -0.0, -2.0], rows=1, seed=0)  # a mean of -0, at a response of -0
+    def test_a_one_column_fit_has_the_residual_bits_of_the_matmul(self, values, rows, seed):
+        def matmul_residuals(units, order, intercept):  # the fitted values as one stacked matmul
+            beta = _fit_rows(units, order, intercept)[1]
+            return units[..., order:] - np.matmul(_ar_design(units, order, intercept), beta[..., None])[..., 0]
+
+        x = np.array(values)
+        # dgp2's AR(1) without intercept: one design per row, the first row x itself
+        stacked = np.vstack([x, np.random.default_rng(seed).permuted(np.tile(x, (rows - 1, 1)), axis=1)])
+        with np.errstate(over="ignore", invalid="ignore"):  # a row like (0, 1e-310, 1) overflows its fit either way
+            residuals, expected = _fit_rows(stacked, 1, intercept=False)[2], matmul_residuals(stacked, 1, False)
+        assert residuals.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        if x.any():  # fit_ar_ols at order 0 with intercept: the input less its mean
+            series = ResidualSeries(x)
+            residuals = fit_ar_ols(x, 0, intercept=True).residuals.values
+            expected = ResidualSeries(matmul_residuals(series.unit_values, 0, True), series.exponent).values
+            assert residuals.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

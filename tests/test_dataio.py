@@ -354,8 +354,13 @@ class TestOneConversion:
             (_plain(_ROWS).replace("DATE,X", 'DATE,"X"'), None, True),
             ("DATE,X\n" + "".join(f'{date},"{value}\n"\n' for date, value in _ROWS), None, True),
             (_plain(_ROWS[:2]) + " , \n\n" + _plain(_ROWS[2:]).removeprefix("DATE,X\n") + "\n", None, True),
+            (_plain(_ROWS) + "\n", None, False),
+            (_plain(_ROWS).replace("\n", "\r\n") + "\r\n\n\r\n", None, False),
         ],
-        ids=["plain", "crlf", "bom", "gappy", "basic-date", "quoted-header", "quoted-multiline-values", "blank-rows"],
+        ids=[
+            "plain", "crlf", "bom", "gappy", "basic-date", "quoted-header", "quoted-multiline-values", "blank-rows",
+            "trailing-empty-line", "trailing-empty-lines-crlf",
+        ],
     )
     def test_each_copy_converts_to_the_plain_series(self, tmp_path, text, gap, by_rows):
         path, plain = tmp_path / "copy.csv", tmp_path / "plain.csv"

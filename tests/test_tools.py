@@ -1,5 +1,10 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -42,3 +47,17 @@ def test_src_size_totals_every_module(capsys):
     total = capsys.readouterr().out.splitlines()[-1].split()
     assert total[0] == "total"
     assert int(total[1].replace(",", "")) == sum(len(path.read_text(encoding="utf-8").splitlines()) for path in src.glob("*.py"))
+
+
+@pytest.mark.parametrize("workload", ["grid", "large-n", "series"])
+def test_ab_inprocess_runs_the_checkout_against_itself(workload):
+    checkout = str(TOOLS.parent)
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "ab_inprocess.py"), checkout, checkout, "--workload", workload, "--rounds", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["identical"] and result["rounds"] == 2 and result["a_src_sha256"] == result["b_src_sha256"]
+    assert result["ratio_q1"] <= result["ratio_a_over_b_median"] <= result["ratio_q3"]
+    assert 0 <= result["b_faster_rounds"] <= 2 and result["ops_per_round"] > 0

@@ -318,6 +318,39 @@ class TestEvaluation:
         naive = polyval_naive(coefficients, t / 500 - w.center)
         assert fit.unit_profile[t - 1] == pytest.approx(naive, abs=1e-12, rel=1e-12)
 
+    @settings(deadline=None)
+    @given(
+        p=st.integers(1, 5),
+        rows=st.integers(1, 8),
+        window=st.sampled_from([SubsampleWindow.full(120), SubsampleWindow(n=120, offset=17, length=61)]),
+        data=st.data(),
+    )
+    def test_horner_from_the_leading_coefficient_has_the_bits_of_horner_from_zero(self, p, rows, window, data):
+        def horner_from_zero(coefficients):  # the evaluation as it was: a zero start times x, plus c_p
+            x = _centred_time(window)
+            result = np.zeros((*coefficients.shape[:-1], x.size))
+            for c in coefficients.T[::-1, ..., None]:
+                result *= x
+                result += c
+            return result
+
+        finite = st.floats(-100.0, 100.0, allow_subnormal=False)
+        orders = data.draw(st.lists(st.integers(0, p), min_size=rows, max_size=rows), label="orders")
+        coefficients = np.array(data.draw(st.lists(st.lists(finite, min_size=p + 1, max_size=p + 1),
+                                                   min_size=rows, max_size=rows), label="coefficients"))
+        coefficients[np.arange(p + 1) > np.array(orders)[:, None]] = 0.0  # rows of lower order, zero-padded
+        zero_row = data.draw(st.integers(0, rows - 1), label="zero_row")
+        coefficients[zero_row] = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=p + 1, max_size=p + 1))
+        profiles = _profiles(coefficients, window)
+        before = horner_from_zero(coefficients)
+        nonzero = coefficients.any(axis=-1)
+        assert profiles[nonzero].view(np.int64).tolist() == before[nonzero].view(np.int64).tolist()
+        # an all-zero row may differ only in the sign of its zeros, which _corrected fails alike
+        assert (profiles[~nonzero] == 0.0).all() and (before[~nonzero] == 0.0).all()
+        for row in np.flatnonzero(nonzero):
+            unpadded = _profiles(coefficients[row, : orders[row] + 1], window)
+            assert profiles[row].view(np.int64).tolist() == unpadded.view(np.int64).tolist()
+
 
 class TestPositivity:
     def test_passes_on_a_safe_linear_profile(self):
