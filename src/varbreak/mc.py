@@ -20,17 +20,17 @@ Streams: every replication draws only from its own counter-based Philox
 stream keyed by ``(seed, replication)``; no argument overrides its draws.
 Each thread draws from its one Philox, whose whole state is set per row.
 
-Blocks: replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)``
-rows through one batched kernel.  A block's draws form one (R, n) array
-that becomes the innovations and the errors in place; its residuals are
-squared once for both statistics, and its failures travel as sparse
-``{replication: name}`` maps.  Importing this module allocates and frees
-one array of ``8 * BLOCK_ELEMENTS`` floats (2 MB), never written, so never
-faulted in.  glibc serves a chunk that large by mmap; freeing it raises
-the mmap threshold to its size and the trim threshold to twice that (see
-mallopt(3)), so a block's freed arrays, about 256 KB each, stay in the
-heap for the next block, in every call, cell and pool worker, instead of
-going back to the operating system to be faulted in again.
+Blocks: replications run in blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows
+through one batched kernel.  A block's draws form one (R, n) array that
+becomes the innovations and the errors in place; its residuals are squared
+once for both statistics, and only a failed block builds its sparse
+``{replication: name}`` failure maps.  Importing this module allocates and
+frees one array of ``8 * BLOCK_ELEMENTS`` floats (2 MB), never written, so
+never faulted in.  glibc serves a chunk that large by mmap; freeing it
+raises the mmap threshold to its size and the trim threshold to twice that
+(see mallopt(3)), so a block's freed arrays, about 256 KB each, stay in
+the heap for the next block, in every call, cell and pool worker, instead
+of going back to the operating system to be faulted in again.
 
 Byte identity: each row goes through the same arithmetic as a lone
 replication (:func:`simulate_dgp1`, :func:`simulate_dgp2` and the public
