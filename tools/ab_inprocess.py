@@ -50,9 +50,10 @@ def _varbreak_modules() -> dict:
 
 
 def _src_sha256(tree: Path) -> str:
+    """The digest of the tree's ``src/`` that ``bench/run.py`` records as its fingerprint's ``src_sha256``."""
     digest = hashlib.sha256()
-    for path in sorted((tree / "src" / "varbreak").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    for path in sorted((tree / "src").rglob("*.py")):
+        digest.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 
 
