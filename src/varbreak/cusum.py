@@ -26,8 +26,9 @@ last three run row-wise over a block of series, the public functions being
 one-row calls.  Each failure rule is tested in one place, which records a
 row's first :class:`VarbreakError` in a ``{row: error}`` map; a one-row call
 raises it.  A failed row's statistic means nothing.  The row kernel,
-:func:`_statistics`, divides by each row's AIC profile as is ("none", the
-grid) or floored by :func:`_floor`, the floor rule's one owner ("floor").
+:func:`_statistics`, divides by each row's AIC profile as is, as the grid
+does; :func:`_floor`, the floor rule's one owner, serves the "clamp" of
+:func:`statistic_corrected` and of ``varbreak test``.
 
 References
 ----------
@@ -98,7 +99,7 @@ def _sanso(squares: np.ndarray, failures: dict) -> np.ndarray:
 def _corrected(squares: np.ndarray, profile: np.ndarray, failures: dict) -> np.ndarray:
     """:func:`_sanso` of each row of ``squares / profile``, every profile row scaled as a fit to unit-scale squares.
 
-    :func:`_statistics` and :func:`statistic_corrected` pass such profiles, so a row's quotients are not finite only
+    Its callers, ``varbreak test`` among them, pass such profiles, so a row's quotients are not finite only
     where its profile is at or near zero, and the row fails with NonpositiveVarianceError.  Every row is then brought
     to unit scale by an exact power of two, so the profile's scale cannot overflow or underflow the dispersion.
     """
@@ -115,33 +116,27 @@ def _corrected(squares: np.ndarray, profile: np.ndarray, failures: dict) -> np.n
     return _sanso(np.ldexp(rescaled, -np.frexp(peak)[1][:, None], out=rescaled), failures)
 
 
-def _floor(profiles: np.ndarray, mean_sq) -> np.ndarray:
-    """The positivity floor rule, its one owner: each profile row raised to ``POS_FLOOR_FRAC`` times its mean square."""
-    return np.maximum(profiles, POS_FLOOR_FRAC * np.reshape(mean_sq, (-1, 1)))
+def _floor(profile: np.ndarray, mean_sq: float) -> np.ndarray:
+    """The positivity floor rule, its one owner: the profile raised to ``POS_FLOOR_FRAC`` times the window mean square."""
+    return np.maximum(profile, POS_FLOOR_FRAC * mean_sq)
 
 
-def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int, positivity: str = "none") -> tuple:
-    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, their failure maps, and the search.
+def _statistics(squares: np.ndarray, window: SubsampleWindow, p_max: int) -> tuple:
+    """Q_std and Q_mod of each row of (R, q) squares of unit-scale window values, and their failure maps.
 
-    The search is :func:`varbreak.variance_poly._select`'s.  Q_mod divides by the profile as is under "none"; "floor"
-    floors it by :func:`_floor` and adds what a report reads: each row's mean square, least profile value and its index.
+    Q_mod divides by the row's profile from :func:`varbreak.variance_poly._select`'s AIC search, as is.
     """
     failures_std, failures_mod = {}, {}
     q_std = _sanso(squares, failures_std)
-    search = _select(squares, window, p_max)
-    profiles = _profiles(search[2], window)
-    if positivity == "floor":
-        index = profiles.argmin(axis=-1)
-        search += (squares.sum(axis=-1) / squares.shape[-1], profiles[np.arange(index.size), index], index)
-        profiles = _floor(profiles, search[4])
-    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod, search
+    profiles = _profiles(_select(squares, window, p_max)[2], window)
+    return q_std, _corrected(squares, profiles, failures_mod), failures_std, failures_mod
 
 
-def _dip_error(fit: VariancePolyFit, least: float, t: int) -> NonpositiveVarianceError:
-    """The strict positivity rule's error: the fit's profile dips to ``least`` at ``t``, at or below its floor."""
+def _dip_error(fit: VariancePolyFit, t: int) -> NonpositiveVarianceError:
+    """The strict positivity rule's error: the fit's profile dips to its least value at ``t``, at or below its floor."""
     power = 2 * fit.exponent
     return NonpositiveVarianceError(
-        f"fitted variance dips to {_true_text(least, power)} at t={t} "
+        f"fitted variance dips to {_true_text(fit.unit_profile.min(), power)} at t={t} "
         f"(positivity floor {_true_text(fit.unit_floor, power)}); clamp explicitly or refit with a lower order"
     )
 
@@ -199,7 +194,7 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
 
     The positivity rule: Q_mod divides the squares by the profile, so the profile must stay
     above the floor of :func:`check_positivity`, ``POS_FLOOR_FRAC`` times the window mean
-    square, at every t of the window; "clamp" applies :func:`_floor`, as the row kernel's "floor" does.
+    square, at every t of the window; "clamp" applies :func:`_floor`, as ``varbreak test --clamp`` does.
 
     Parameters
     ----------
@@ -222,7 +217,7 @@ def statistic_corrected(series: ResidualSeries, fit: VariancePolyFit, *, positiv
         raise ValueError(f"positivity must be one of {POSITIVITY_MODES}, got {positivity!r}")
     squares = fit.window.squares(series)[None]
     if positivity == "error" and (t_min := check_positivity(fit)) is not None:
-        raise _dip_error(fit, fit.unit_profile.min(), t_min)
+        raise _dip_error(fit, t_min)
     profile = fit.unit_profile if positivity == "none" else _floor(fit.unit_profile, fit.unit_mean_sq)
     # a profile from outside the package may have any scale: the power of two of its peak brings it to unit scale,
     # and an entry that this flushes to zero is no zero of the fit: NaN fails its row as out of the float range

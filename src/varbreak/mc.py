@@ -290,7 +290,7 @@ def _block(spec: McExperimentSpec, start: int, stop: int) -> tuple:
     is used with no positivity floor: :func:`run_table` was calibrated that way.
     """
     squares, singular = _residual_squares(spec, start, stop)
-    q_std, q_mod, *failures, _ = _statistics(squares, SubsampleWindow.full(squares.shape[1]), spec.poly_p_max)
+    q_std, q_mod, *failures = _statistics(squares, SubsampleWindow.full(squares.shape[1]), spec.poly_p_max)
     if not singular and not any(failures) and np.isfinite(q_std + q_mod).all():
         return q_std, q_mod, {}, {}
     names = []

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from varbreak.armodel import ArFit, default_max_order, fit_ar_ols, select_ar_order
-from varbreak.cusum import _dip_error, _statistics, statistic_subsample
+from varbreak.cusum import _corrected, _dip_error, _floor, _one, _sanso
 from varbreak.dataio import SeriesFile, difference
 from varbreak.errors import VarbreakError
 from varbreak.nulldist import DecisionRule, pvalue
 from varbreak.series import ResidualSeries, SubsampleWindow, _true_text
-from varbreak.variance_poly import DEFAULT_P_MAX, _selection
+from varbreak.variance_poly import DEFAULT_P_MAX, _selection, check_positivity
 
 if TYPE_CHECKING:  # the Monte Carlo engine loads only for the commands that run it
     from varbreak.mc import McResult, SimulationTable
@@ -175,32 +175,22 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
     p_max = min(config.p_max, max(1, window.length - 2))  # the largest order the window supports, if any
     if p_max < config.p_max:
         warnings.append(f"polynomial order search capped at {p_max} by window length {window.length}")
-    squares = window.squares(residuals)[None]
-    try:  # one kernel call: Q_std, the AIC profile search, the profile's least value, and Q_mod on the floored profile
-        q_std, q_mod, failures_std, failures_mod, search = _statistics(squares, window, p_max, "floor")
-    except (VarbreakError, ValueError):  # the search failed: a failure of Q_std, the stage before it, comes first
-        with _stage("statistic-std"):
-            statistic_subsample(residuals, window)
-        with _stage("variance-fit"):
-            raise
+    squares = window.squares(residuals)[None]  # squared once: every stage reads these
     with _stage("statistic-std"):
-        if failures_std:
-            raise failures_std[0]
-    *row, mean_sq, least, index = (a[0] for a in search)
-    selection = _selection(row, mean_sq, window, residuals.exponent)
+        q_std = _one(_sanso, squares)
+    with _stage("variance-fit"):
+        selection = _selection(squares, window, p_max, residuals.exponent)
     poly_fit = selection.fit
     with _stage("statistic-mod"):
-        if not least > poly_fit.unit_floor:  # check_positivity's answer: the profile dips to its floor or below
-            t_min = window.offset + 1 + int(index)
+        if (t_min := check_positivity(poly_fit)) is not None:
             if not config.clamp:
-                raise _dip_error(poly_fit, least, t_min)
+                raise _dip_error(poly_fit, t_min)
             power = 2 * poly_fit.exponent
             warnings.append(
                 f"variance profile floored at {_true_text(poly_fit.unit_floor, power)} "
-                f"(minimum {_true_text(least, power)} at t={t_min})"
+                f"(minimum {_true_text(poly_fit.unit_profile.min(), power)} at t={t_min})"
             )
-        if failures_mod:
-            raise failures_mod[0]
+        q_mod = _one(_corrected, squares, _floor(poly_fit.unit_profile, poly_fit.unit_mean_sq))
 
     def report(kind: str, statistic: float, **fields) -> TestReport:
         return TestReport(
@@ -227,9 +217,9 @@ def run_test_pipeline(series: SeriesFile, config: PipelineConfig) -> tuple[TestR
             **fields,
         )
 
-    return report("Q_std", float(q_std[0])), report(
+    return report("Q_std", q_std), report(
         "Q_mod",
-        float(q_mod[0]),
+        q_mod,
         poly_order=poly_fit.order,
         poly_coefficients=poly_fit.coefficients,
         poly_rss=poly_fit.rss,

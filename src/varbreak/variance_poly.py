@@ -198,15 +198,14 @@ def select_poly_order_aic(
     SingularDesignError
         If ``length <= p_max + 1`` or the order-``p_max`` design is rank deficient.
     """
-    squares = window.squares(series)[None]
-    return _selection([a[0] for a in _select(squares, window, p_max)], np.mean(squares), window, series.exponent)
+    return _selection(window.squares(series)[None], window, p_max, series.exponent)
 
 
-def _selection(row, mean_sq, window: SubsampleWindow, exponent: int) -> OrderSelection:
-    """One row of a :func:`_select` search of the window's squares of ``u * 2**-exponent``, as an OrderSelection."""
-    rss, p, coefficients, unit_rss = row
+def _selection(squares: np.ndarray, window: SubsampleWindow, p_max: int, exponent: int) -> OrderSelection:
+    """The :func:`_select` search of the (1, q) window squares of ``u * 2**-exponent``, as an OrderSelection."""
+    rss, p, coefficients, unit_rss = (a[0] for a in _select(squares, window, p_max))
     coefficients = tuple(coefficients[: p + 1].tolist())
-    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(mean_sq), exponent)
+    fit = VariancePolyFit(int(p), coefficients, float(unit_rss), window, float(np.mean(squares)), exponent)
     return OrderSelection(tuple(rss.tolist()), fit)
 
 

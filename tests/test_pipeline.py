@@ -21,17 +21,20 @@ from varbreak import (
     VarbreakError,
     ZeroDispersionError,
     check_positivity,
+    default_max_order,
     difference,
     emit_report,
     fit_ar_ols,
     run_table,
     run_test_pipeline,
+    select_ar_order,
     select_poly_order_aic,
     statistic_corrected,
     statistic_subsample,
 )
 from varbreak.mc import McExperimentSpec, VariancePathSpec, run_experiment
 from varbreak.pipeline import REPORT_SCHEMA_VERSION
+from varbreak.series import _true_text
 
 from conftest import growing_variance_levels, month_starts, split_levels
 from oracles import pipeline_literal
@@ -170,7 +173,7 @@ class TestRunTestPipeline:
     @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("gamma, offset_fraction", [(1.0, 0.0), (0.8, 0.1)])
     def test_pipeline_is_the_public_chain(self, monkeypatch, clamp, gamma, offset_fraction):
-        # one kernel call, one profile evaluation, and the bits of the README Quickstart chain for both statistics
+        # one profile evaluation, and the bits of the README Quickstart chain for both statistics
         series = series_from_values(growing_variance_levels(200, seed=42))
         config = PipelineConfig(gamma=gamma, offset_fraction=offset_fraction, clamp=clamp)
         calls = self.profile_evaluations(monkeypatch)
@@ -341,6 +344,66 @@ class TestLiteralPipeline:
             assert math.isclose(report.p_value, p_value, rel_tol=tolerance * (1 + 4 * statistic**2)), report.kind
             assert report.reject == reject
         assert any("floored" in warning for warning in reports[1].warnings) == expected["floored"]
+
+
+def staged_chain(series, config):
+    """The README Quickstart chain on ``series``, stage by stage: Q_std, Q_mod, the profile fit and the warnings, or
+    the first failing stage's error, its text prefixed by that stage's label as ``run_test_pipeline`` words it."""
+
+    def staged(label, function, *args, **kwargs):
+        try:
+            return function(*args, **kwargs)
+        except VarbreakError as exc:
+            raise type(exc)(f"{label}: {exc}") from exc
+
+    values = difference(series, config.diff_order).values if config.diff_order else series.values
+    order = config.ar_order
+    if order is None:
+        order = staged("ar-fit", select_ar_order, values, default_max_order(len(values), series.frequency))
+    residuals = staged("ar-fit", fit_ar_ols, values, order, intercept=True).residuals
+    window = SubsampleWindow.from_exponent(residuals.n, config.gamma, config.offset_fraction)
+    p_max = min(config.p_max, max(1, window.length - 2))
+    warnings = [f"polynomial order search capped at {p_max} by window length {window.length}"] * (p_max < config.p_max)
+    q_std = staged("statistic-std", statistic_subsample, residuals, window)
+    selection = staged("variance-fit", select_poly_order_aic, residuals, window, p_max)
+    fit = selection.fit
+    if config.clamp and (t_min := check_positivity(fit)) is not None:
+        power = 2 * fit.exponent
+        warnings.append(
+            f"variance profile floored at {_true_text(fit.unit_floor, power)} "
+            f"(minimum {_true_text(fit.unit_profile.min(), power)} at t={t_min})"
+        )
+    q_mod = staged("statistic-mod", statistic_corrected, residuals, fit, positivity="clamp" if config.clamp else "error")
+    return q_std, q_mod, fit.order, fit.coefficients, fit.rss, selection.scores, tuple(warnings)
+
+
+class TestStagedPipeline:
+    @settings(deadline=None)
+    @given(case=_levels_and_configs())
+    # a failure at each stage: a square AR(10) design, constant squares, a window of 2, and a dip past the float max
+    @example(case=(growing_variance_levels(22, seed=42), 0, 1, PipelineConfig(ar_order=10)))
+    @example(case=(np.tile([1.0, -1.0], 5), 0, 1, PipelineConfig(diff_order=0, ar_order=0, gamma=0.35)))
+    @example(case=(growing_variance_levels(661, seed=42), 0, 1, PipelineConfig(gamma=0.15)))
+    @example(case=(split_levels(), 1025, 1, PipelineConfig(diff_order=0, ar_order=0)))
+    def test_each_stage_is_the_public_chain(self, case):
+        # strict and clamped: the pipeline's statistics, profile fit and warnings are the chain's, bit for bit (a
+        # float's repr is its bits), and where the chain fails the pipeline raises its error, type and labelled text
+        levels, k, step_months, drawn = case
+        dates = month_starts(datetime.date(1990, 1, 1), len(levels), step_months)
+        series = SeriesFile(tuple(dates), np.ldexp(levels, k), "monthly" if step_months == 1 else "quarterly", "SYN")
+        for clamp in (False, True):
+            config = dataclasses.replace(drawn, clamp=clamp)
+            try:
+                expected = staged_chain(series, config)
+            except (VarbreakError, ValueError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    run_test_pipeline(series, config)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                continue
+            report_std, report_mod = run_test_pipeline(series, config)
+            got = (report_std.statistic, report_mod.statistic, report_mod.poly_order, report_mod.poly_coefficients,
+                   report_mod.poly_rss, report_mod.poly_aic_scores, report_mod.warnings)
+            assert repr(got) == repr(expected)
 
 
 _ODD_FLOATS = st.one_of(

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,19 @@ def test_ab_inprocess_runs_the_checkout_against_itself(workload):
     assert result["identical"] and result["rounds"] == 2 and result["a_src_sha256"] == result["b_src_sha256"]
     assert result["ratio_q1"] <= result["ratio_a_over_b_median"] <= result["ratio_q3"]
     assert 0 <= result["b_faster_rounds"] <= 2 and result["ops_per_round"] > 0
+
+
+def test_ab_inprocess_sees_a_strict_run_error_text_that_differs(tmp_path):
+    # one character of the dip error's text: the clamped timed runs never raise it, only the untimed strict runs do
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cusum = tmp_path / "src" / "varbreak" / "cusum.py"
+    text = cusum.read_text(encoding="utf-8")
+    assert text.count("fitted variance dips to") == 1
+    cusum.write_text(text.replace("fitted variance dips to", "fitted variance dipz to"), encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "ab_inprocess.py"), str(TOOLS.parent), str(tmp_path), "--workload", "series",
+         "--rounds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["identical"] is False

@@ -20,7 +20,12 @@ speed.  The rounds are those of the bench workloads of the same names:
 
 Before any timing, both sides run one untimed round and must give the same
 ``keep_statistics`` bytes and the same report text; every timed round is checked
-the same way after it is timed.  A difference exits 1 with no timing.  Otherwise
+the same way after it is timed.  On ``series`` the untimed round also runs both
+surrogates strict (``clamp=False``) and three failing inputs, strict and clamped:
+``split_levels()`` times 2**1025 (a dip past the float max), 10 levels alternating
+in sign at ``gamma=0.35`` (constant squares) and a 120-level exponential ramp at
+``p_max=1`` (a dip), all at ``diff_order=0, ar_order=0``; both sides must give the
+same reports, or the same error type and text.  A difference exits 1 with no timing.  Otherwise
 the last line of output is one JSON object: each side's median ms per operation,
 the median over rounds of the time ratio A/B with its quartiles (above 1 means B
 is faster), and the number of rounds that B won.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import importlib
 import json
@@ -126,12 +132,46 @@ def series_round(side: Side, files: list[Path], k: int) -> tuple[int, list]:
     return len(texts), texts
 
 
-def _series_files(seed: int, directory: Path) -> list[Path]:
+def series_check(side: Side, cases: list) -> list[str]:
+    """Each case's JSON reports, or its error's type and text."""
+    pipeline, texts = side.pipeline, []
+    for path, options in cases:
+        try:
+            reports = pipeline.run_test_pipeline(side.dataio.load_csv(path), pipeline.PipelineConfig(**options))
+            texts.append(pipeline.emit_report(list(reports), "json"))
+        except Exception as exc:  # compared, not handled
+            texts.append(f"{type(exc).__name__}: {exc}")
+    return texts
+
+
+def _conftest():
     sys.path.insert(0, str(CHECKOUT / "tests"))
     try:
         import conftest  # the surrogate generators the bench uses
     finally:
         sys.path.remove(str(CHECKOUT / "tests"))
+    return conftest
+
+
+def _check_cases(files: list[Path], directory: Path) -> list[tuple[Path, dict]]:
+    """The untimed check's runs: the surrogates strict, and the failing inputs strict and clamped."""
+    conftest, tested_as_is = _conftest(), {"diff_order": 0, "ar_order": 0}
+    edges = {
+        "SPLIT": (np.ldexp(conftest.split_levels(), 1025), tested_as_is),
+        "ALTERNATING": (np.tile([1.0, -1.0], 5), {**tested_as_is, "gamma": 0.35}),
+        "RAMP": (np.exp(np.linspace(0.0, 6.0, 120)) * np.random.default_rng(11).standard_normal(120),
+                 {**tested_as_is, "p_max": 1}),
+    }
+    cases = [(path, {}) for path in files]
+    for name, (levels, options) in edges.items():
+        dates = conftest.month_starts(datetime.date(1990, 1, 1), len(levels), 1)
+        path = conftest.write_fred_csv(directory / f"{name}.csv", name, dates, levels)
+        cases += [(path, {**options, "clamp": clamp}) for clamp in (False, True)]
+    return cases
+
+
+def _series_files(seed: int, directory: Path) -> list[Path]:
+    conftest = _conftest()
     files = []
     for count, start, step in ((661, datetime.date(1959, 1, 1), 1), (270, datetime.date(1946, 10, 1), 3)):
         levels = conftest.growing_variance_levels(count, _round_seed(seed, count))
@@ -143,10 +183,12 @@ def _series_files(seed: int, directory: Path) -> list[Path]:
 def run(tree_a: Path, tree_b: Path, workload: str, rounds: int, seed: int) -> dict:
     """Time ``rounds`` alternating rounds of ``workload`` on both trees; see the module docstring."""
     sides = [Side(tree_a), Side(tree_b)]
+    check = None  # on grid and large-n the cell bytes are the whole check
     with tempfile.TemporaryDirectory() as directory:
         if workload == "series":
             files = _series_files(seed, Path(directory))
             operation, output = (lambda side, k: series_round(side, files, k)), (lambda side, texts: "".join(texts))
+            check = functools.partial(series_check, cases=_check_cases(files, Path(directory)))
         else:
             operation = grid_round if workload == "grid" else large_n_round
             operation, output = (lambda side, k, op=operation: op(side, seed, k)), _mc_output
@@ -161,6 +203,8 @@ def run(tree_a: Path, tree_b: Path, workload: str, rounds: int, seed: int) -> di
                 outputs[index] = output(side, results)
                 if k >= 0:
                     times[index].append(elapsed)
+                elif check is not None:
+                    outputs[index] = (outputs[index], check(side))
             if outputs[0] != outputs[1]:
                 return {"workload": workload, "seed": seed, "identical": False, "round": k}
     ratios = [a / b for a, b in zip(*times)]
